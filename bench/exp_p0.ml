@@ -68,11 +68,11 @@ let timed sim loop =
     words = (m1 -. m0) /. float_of_int d;
   }
 
-let best_of n f =
+let best_of n ~rate f =
   let best = ref (f ()) in
   for _ = 2 to n do
     let t = f () in
-    if t.rate > !best.rate then best := t
+    if rate t > rate !best then best := t
   done;
   !best
 
@@ -98,7 +98,7 @@ let e15_with measure =
           done))
 
 let e15_load () =
-  let timing = best_of timed_runs (fun () -> e15_with timed) in
+  let timing = best_of timed_runs ~rate:(fun t -> t.rate) (fun () -> e15_with timed) in
   let report = e15_with (fun sim loop -> snd (Profiler.profile sim loop)) in
   { timing; report }
 
@@ -135,7 +135,7 @@ let churn_with measure =
   r
 
 let churn_load () =
-  let timing = best_of timed_runs (fun () -> churn_with timed) in
+  let timing = best_of timed_runs ~rate:(fun t -> t.rate) (fun () -> churn_with timed) in
   let report =
     churn_with (fun sim loop ->
         let prof = Profiler.create () in
@@ -144,6 +144,52 @@ let churn_load () =
         Profiler.disarm prof sim)
   in
   { timing; report }
+
+(* ------------------------------------------------------------------ *)
+(* The commit path: one client's two-account transfers straight into
+   the transaction service over a stable-mirrored disk, with a log
+   large enough that no checkpoint runs. A commit that read the
+   intentions list back would cost more the longer the log grew, which
+   is what these two numbers catch. *)
+
+let txn_transfers = 2_000
+let txn_accounts = 64
+
+type commit_timing = { commits_per_sec : float; words_per_txn : float }
+
+let txn_commit_run () =
+  run_sim (fun sim ->
+      let fs = make_fs ~with_stable:true sim in
+      let ts = Txn.create ~config:{ Txn.default_config with Txn.log_fragments = 512 } ~fs () in
+      let f = Fs.create_file fs in
+      Fs.pwrite fs f ~off:0 (Bytes.make (txn_accounts * block_bytes) '0');
+      let rng = Rng.create 1 in
+      let balance = Bytes.make 16 '1' in
+      let t0 = now_ns () in
+      let m0 = Gc.minor_words () in
+      for _ = 1 to txn_transfers do
+        let a = Rng.int rng txn_accounts in
+        let b = (a + 1 + Rng.int rng (txn_accounts - 1)) mod txn_accounts in
+        let txn = Txn.tbegin ts in
+        List.iter
+          (fun acct ->
+            let off = acct * block_bytes in
+            ignore (Txn.tread ~intent:`Update ts txn f ~off ~len:16);
+            Txn.twrite ts txn f ~off balance)
+          [ min a b; max a b ];
+        Txn.tend ts txn
+      done;
+      let m1 = Gc.minor_words () in
+      let t1 = now_ns () in
+      if Counter.get (Txn.stats ts) "log_checkpoints" <> 0 then
+        failwith "P0 commit load: the intentions list was checkpointed";
+      {
+        commits_per_sec = float_of_int txn_transfers /. (float_of_int (t1 - t0) /. 1e9);
+        words_per_txn = (m1 -. m0) /. float_of_int txn_transfers;
+      })
+
+let txn_commit_load () =
+  best_of timed_runs ~rate:(fun t -> t.commits_per_sec) txn_commit_run
 
 (* ------------------------------------------------------------------ *)
 (* Queue microbenchmark: steady-state pop-min / re-add against each
@@ -208,6 +254,12 @@ let run_reports () =
     churn;
   emit "e15" e15;
   emit "churn" churn;
+  let txn = txn_commit_load () in
+  note "commit path (%d single-client transfers, no checkpoint, best of %d): \
+        %.0f commits/s, %.0f words/txn"
+    txn_transfers timed_runs txn.commits_per_sec txn.words_per_txn;
+  Json_out.metric "P0" "txn_commit_per_sec" txn.commits_per_sec;
+  Json_out.metric "P0" "txn_commit_words_per_txn" txn.words_per_txn;
   let qb = queue_bench_all () in
   note "queue microbench (steady-state pop+re-add, ops/s):";
   List.iter
@@ -215,7 +267,7 @@ let run_reports () =
       note "  %-28s %12.0f" k v;
       Json_out.metric "P0" k v)
     qb;
-  (e15, churn, qb)
+  (e15, churn, txn, qb)
 
 let run () = ignore (run_reports ())
 
@@ -262,7 +314,7 @@ let alloc_slack_words = 16.
 
 let check ~baseline () =
   let base = parse_baseline baseline in
-  let e15, churn, qb = run_reports () in
+  let e15, churn, txn, qb = run_reports () in
   let ok = ref true in
   let gate name ~current ~against =
     match List.assoc_opt name base with
@@ -292,6 +344,8 @@ let check ~baseline () =
   alloc "e15_words_per_event" e15.timing.words;
   rate "churn_events_per_sec" churn.timing.rate;
   alloc "churn_words_per_event" churn.timing.words;
+  rate "txn_commit_per_sec" txn.commits_per_sec;
+  alloc "txn_commit_words_per_txn" txn.words_per_txn;
   List.iter (fun (k, v) -> rate k v) qb;
   if !ok then note "perf: gate passed (floor %.2fx rate, ceiling %.2fx allocs)"
       rate_floor alloc_ceiling

@@ -586,11 +586,17 @@ let pwrite_file_impl t file ~off ~data =
   let len = Bytes.length data in
   if len > 0 then begin
     let size = size_ref t file in
+    let old_size = !size in
     if t.config.cache_blocks = 0 then begin
       Counter.incr t.counters "remote_writes";
-      t.conn.Service_conn.pwrite file ~off ~data
+      t.conn.Service_conn.pwrite file ~off ~data;
+      if off + len > old_size then size := off + len
     end
     else begin
+      (* Raise the logical size before the loop: a flush that runs
+         while [Cache.write] waits on an eviction trims dirty blocks to
+         it, and would drop the blocks this write adds. *)
+      if off + len > old_size then size := off + len;
       let b0 = off / block_size and b1 = (off + len - 1) / block_size in
       for bi = b0 to b1 do
         let file_start = bi * block_size in
@@ -602,7 +608,7 @@ let pwrite_file_impl t file ~off ~data =
             (* Partial block: start from the old content when the
                block already has bytes inside the file. *)
             let base =
-              if file_start < !size then Bytes.copy (load_block t file bi)
+              if file_start < old_size then Bytes.copy (load_block t file bi)
               else Bytes.make block_size '\000'
             in
             Bytes.blit data (s - off) base (s - file_start) (e - s);
@@ -618,8 +624,7 @@ let pwrite_file_impl t file ~off ~data =
         drop_block_tracking t file bi;
         Cache.write t.cache (file, bi) block
       done
-    end;
-    if off + len > !size then size := off + len
+    end
   end
 
 let pwrite_file t file ~off ~data =

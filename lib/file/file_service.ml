@@ -673,36 +673,40 @@ let block_location t id ~block_index =
   | None -> None
 
 (* Replace the run entry covering [block_index] with up to three
-   pieces: the prefix, the one-block shadow location, the suffix. *)
+   pieces: the prefix, the one-block shadow location, the suffix. The
+   new run list is installed before the old block is freed: freeing
+   persists the bitmap and yields, and a concurrent replace on the same
+   file must build on this one's runs, not overwrite them. *)
 let replace_block t id ~block_index ~disk ~frag =
   with_fit t id (fun ofit ->
   let fit = ofit.fit in
   let rec rewrite skipped = function
     | [] -> invalid_arg "replace_block: block index beyond allocation"
-    | (r : Fit.run) :: rest ->
-      if block_index < skipped + r.blocks then begin
-        let into = block_index - skipped in
-        let old_frag = r.frag + (into * fpb) in
-        Cache.invalidate t.data_cache (r.disk, old_frag);
-        Block.free t.disks.(r.disk) ~pos:old_frag ~fragments:fpb;
-        let prefix = if into > 0 then [ { r with Fit.blocks = into } ] else [] in
-        let suffix =
-          if into < r.blocks - 1 then
-            [
-              {
-                r with
-                Fit.frag = r.frag + ((into + 1) * fpb);
-                blocks = r.blocks - into - 1;
-              };
-            ]
-          else []
-        in
-        prefix @ ({ Fit.disk; frag; blocks = 1 } :: suffix) @ rest
-      end
-      else r :: rewrite (skipped + r.blocks) rest
+    | (r : Fit.run) :: rest when block_index < skipped + r.blocks ->
+      let into = block_index - skipped in
+      let prefix = if into > 0 then [ { r with Fit.blocks = into } ] else [] in
+      let suffix =
+        if into < r.blocks - 1 then
+          [
+            {
+              r with
+              Fit.frag = r.frag + ((into + 1) * fpb);
+              blocks = r.blocks - into - 1;
+            };
+          ]
+        else []
+      in
+      let old = (r.disk, r.frag + (into * fpb)) in
+      (prefix @ ({ Fit.disk; frag; blocks = 1 } :: suffix) @ rest, old)
+    | r :: rest ->
+      let runs, old = rewrite (skipped + r.blocks) rest in
+      (r :: runs, old)
   in
-  fit.Fit.runs <- rewrite 0 fit.Fit.runs;
+  let runs, (old_disk, old_frag) = rewrite 0 fit.Fit.runs in
+  fit.Fit.runs <- runs;
   ofit.runs_dirty <- true;
+  Cache.invalidate t.data_cache (old_disk, old_frag);
+  Block.free t.disks.(old_disk) ~pos:old_frag ~fragments:fpb;
   store_fit t id ofit)
 
 (* ------------------------------------------------------------------ *)

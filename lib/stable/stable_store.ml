@@ -52,32 +52,37 @@ let page_sector t (r : replica) page =
 (* On-disk copy layout: [header sector | payload sectors]. Header
    fields, little-endian: magic(4) crc(4) seq(8). *)
 let encode_copy t ~seq payload =
-  let header = Bytes.make t.sector_bytes '\000' in
-  Bytes.set_int32_le header 0 magic;
-  Bytes.set_int32_le header 4 (Crc32.bytes payload);
-  Bytes.set_int64_le header 8 seq;
-  Bytes.cat header payload
+  let raw = Bytes.create (t.sector_bytes + t.page_bytes) in
+  Bytes.fill raw 0 t.sector_bytes '\000';
+  Bytes.set_int32_le raw 0 magic;
+  Bytes.set_int32_le raw 4 (Crc32.bytes payload);
+  Bytes.set_int64_le raw 8 seq;
+  Bytes.blit payload 0 raw t.sector_bytes t.page_bytes;
+  raw
 
-(* Validate one copy read off the disk; [Some (seq, payload)] if the
-   magic and checksum hold. *)
-let decode_copy t raw =
-  if Bytes.length raw <> t.sector_bytes + t.page_bytes then None
-  else if Bytes.get_int32_le raw 0 <> magic then None
+(* Validate the copy at [off] in a buffer read off the disk, in place;
+   [Some (seq, payload)] if the magic and checksum hold. Only a valid
+   payload is copied out. *)
+let decode_copy t raw ~off =
+  if off + t.sector_bytes + t.page_bytes > Bytes.length raw then None
+  else if Bytes.get_int32_le raw off <> magic then None
   else
-    let crc = Bytes.get_int32_le raw 4 in
-    let seq = Bytes.get_int64_le raw 8 in
-    let payload = Bytes.sub raw t.sector_bytes t.page_bytes in
-    if Crc32.bytes payload = crc then Some (seq, payload) else None
+    let pos = off + t.sector_bytes in
+    if Crc32.sub raw ~pos ~len:t.page_bytes <> Bytes.get_int32_le raw (off + 4) then None
+    else Some (Bytes.get_int64_le raw (off + 8), Bytes.sub raw pos t.page_bytes)
 
 let read_copy t (r : replica) page =
   let sector = page_sector t r page in
   let count = sectors_per_page ~page_bytes:t.page_bytes ~sector_bytes:t.sector_bytes in
   match Disk.read r.disk ~sector ~count with
-  | raw -> decode_copy t raw
+  | raw -> decode_copy t raw ~off:0
   | exception (Disk.Media_failure _ | Disk.Disk_failed _) -> None
 
-let write_copy t (r : replica) page ~seq payload =
-  Disk.write r.disk ~sector:(page_sector t r page) (encode_copy t ~seq payload)
+(* [Disk] copies a write's payload into its image when the write runs,
+   so one encoded copy can be handed to both replicas. *)
+let write_raw t (r : replica) page raw = Disk.write r.disk ~sector:(page_sector t r page) raw
+
+let write_copy t r page ~seq payload = write_raw t r page (encode_copy t ~seq payload)
 
 let fresh_seq t =
   let seq = t.next_seq in
@@ -88,9 +93,9 @@ let write t ~page payload =
   check_page t page;
   if Bytes.length payload <> t.page_bytes then
     invalid_arg "Stable_store.write: payload size";
-  let seq = fresh_seq t in
-  write_copy t t.primary page ~seq payload;
-  write_copy t t.mirror page ~seq payload
+  let raw = encode_copy t ~seq:(fresh_seq t) payload in
+  write_raw t t.primary page raw;
+  write_raw t t.mirror page raw
 
 let write_torn t ~page payload =
   check_page t page;
@@ -138,13 +143,11 @@ let read_copies_chunk t (r : replica) ~first_page ~count =
   match
     Disk.read r.disk ~sector:(page_sector t r first_page) ~count:(count * spp)
   with
-  | raw ->
-    Array.init count (fun i ->
-        (decode_copy t (Bytes.sub raw (i * copy_bytes) copy_bytes), false))
+  | raw -> Array.init count (fun i -> (decode_copy t raw ~off:(i * copy_bytes), false))
   | exception (Disk.Media_failure _ | Disk.Disk_failed _) ->
     Array.init count (fun i ->
         match Disk.read r.disk ~sector:(page_sector t r (first_page + i)) ~count:spp with
-        | raw -> (decode_copy t raw, false)
+        | raw -> (decode_copy t raw ~off:0, false)
         | exception (Disk.Media_failure _ | Disk.Disk_failed _) -> (None, true))
 
 let recover t =

@@ -11,7 +11,8 @@
 
     - [write] performs a careful write: primary copy first, then the
       mirror. A crash between the two leaves exactly one newer valid
-      copy, which [recover] propagates.
+      copy, which [recover] propagates. The copy is encoded and
+      checksummed once; both replicas get the same bytes.
     - [read] tries the primary; on media failure or checksum mismatch
       it falls back to the mirror.
     - [recover] scans every page pair and repairs decayed or torn

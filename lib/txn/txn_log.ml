@@ -50,45 +50,48 @@ let kind_code = function
   | Done _ -> 4
   | Abort _ -> 5
 
-let encode_payload = function
-  | Write { txn; file; off; data } ->
-    let b = Bytes.create (28 + Bytes.length data) in
-    Bytes.set_int64_le b 0 (Int64.of_int txn);
-    Bytes.set_int64_le b 8 (Int64.of_int file);
-    Bytes.set_int64_le b 16 (Int64.of_int off);
-    Bytes.set_int32_le b 24 (Int32.of_int (Bytes.length data));
-    Bytes.blit data 0 b 28 (Bytes.length data);
-    b
-  | Shadow { txn; file; block_index; shadow_disk; shadow_frag } ->
-    let b = Bytes.create 36 in
-    Bytes.set_int64_le b 0 (Int64.of_int txn);
-    Bytes.set_int64_le b 8 (Int64.of_int file);
-    Bytes.set_int64_le b 16 (Int64.of_int block_index);
-    Bytes.set_int32_le b 24 (Int32.of_int shadow_disk);
-    Bytes.set_int64_le b 28 (Int64.of_int shadow_frag);
-    b
-  | Commit { txn } | Done { txn } | Abort { txn } ->
-    let b = Bytes.create 8 in
-    Bytes.set_int64_le b 0 (Int64.of_int txn);
-    b
+let payload_bytes = function
+  | Write { data; _ } -> 28 + Bytes.length data
+  | Shadow _ -> 36
+  | Commit _ | Done _ | Abort _ -> 8
 
-let decode_record ~kind payload =
-  let txn = Int64.to_int (Bytes.get_int64_le payload 0) in
+(* Payloads are encoded straight into the log image at [p] and decoded
+   from it in place: only a [Write]'s data is ever copied out. *)
+let encode_payload b p = function
+  | Write { txn; file; off; data } ->
+    Bytes.set_int64_le b p (Int64.of_int txn);
+    Bytes.set_int64_le b (p + 8) (Int64.of_int file);
+    Bytes.set_int64_le b (p + 16) (Int64.of_int off);
+    Bytes.set_int32_le b (p + 24) (Int32.of_int (Bytes.length data));
+    Bytes.blit data 0 b (p + 28) (Bytes.length data)
+  | Shadow { txn; file; block_index; shadow_disk; shadow_frag } ->
+    Bytes.set_int64_le b p (Int64.of_int txn);
+    Bytes.set_int64_le b (p + 8) (Int64.of_int file);
+    Bytes.set_int64_le b (p + 16) (Int64.of_int block_index);
+    Bytes.set_int32_le b (p + 24) (Int32.of_int shadow_disk);
+    Bytes.set_int64_le b (p + 28) (Int64.of_int shadow_frag)
+  | Commit { txn } | Done { txn } | Abort { txn } ->
+    Bytes.set_int64_le b p (Int64.of_int txn)
+
+(* [len] is the payload's framed length; a payload too short for its
+   kind is an invalid frame. *)
+let decode_record ~kind b p ~len =
+  let int64 at = Int64.to_int (Bytes.get_int64_le b (p + at)) in
+  let txn = int64 0 in
   match kind with
-  | 1 ->
-    let file = Int64.to_int (Bytes.get_int64_le payload 8) in
-    let off = Int64.to_int (Bytes.get_int64_le payload 16) in
-    let len = Int32.to_int (Bytes.get_int32_le payload 24) in
-    Some (Write { txn; file; off; data = Bytes.sub payload 28 len })
-  | 2 ->
+  | 1 when len >= 28 ->
+    let n = Int32.to_int (Bytes.get_int32_le b (p + 24)) in
+    if n < 0 || 28 + n > len then None
+    else Some (Write { txn; file = int64 8; off = int64 16; data = Bytes.sub b (p + 28) n })
+  | 2 when len >= 36 ->
     Some
       (Shadow
          {
            txn;
-           file = Int64.to_int (Bytes.get_int64_le payload 8);
-           block_index = Int64.to_int (Bytes.get_int64_le payload 16);
-           shadow_disk = Int32.to_int (Bytes.get_int32_le payload 24);
-           shadow_frag = Int64.to_int (Bytes.get_int64_le payload 28);
+           file = int64 8;
+           block_index = int64 16;
+           shadow_disk = Int32.to_int (Bytes.get_int32_le b (p + 24));
+           shadow_frag = int64 28;
          })
   | 3 -> Some (Commit { txn })
   | 4 -> Some (Done { txn })
@@ -111,18 +114,18 @@ let persist_range t ~pos ~len =
     (Bytes.sub t.image (first * frag_bytes) (frags * frag_bytes))
 
 let append t record =
-  let payload = encode_payload record in
-  let total = header_bytes + Bytes.length payload in
+  let len = payload_bytes record in
+  let total = header_bytes + len in
   (* Keep one spare header's room so the terminator (zero magic) after
      the last record is always inside the region. *)
   if t.cursor + total + 4 > capacity t then raise Log_full;
   let b = t.image in
   let pos = t.cursor in
+  encode_payload b (pos + header_bytes) record;
   Bytes.set_int32_le b pos record_magic;
-  Bytes.set_int32_le b (pos + 4) (Int32.of_int (Bytes.length payload));
-  Bytes.set_int32_le b (pos + 8) (Crc32.bytes payload);
+  Bytes.set_int32_le b (pos + 4) (Int32.of_int len);
+  Bytes.set_int32_le b (pos + 8) (Crc32.sub b ~pos:(pos + header_bytes) ~len);
   Bytes.set_uint8 b (pos + 12) (kind_code record);
-  Bytes.blit payload 0 b (pos + header_bytes) (Bytes.length payload);
   (* Zero terminator after the record (may already be zero). *)
   Bytes.set_int32_le b (pos + total) 0l;
   t.cursor <- pos + total;
@@ -137,15 +140,13 @@ let scan_image image =
       let len = Int32.to_int (Bytes.get_int32_le image (pos + 4)) in
       let crc = Bytes.get_int32_le image (pos + 8) in
       let kind = Bytes.get_uint8 image (pos + 12) in
-      if len < 8 || pos + header_bytes + len > cap then (List.rev acc, pos)
-      else begin
-        let payload = Bytes.sub image (pos + header_bytes) len in
-        if Crc32.bytes payload <> crc then (List.rev acc, pos)
-        else
-          match decode_record ~kind payload with
-          | Some r -> loop (pos + header_bytes + len) (r :: acc)
-          | None -> (List.rev acc, pos)
-      end
+      let p = pos + header_bytes in
+      if len < 8 || p + len > cap || Crc32.sub image ~pos:p ~len <> crc then
+        (List.rev acc, pos)
+      else
+        match decode_record ~kind image p ~len with
+        | Some r -> loop (p + len) (r :: acc)
+        | None -> (List.rev acc, pos)
     end
   in
   loop 0 []

@@ -23,7 +23,8 @@
 
     Recovery ([scan]) returns the parsed records; the transaction
     service redoes committed-but-not-done transactions (both record
-    kinds are idempotent) and discards the rest.
+    kinds are idempotent) and discards the rest. A live commit never
+    reads the log back: it applies the records it appended itself.
 
     The paper's operations get-intention / set-intention /
     remove-intention map to [scan] / [append] / [checkpoint]. *)

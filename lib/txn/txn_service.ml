@@ -376,8 +376,14 @@ let tentative_bytes t txn file ~off ~len =
    extending the file is always WAL (a shadow swap needs an existing
    descriptor to replace). All post-images come from the full
    tentative overlay, so overlapping writes by the same transaction
-   commit correctly. *)
+   commit correctly. Returns the records appended, oldest first: the
+   commit applies exactly these, so it never reads the log back. *)
 let log_intentions t txn =
+  let appended = ref [] in
+  let append r =
+    Txn_log.append t.log r;
+    appended := r :: !appended
+  in
   let writes = List.rev txn.writes in
   let files = List.sort_uniq compare (List.map (fun (f, _, _) -> f) writes) in
   List.iter
@@ -401,7 +407,7 @@ let log_intentions t txn =
             match technique ~b0 ~b1 with
             | Wal ->
               Counter.incr t.counters "wal_intentions";
-              Txn_log.append t.log
+              append
                 (Txn_log.Write
                    {
                      txn = txn.id;
@@ -426,7 +432,7 @@ let log_intentions t txn =
                 txn.shadow_allocs <- (disk, frag) :: txn.shadow_allocs;
                 Block.put_block bs ~pos:frag post;
                 Counter.incr t.counters "shadow_intentions";
-                Txn_log.append t.log
+                append
                   (Txn_log.Shadow
                      {
                        txn = txn.id;
@@ -440,7 +446,7 @@ let log_intentions t txn =
           if off + len > committed_size then begin
             let ext_off = max off committed_size in
             Counter.incr t.counters "wal_intentions";
-            Txn_log.append t.log
+            append
               (Txn_log.Write
                  {
                    txn = txn.id;
@@ -450,7 +456,8 @@ let log_intentions t txn =
                  })
           end)
         (merged_intervals writes ~file:fid))
-    files
+    files;
+  List.rev !appended
 
 let apply_record t = function
   | Txn_log.Write { file; off; data; _ } -> Fs.pwrite t.fs (Fs.id_of_int file) ~off data
@@ -491,18 +498,10 @@ let tend_impl t txn =
   (match
      (* Phase boundary: record every intention, then the commit flag.
         Everything before the Commit record is tentative. *)
-     (let my_records = ref [] in
-      log_intentions t txn;
+     (let intentions = log_intentions t txn in
       Txn_log.append t.log (Txn_log.Commit { txn = txn.id });
       (* Make permanent (the second phase of the intentions list). *)
-      List.iter
-        (fun r ->
-          match r with
-          | Txn_log.(Write { txn = id; _ } | Shadow { txn = id; _ }) when id = txn.id ->
-            my_records := r :: !my_records
-          | _ -> ())
-        (Txn_log.scan t.log);
-      List.iter (apply_record t) (List.rev !my_records);
+      List.iter (apply_record t) intentions;
       Txn_log.append t.log (Txn_log.Done { txn = txn.id }))
    with
   | () -> ()
@@ -580,15 +579,23 @@ let recover_service ?(config = default_config) ?tracer ~fs
   let t = build ~config ?tracer ~fs ~log () in
   let records = Txn_log.scan log in
   let committed = Hashtbl.create 8 and done_ = Hashtbl.create 8 in
-  let aborted = Hashtbl.create 8 and seen = Hashtbl.create 8 in
+  let aborted = Hashtbl.create 8 in
+  (* One pass groups each transaction's intentions, newest first. *)
+  let intentions = Hashtbl.create 8 in
+  let max_logged = ref 0 in
   List.iter
     (fun r ->
-      match r with
-      | Txn_log.Commit { txn } -> Hashtbl.replace committed txn ()
-      | Txn_log.Done { txn } -> Hashtbl.replace done_ txn ()
-      | Txn_log.Abort { txn } -> Hashtbl.replace aborted txn ()
-      | Txn_log.Write { txn; _ } | Txn_log.Shadow { txn; _ } ->
-        Hashtbl.replace seen txn ())
+      let txn =
+        match r with
+        | Txn_log.Commit { txn } -> Hashtbl.replace committed txn (); txn
+        | Txn_log.Done { txn } -> Hashtbl.replace done_ txn (); txn
+        | Txn_log.Abort { txn } -> Hashtbl.replace aborted txn (); txn
+        | Txn_log.Write { txn; _ } | Txn_log.Shadow { txn; _ } ->
+          let mine = Option.value (Hashtbl.find_opt intentions txn) ~default:[] in
+          Hashtbl.replace intentions txn (r :: mine);
+          txn
+      in
+      max_logged := max !max_logged txn)
     records;
   let to_redo =
     Hashtbl.fold
@@ -598,21 +605,17 @@ let recover_service ?(config = default_config) ?tracer ~fs
   in
   List.iter
     (fun id ->
-      List.iter
-        (fun r ->
-          match r with
-          | Txn_log.(Write { txn; _ } | Shadow { txn; _ }) when txn = id ->
-            apply_record t r
-          | _ -> ())
-        records;
+      (match Hashtbl.find_opt intentions id with
+      | Some mine -> List.iter (apply_record t) (List.rev mine)
+      | None -> ());
       Txn_log.append log (Txn_log.Done { txn = id }))
     to_redo;
   let discarded =
     Hashtbl.fold
-      (fun txn () acc ->
+      (fun txn _ acc ->
         if Hashtbl.mem committed txn || Hashtbl.mem aborted txn then acc
         else txn :: acc)
-      seen []
+      intentions []
     |> List.sort compare
   in
   (* Shadow blocks written for transactions that never committed (or
@@ -634,17 +637,7 @@ let recover_service ?(config = default_config) ?tracer ~fs
   (* The log can be cleared: every committed transaction is applied. *)
   Txn_log.checkpoint log;
   (* Fresh transaction ids must not collide with logged ones. *)
-  let max_logged =
-    List.fold_left
-      (fun acc r ->
-        match r with
-        | Txn_log.(
-            Write { txn; _ } | Shadow { txn; _ } | Commit { txn } | Done { txn }
-            | Abort { txn }) ->
-          max acc txn)
-      0 records
-  in
-  t.next_id <- max_logged + 1;
+  t.next_id <- !max_logged + 1;
   L.info (fun m ->
       m "recovery: %d transaction(s) redone, %d discarded" (List.length to_redo)
         (List.length discarded));

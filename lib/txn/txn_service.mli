@@ -26,7 +26,9 @@
     contiguity) when the affected blocks are contiguous or the file
     uses record-level locking, by {b shadow page} (block already
     written at a fresh location, descriptor swap in the FIT)
-    otherwise. After a crash, [recover] redoes committed-but-unDone
+    otherwise. The commit applies the intentions it has just logged,
+    held in memory; only recovery reads the intentions list back.
+    After a crash, [recover_service] redoes committed-but-unDone
     transactions and discards the rest.
 
     All operations must run inside a [Sim] process. *)

@@ -321,6 +321,24 @@ let test_fa_flush_trims_partial_tail () =
       check int "coalesced flush does not pad the file" 20000
         (Fs.get_attributes fs id).Fit.size)
 
+let test_fa_extending_write_larger_than_cache () =
+  (* Regression: the logical size used to be raised only after the
+     block loop, so the evictions the loop itself forced flushed the
+     new blocks trimmed to the old size — dropping them. *)
+  let cache_blocks = 8 in
+  with_agent ~config:{ Fa.default_config with Fa.cache_blocks } (fun _ fs _ fa ->
+      let len = 2 * cache_blocks * 8192 in
+      let data = Bytes.init len (fun i -> Char.chr ((i * 7 + (i / 8192)) mod 256)) in
+      let d = Fa.create_file fa ~path:"/big" in
+      Fa.pwrite fa d ~off:0 ~data;
+      Fa.flush fa;
+      let file = Fa.descriptor_file fa d in
+      check int "service size" len (Fs.get_attributes fs (Fs.id_of_int file)).Fit.size;
+      Fs.drop_caches fs;
+      Fa.invalidate_file fa ~file;
+      check bool "cold read-back equals the data" true
+        (Bytes.equal data (Fa.pread fa d ~off:0 ~len)))
+
 let test_fa_flush_then_service_sees_data () =
   with_agent (fun _ fs _ fa ->
       let d = Fa.create_file fa ~path:"/f" in
@@ -532,6 +550,8 @@ let () =
           Alcotest.test_case "cache absorbs rereads" `Quick test_fa_cache_absorbs_rereads;
           Alcotest.test_case "no-cache passthrough" `Quick test_fa_no_cache_mode_passthrough;
           Alcotest.test_case "flush" `Quick test_fa_flush_then_service_sees_data;
+          Alcotest.test_case "extending write larger than cache" `Quick
+            test_fa_extending_write_larger_than_cache;
           Alcotest.test_case "close flushes" `Quick test_fa_close_flushes;
           Alcotest.test_case "invalidate_file" `Quick test_fa_invalidate_file;
           Alcotest.test_case "name cache" `Quick test_fa_name_cache;

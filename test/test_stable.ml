@@ -28,6 +28,19 @@ let test_write_read () =
       Stable.write s ~page:3 (payload 7);
       check bool "roundtrip" true (Bytes.equal (payload 7) (Stable.read s ~page:3)))
 
+let test_replicas_byte_identical () =
+  (* One encoded copy serves both replicas: header (magic, CRC, seq)
+     and payload land identically on the two disks. *)
+  with_store (fun _ d0 d1 s ->
+      Stable.write s ~page:2 (payload 3);
+      Stable.write s ~page:2 (payload 4);
+      Stable.write s ~page:6 (payload 5);
+      let count = Stable.sectors_needed ~page_bytes ~npages:8 ~sector_bytes:512 in
+      let primary = Disk.peek d0 ~sector:0 ~count and mirror = Disk.peek d1 ~sector:0 ~count in
+      check bool "sectors identical" true (Bytes.equal primary mirror);
+      check bool "page written" true (Bytes.get_int32_le primary (2 * 5 * 512) <> 0l);
+      check bool "latest payload" true (Bytes.equal (payload 4) (Stable.read s ~page:2)))
+
 let test_read_unwritten_raises () =
   with_store (fun _ _ _ s ->
       check bool "not initialized" false (Stable.is_initialized s ~page:0);
@@ -83,6 +96,22 @@ let test_recover_torn_write () =
         (List.mem (5, Stable.Repaired_mirror) report.repairs);
       check bool "newer version wins" true
         (Bytes.equal (payload 11) (Stable.read s ~page:5)))
+
+let test_recover_corrupt_page_mid_chunk () =
+  (* Recovery checks every copy in place inside its chunk read: a bad
+     CRC on a page in the middle of the chunk is repaired from the
+     mirror, and its neighbours are left alone. *)
+  with_store (fun _ d0 d1 s ->
+      List.iter (fun p -> Stable.write s ~page:p (payload p)) [ 2; 3; 4 ];
+      (* A page's copy is 5 sectors: header, then 4 of payload. *)
+      Disk.poke d0 ~sector:((3 * 5) + 2) (Bytes.make 512 '\007');
+      let report = Stable.recover s in
+      check bool "only page 3 repaired" true (report.repairs = [ (3, Stable.Repaired_primary) ]);
+      (* The primary alone now holds every page. *)
+      Disk.fail_unit d1;
+      List.iter
+        (fun p -> check bool "content intact" true (Bytes.equal (payload p) (Stable.read s ~page:p)))
+        [ 2; 3; 4 ])
 
 let test_recover_clean_store_reports_nothing () =
   with_store (fun _ _ _ s ->
@@ -178,6 +207,7 @@ let () =
       ( "basic",
         [
           Alcotest.test_case "write/read" `Quick test_write_read;
+          Alcotest.test_case "replicas byte-identical" `Quick test_replicas_byte_identical;
           Alcotest.test_case "unwritten raises" `Quick test_read_unwritten_raises;
           Alcotest.test_case "costs disk time" `Quick test_costs_disk_time;
           Alcotest.test_case "sizes validated" `Quick test_sizes_validated;
@@ -195,6 +225,7 @@ let () =
           Alcotest.test_case "repairs decayed mirror" `Quick
             test_recover_repairs_decayed_mirror;
           Alcotest.test_case "torn write" `Quick test_recover_torn_write;
+          Alcotest.test_case "corrupt page mid-chunk" `Quick test_recover_corrupt_page_mid_chunk;
           Alcotest.test_case "clean store" `Quick test_recover_clean_store_reports_nothing;
           Alcotest.test_case "lost page" `Quick test_recover_reports_lost_page;
           Alcotest.test_case "seq monotonic" `Quick test_seq_monotonic_across_recover;

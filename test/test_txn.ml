@@ -842,6 +842,171 @@ let test_shadow_commit_cheaper_than_wal_on_commit_io () =
      commit correctly (asserted inside). *)
   ignore (log_bytes Txn.Shadow_page)
 
+(* ------------------------------------------------------------------ *)
+(* Commit path: each commit applies its own in-memory intentions       *)
+(* ------------------------------------------------------------------ *)
+
+let block = Block.block_bytes
+
+let log_records fs ts =
+  let region, fragments = Txn.log_region ts in
+  Log.scan (Log.attach (Fs.block_service fs 0) ~region ~fragments)
+
+(* The file as the intentions list describes it: every committed
+   transaction's records replayed in log order, shadow blocks read
+   back from where they were written. *)
+let replay_log fs records ~file ~size =
+  let model = Bytes.make size '\000' in
+  let committed = Hashtbl.create 8 in
+  List.iter (function Log.Commit { txn } -> Hashtbl.replace committed txn () | _ -> ()) records;
+  List.iter
+    (function
+      | Log.Write { txn; file = f; off; data } when f = file && Hashtbl.mem committed txn ->
+        Bytes.blit data 0 model off (Bytes.length data)
+      | Log.Shadow { txn; file = f; block_index; shadow_disk; shadow_frag }
+        when f = file && Hashtbl.mem committed txn ->
+        let data =
+          Block.get_block (Fs.block_service fs shadow_disk) ~pos:shadow_frag
+            ~fragments:Block.fragments_per_block
+        in
+        Bytes.blit data 0 model (block_index * block) block
+      | _ -> ())
+    records;
+  model
+
+(* One transaction, in its own process, writing [tag] over each listed
+   block of [f] and committing; (tag, id, committed) goes to
+   [outcomes]. *)
+let spawn_commit sim ts f outcomes tag blocks =
+  ignore
+    (Sim.spawn sim (fun () ->
+         let txn = Txn.tbegin ts in
+         List.iter (fun bi -> Txn.twrite ts txn f ~off:(bi * block) (Bytes.make block tag)) blocks;
+         let committed = match Txn.tend ts txn with () -> true | exception Txn.Aborted _ -> false in
+         outcomes := (tag, Txn.txn_id txn, committed) :: !outcomes))
+
+let await_outcomes sim outcomes n =
+  while List.length !outcomes < n do
+    Sim.sleep sim 10.
+  done;
+  List.sort compare !outcomes
+
+(* A file image whose block [bi] is filled with [owner bi]. *)
+let blocks_of nblocks owner = Bytes.init (nblocks * block) (fun i -> owner (i / block))
+
+(* Crash, rebuild the service from the intentions list, and read [f]
+   back through it. *)
+let check_recovery fs ts f expected ~discarded =
+  let region = Txn.log_region ts in
+  ignore (Fs.crash fs);
+  let ts2, report = Txn.recover_service ~fs ~log_region:region () in
+  check (Alcotest.list int) "nothing to redo" [] report.Txn.redone_transactions;
+  check (Alcotest.list int) "discarded" discarded report.Txn.discarded_transactions;
+  let txn = Txn.tbegin ts2 in
+  check bool "recovered file agrees" true
+    (Bytes.equal expected (Txn.tread ts2 txn f ~off:0 ~len:(Bytes.length expected)));
+  Txn.tend ts2 txn
+
+let test_interleaved_commits_apply_own_intentions () =
+  (* Shadow paging reads and writes a block before each append, so two
+     concurrent commits interleave their intentions in the log. *)
+  with_txn ~with_stable:true
+    ~config:{ Txn.default_config with Txn.force_technique = Some Txn.Shadow_page }
+    (fun sim fs ts ->
+      let nblocks = 8 in
+      let setup = Txn.tbegin ts in
+      let f = Txn.tcreate ts setup in
+      Txn.twrite ts setup f ~off:0 (Bytes.make (nblocks * block) '.');
+      Txn.tend ts setup;
+      let outcomes = ref [] in
+      spawn_commit sim ts f outcomes 'A' [ 0; 2; 4 ];
+      spawn_commit sim ts f outcomes 'B' [ 1; 3; 5 ];
+      check bool "both committed" true
+        (List.for_all (fun (_, _, ok) -> ok) (await_outcomes sim outcomes 2));
+      let records = log_records fs ts in
+      let shadow_owners =
+        List.filter_map (function Log.Shadow { txn; _ } -> Some txn | _ -> None) records
+      in
+      let rec switches = function
+        | a :: (b :: _ as rest) -> (if a <> b then 1 else 0) + switches rest
+        | _ -> 0
+      in
+      check int "six shadow intentions" 6 (List.length shadow_owners);
+      check bool "the two commits' intentions interleave" true (switches shadow_owners >= 2);
+      let expected =
+        blocks_of nblocks (function 0 | 2 | 4 -> 'A' | 1 | 3 | 5 -> 'B' | _ -> '.')
+      in
+      let size = Bytes.length expected in
+      check bool "file holds both commits" true
+        (Bytes.equal expected (Fs.pread fs f ~off:0 ~len:size));
+      List.iter
+        (function
+          | Log.Shadow { block_index; shadow_disk; shadow_frag; _ } ->
+            check bool "descriptor points at its own shadow block" true
+              (Fs.block_location fs f ~block_index = Some (shadow_disk, shadow_frag))
+          | _ -> ())
+        records;
+      check bool "file agrees with the log replay" true
+        (Bytes.equal expected (replay_log fs records ~file:(Fs.id_to_int f) ~size));
+      check_recovery fs ts f expected ~discarded:[])
+
+let test_commit_skips_foreign_intentions () =
+  (* B's commit overflows a one-fragment log after some of its shadow
+     intentions have landed before A's Commit record: A applies only
+     its own, and B's abort leaves nothing behind. *)
+  with_txn ~with_stable:true
+    ~config:
+      { Txn.default_config with Txn.force_technique = Some Txn.Shadow_page; log_fragments = 1 }
+    (fun sim fs ts ->
+      let nblocks = 48 in
+      let f = Fs.create_file fs in
+      Fs.pwrite fs f ~off:0 (Bytes.make (nblocks * block) '.');
+      let outcomes = ref [] in
+      spawn_commit sim ts f outcomes 'A' [ 0; 2; 4 ];
+      spawn_commit sim ts f outcomes 'B' (List.init 40 (fun i -> 5 + i));
+      match await_outcomes sim outcomes 2 with
+      | [ ('A', a, true); ('B', b, false) ] ->
+        let rec b_before_a_commit = function
+          | Log.Shadow { txn; _ } :: _ when txn = b -> true
+          | Log.Commit { txn } :: _ when txn = a -> false
+          | _ :: rest -> b_before_a_commit rest
+          | [] -> false
+        in
+        check bool "B's intentions precede A's commit" true
+          (b_before_a_commit (log_records fs ts));
+        let expected = blocks_of nblocks (function 0 | 2 | 4 -> 'A' | _ -> '.') in
+        check bool "only A's intentions applied" true
+          (Bytes.equal expected (Fs.pread fs f ~off:0 ~len:(Bytes.length expected)));
+        check_recovery fs ts f expected ~discarded:[ b ]
+      | _ -> Alcotest.fail "expected A to commit and B to overflow the log")
+
+let test_commit_alloc_flat_in_log_length () =
+  (* A commit must not read the log back: its allocation may not grow
+     with the number of records already in the intentions list. *)
+  with_txn ~with_stable:true (fun _ fs ts ->
+      let setup = Txn.tbegin ts in
+      let f = Txn.tcreate ts setup in
+      Txn.twrite ts setup f ~off:0 (Bytes.make (2 * block) '0');
+      Txn.tend ts setup;
+      let commit i =
+        let txn = Txn.tbegin ts in
+        Txn.twrite ts txn f ~off:(i mod 2 * block) (Bytes.make 16 (Char.chr (65 + (i mod 26))));
+        let m0 = Gc.minor_words () in
+        Txn.tend ts txn;
+        Gc.minor_words () -. m0
+      in
+      ignore (commit 0) (* warm the caches *);
+      let near_empty = commit 1 in
+      for i = 2 to 341 do
+        ignore (commit i)
+      done;
+      check bool "at least 1,000 records logged" true (List.length (log_records fs ts) >= 1000);
+      let long_log = commit 342 in
+      check int "no checkpoint ran" 0 (Counter.get (Txn.stats ts) "log_checkpoints");
+      if long_log > 2. *. near_empty then
+        Alcotest.failf "commit on a 1,000-record log allocated %.0f words, near-empty %.0f"
+          long_log near_empty)
+
 let serializability_prop =
   (* Random concurrent read-modify-write increments: the final value
      must equal the number of committed increments. *)
@@ -951,6 +1116,12 @@ let () =
           Alcotest.test_case "record level always WAL" `Quick test_record_level_always_wal;
           Alcotest.test_case "commit io" `Quick
             test_shadow_commit_cheaper_than_wal_on_commit_io;
+          Alcotest.test_case "interleaved commits apply own intentions" `Quick
+            test_interleaved_commits_apply_own_intentions;
+          Alcotest.test_case "commit skips foreign intentions" `Quick
+            test_commit_skips_foreign_intentions;
+          Alcotest.test_case "commit allocation flat in log length" `Quick
+            test_commit_alloc_flat_in_log_length;
         ] );
       ( "recovery",
         [

@@ -469,6 +469,38 @@ let test_crc_sub () =
   check Alcotest.int32 "sub matches standalone" (Crc32.string "abc")
     (Crc32.sub b ~pos:2 ~len:3)
 
+(* The textbook bitwise CRC-32, kept here as the oracle for the
+   table-driven one. *)
+let reference_crc b ~pos ~len =
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor Char.code (Bytes.get b i);
+    for _ = 1 to 8 do
+      crc := if !crc land 1 <> 0 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+    done
+  done;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
+
+let crc_reference_prop =
+  QCheck.Test.make ~name:"crc32 sub matches a bitwise reference" ~count:300
+    QCheck.(triple (bytes_of_size Gen.(0 -- 4096)) (int_bound 15) (int_bound 15))
+    (fun (data, pos, tail) ->
+      (* [data] sits at an unaligned offset with junk on both sides. *)
+      let len = Bytes.length data in
+      let b = Bytes.make (pos + len + tail) '\xA5' in
+      Bytes.blit data 0 b pos len;
+      Crc32.sub b ~pos ~len = reference_crc b ~pos ~len)
+
+let test_crc_sub_bounds () =
+  let b = Bytes.create 8 in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pos %d len %d" pos len)
+        (Invalid_argument "Crc32.sub")
+        (fun () -> ignore (Crc32.sub b ~pos ~len)))
+    [ (-1, 2); (0, -1); (4, 5); (9, 0) ]
+
 (* ------------------------------------------------------------------ *)
 (* Text_table                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -536,6 +568,8 @@ let () =
           Alcotest.test_case "known value" `Quick test_crc_known_value;
           Alcotest.test_case "detects change" `Quick test_crc_detects_change;
           Alcotest.test_case "sub" `Quick test_crc_sub;
+          Alcotest.test_case "sub bounds" `Quick test_crc_sub_bounds;
+          QCheck_alcotest.to_alcotest crc_reference_prop;
         ] );
       ("text_table", [ Alcotest.test_case "render" `Quick test_text_table ]);
     ]
