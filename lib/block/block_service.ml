@@ -36,6 +36,12 @@ let row_capacity = 64
 
 type cached_track = { mutable data : bytes; mutable last_use : int }
 
+(* One whole-track disk read in flight. Its buffer starts at track
+   [first_track]; the ivar carries it, or [None] when the read failed
+   or its issuer died, which sends the joined readers to the disk
+   themselves. *)
+type track_read = { first_track : int; buf : bytes option Sim.Ivar.ivar }
+
 type t = {
   name : string;
   sim : Sim.t;
@@ -56,7 +62,10 @@ type t = {
   mutable formatted : bool;
   (* track cache *)
   tracks : (int, cached_track) Hashtbl.t;
-  track_gen : (int, int) Hashtbl.t;
+  track_gen : (int, int) Hashtbl.t;  (* bumped by every write to the track *)
+  inflight : (int, track_read) Hashtbl.t Sim.Cell.cell;
+      (* track -> the read that will deliver it; concurrent misses on a
+         track join it instead of queueing their own (single-flight) *)
   mutable lru_clock : int;
   (* background stable writes outstanding *)
   mutable pending_background : int;
@@ -102,6 +111,9 @@ let create ?(name = "blocksrv") ?(config = default_config) ?tracer ~disk ?stable
     formatted = false;
     tracks = Hashtbl.create 64;
     track_gen = Hashtbl.create 64;
+    inflight =
+      Sim.Cell.create ~role:Sim.Sync ~name:"block_service:inflight" sim
+        (Hashtbl.create 16);
     lru_clock = 0;
     pending_background = 0;
     background_done = Sim.Condition.create sim;
@@ -180,10 +192,25 @@ let metadata_fragments t = t.data_start
 let sectors_per_track t = (Disk.geometry t.disk).sectors_per_track
 let sector_bytes t = (Disk.geometry t.disk).sector_bytes
 
-let touch t key track =
+let touch t track =
   t.lru_clock <- t.lru_clock + 1;
-  track.last_use <- t.lru_clock;
-  ignore key
+  track.last_use <- t.lru_clock
+
+(* The in-flight table lives in a cell; [mut] runs an in-place
+   mutation under an [update] so it registers as a write. *)
+let mut c f =
+  Sim.Cell.update c (fun h ->
+      f h;
+      h)
+
+(* Writes call this on every put: skip the allocating update when
+   nothing is in flight. *)
+let drop_inflight t ~first_track ~last_track =
+  if Hashtbl.length (Sim.Cell.get t.inflight) > 0 then
+    mut t.inflight (fun h ->
+        for tr = first_track to last_track do
+          Hashtbl.remove h tr
+        done)
 
 let evict_if_needed t =
   while Hashtbl.length t.tracks > t.config.track_cache_tracks do
@@ -212,16 +239,26 @@ let cache_insert t track_idx data =
     (match Hashtbl.find_opt t.tracks track_idx with
     | Some track -> track.data <- data
     | None -> Hashtbl.replace t.tracks track_idx { data; last_use = 0 });
-    touch t track_idx (Hashtbl.find t.tracks track_idx);
+    touch t (Hashtbl.find t.tracks track_idx);
     evict_if_needed t
   end
+
+(* Copy track [tr]'s share of [sector, sector+count) into [out] from
+   [src], a buffer of whole tracks that starts at track [src_track]. *)
+let blit_track t ~src ~src_track ~tr ~sector ~count out =
+  let spt = sectors_per_track t in
+  let sb = sector_bytes t in
+  let tr_first_sector = tr * spt in
+  let lo = max sector tr_first_sector in
+  let hi = min (sector + count) (tr_first_sector + spt) in
+  Bytes.blit src ((lo - (src_track * spt)) * sb) out ((lo - sector) * sb)
+    ((hi - lo) * sb)
 
 (* Serve [sector, sector+count) from cached tracks; None on any gap. *)
 let cache_read t ~sector ~count =
   if t.config.track_cache_tracks = 0 then None
   else begin
     let spt = sectors_per_track t in
-    let sb = sector_bytes t in
     let first_track = sector / spt and last_track = (sector + count - 1) / spt in
     let rec all_present i =
       i > last_track
@@ -232,26 +269,26 @@ let cache_read t ~sector ~count =
     in
     if not (all_present first_track) then None
     else begin
-      let out = Bytes.create (count * sb) in
+      let out = Bytes.create (count * sector_bytes t) in
       for tr = first_track to last_track do
         let track = Hashtbl.find t.tracks tr in
-        touch t tr track;
-        let tr_first_sector = tr * spt in
-        let lo = max sector tr_first_sector in
-        let hi = min (sector + count) (tr_first_sector + spt) in
-        Bytes.blit track.data ((lo - tr_first_sector) * sb) out ((lo - sector) * sb)
-          ((hi - lo) * sb)
+        touch t track;
+        blit_track t ~src:track.data ~src_track:tr ~tr ~sector ~count out
       done;
       Some out
     end
   end
 
-(* Overlay freshly written data onto any cached track it touches. *)
+(* Overlay freshly written data onto any cached track it touches. A
+   track read already in flight may predate the write: bumping the
+   generation stops it from caching its bytes, and dropping its
+   in-flight entry stops new readers from joining it. *)
 let cache_update_on_write t ~sector data =
   let spt = sectors_per_track t in
   let sb = sector_bytes t in
   let count = Bytes.length data / sb in
   let first_track = sector / spt and last_track = (sector + count - 1) / spt in
+  drop_inflight t ~first_track ~last_track;
   for tr = first_track to last_track do
     bump_gen t tr;
     match Hashtbl.find_opt t.tracks tr with
@@ -270,9 +307,6 @@ let background_finished t =
   t.pending_background <- t.pending_background - 1;
   if t.pending_background = 0 then Sim.Condition.broadcast t.background_done
 
-let _ = bump_gen
-let _ = gen_of
-
 (* ------------------------------------------------------------------ *)
 (* Data transfer                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -281,6 +315,102 @@ let stable_exn t =
   match t.stable with
   | Some s -> s
   | None -> invalid_arg (t.name ^ ": no stable storage configured")
+
+let exact_read t ~sector ~count =
+  let data = Disk.read t.disk ~sector ~count in
+  Counter.incr t.counters "foreground_refs";
+  data
+
+(* The paper's disk-service caching: fetch what the request needs and
+   "the rest of the data from the same track", all as one trip to the
+   disk. We read whole tracks in a single reference and cache them;
+   the requested fragments are cut out of the track buffer. While the
+   read runs it is registered in [t.inflight] for misses on the same
+   tracks to join. A track written meanwhile keeps the bytes of the
+   write, not the read's: its generation moved, so it is not cached. A
+   decayed sector elsewhere on the track must not fail the request, so
+   fall back to exactly the needed sectors. *)
+let issue_track_read t ~sector ~count ~first_track ~last_track =
+  let spt = sectors_per_track t in
+  let sb = sector_bytes t in
+  let read_start = first_track * spt in
+  let read_count = (last_track - first_track + 1) * spt in
+  let gens =
+    List.init (last_track - first_track + 1) (fun i -> gen_of t (first_track + i))
+  in
+  let r = { first_track; buf = Sim.Ivar.create t.sim } in
+  mut t.inflight (fun h ->
+      for tr = first_track to last_track do
+        Hashtbl.replace h tr r
+      done);
+  let fetched = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      Sim.Ivar.fill r.buf !fetched;
+      mut t.inflight (fun h ->
+          for tr = first_track to last_track do
+            match Hashtbl.find_opt h tr with
+            | Some r' when r' == r -> Hashtbl.remove h tr
+            | Some _ | None -> ()
+          done))
+    (fun () ->
+      match Disk.read t.disk ~sector:read_start ~count:read_count with
+      | data -> fetched := Some data
+      | exception Disk.Media_failure _ -> ());
+  match !fetched with
+  | Some data ->
+    Counter.incr t.counters "foreground_refs";
+    Counter.add t.counters "prefetch_sectors" (read_count - count);
+    List.iteri
+      (fun i gen ->
+        let tr = first_track + i in
+        if gen_of t tr = gen then
+          cache_insert t tr (Bytes.sub data (i * spt * sb) (spt * sb)))
+      gens;
+    Bytes.sub data ((sector - read_start) * sb) (count * sb)
+  | None -> exact_read t ~sector ~count
+
+(* A miss whose tracks are each cached or in flight makes no disk
+   reference of its own. Cached tracks are copied first, since waiting
+   could let them be evicted; then each read in [waits] is awaited and
+   copied out of. If one of them failed or its issuer died, read
+   exactly the needed sectors, as its issuer does. *)
+let join_tracks t ~sector ~count ~first_track ~last_track waits =
+  Counter.incr t.counters "track_joins";
+  let out = Bytes.create (count * sector_bytes t) in
+  for tr = first_track to last_track do
+    match Hashtbl.find_opt t.tracks tr with
+    | Some track ->
+      touch t track;
+      blit_track t ~src:track.data ~src_track:tr ~tr ~sector ~count out
+    | None -> ()
+  done;
+  let joined (tr, r) =
+    match Sim.Ivar.read r.buf with
+    | Some src ->
+      blit_track t ~src ~src_track:r.first_track ~tr ~sector ~count out;
+      true
+    | None -> false
+  in
+  if List.for_all joined waits then out else exact_read t ~sector ~count
+
+let read_tracks t ~sector ~count =
+  let spt = sectors_per_track t in
+  let first_track = sector / spt and last_track = (sector + count - 1) / spt in
+  let inflight = Sim.Cell.get t.inflight in
+  (* The reads to wait on, or [None] if some track is neither cached
+     nor in flight. *)
+  let rec waits tr acc =
+    if tr > last_track then Some (List.rev acc)
+    else if Hashtbl.mem t.tracks tr then waits (tr + 1) acc
+    else
+      match Hashtbl.find_opt inflight tr with
+      | Some r -> waits (tr + 1) ((tr, r) :: acc)
+      | None -> None
+  in
+  match waits first_track [] with
+  | Some ws -> join_tracks t ~sector ~count ~first_track ~last_track ws
+  | None -> issue_track_read t ~sector ~count ~first_track ~last_track
 
 let get_block_impl ~source t ~pos ~fragments =
   check_run t ~pos ~fragments;
@@ -302,37 +432,9 @@ let get_block_impl ~source t ~pos ~fragments =
       data
     | None ->
       Counter.incr t.counters "cache_misses";
-      if t.config.prefetch && t.config.track_cache_tracks > 0 then begin
-        (* The paper's disk-service caching: fetch what the request
-           needs and "the rest of the data from the same track", all
-           as one trip to the disk. We read whole tracks in a single
-           reference and cache them; the requested fragments are cut
-           out of the track buffer. A decayed sector elsewhere on the
-           track must not fail the request, so fall back to exactly
-           the needed sectors. *)
-        let spt = sectors_per_track t in
-        let sb = sector_bytes t in
-        let first_track = sector / spt and last_track = (sector + count - 1) / spt in
-        let read_start = first_track * spt in
-        let read_count = (last_track - first_track + 1) * spt in
-        match Disk.read t.disk ~sector:read_start ~count:read_count with
-        | data ->
-          Counter.incr t.counters "foreground_refs";
-          Counter.add t.counters "prefetch_sectors" (read_count - count);
-          for tr = first_track to last_track do
-            cache_insert t tr (Bytes.sub data ((tr - first_track) * spt * sb) (spt * sb))
-          done;
-          Bytes.sub data ((sector - read_start) * sb) (count * sb)
-        | exception Disk.Media_failure _ ->
-          let data = Disk.read t.disk ~sector ~count in
-          Counter.incr t.counters "foreground_refs";
-          data
-      end
-      else begin
-        let data = Disk.read t.disk ~sector ~count in
-        Counter.incr t.counters "foreground_refs";
-        data
-      end)
+      if t.config.prefetch && t.config.track_cache_tracks > 0 then
+        read_tracks t ~sector ~count
+      else exact_read t ~sector ~count)
 
 let get_block ?(source = Main) t ~pos ~fragments =
   Trace.maybe t.tracer ~service:"block_service" ~op:"get_block"
@@ -389,7 +491,9 @@ let flush_block t ~pos ~fragments =
   let spt = sectors_per_track t in
   let sector = pos * t.sectors_per_fragment in
   let count = fragments * t.sectors_per_fragment in
-  for tr = sector / spt to (sector + count - 1) / spt do
+  let first_track = sector / spt and last_track = (sector + count - 1) / spt in
+  drop_inflight t ~first_track ~last_track;
+  for tr = first_track to last_track do
     Hashtbl.remove t.tracks tr
   done
 

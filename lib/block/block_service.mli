@@ -18,7 +18,10 @@
       track(s) containing the request in one disk reference and keeps
       them, so later reads from the same track are served from
       memory — the paper's "caches the rest of the data from the same
-      track".
+      track". Track reads are single-flight: a miss whose tracks are
+      all cached or already being read waits for those reads instead
+      of queueing another reference. A read that a write overtakes
+      does not cache the bytes from before the write.
 
     The service functions are the paper's five:
     [allocate_block], [free_block], [get_block], [put_block],
@@ -154,8 +157,8 @@ val put_block : ?dest:dest -> ?wait:wait -> t -> pos:int -> bytes -> unit
     stable write completes in the background. *)
 
 val flush_block : t -> pos:int -> fragments:int -> unit
-(** Drop any cached tracks overlapping the run, forcing the next read
-    to hit the disk. *)
+(** Drop any cached tracks overlapping the run, and any track reads in
+    flight for them, forcing the next read to hit the disk. *)
 
 val sync : t -> unit
 (** Persist the bitmap (main copy and, if configured, stable copy) and
@@ -187,7 +190,9 @@ val metadata_fragments : t -> int
 
 val stats : t -> Rhodos_util.Stats.Counter.t
 (** Counters: ["foreground_refs"], ["prefetch_sectors"],
-    ["cache_hits"], ["cache_misses"], ["allocs"], ["frees"],
-    ["bitmap_fallbacks"], ["extent_hits"], ["stable_writes"]. *)
+    ["cache_hits"], ["cache_misses"], ["track_joins"] (misses served
+    by a track read already in flight; also counted in
+    ["cache_misses"]), ["allocs"], ["frees"], ["bitmap_fallbacks"],
+    ["extent_hits"], ["stable_writes"]. *)
 
 val reset_stats : t -> unit

@@ -306,6 +306,141 @@ let test_cache_sees_writes () =
       check bool "fresh data after write" true (Bytes.equal back (frag_payload ~tag:2 2)))
 
 (* ------------------------------------------------------------------ *)
+(* Single-flight track reads                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Run each thunk in its own process; the ivars fill with the results. *)
+let start sim fs =
+  List.map
+    (fun f ->
+      let iv = Sim.Ivar.create sim in
+      ignore (Sim.spawn sim (fun () -> Sim.Ivar.fill iv (f ())));
+      iv)
+    fs
+
+(* A track is 64 sectors = 16 fragments = 4 blocks. Returns the first
+   fragment of a whole uncached track, each of its four blocks written
+   with its own payload (tag [10 + i]). *)
+let uncached_track svc =
+  let a = Block.allocate svc ~fragments:32 in
+  let base = (a + 15) / 16 * 16 in
+  for i = 0 to 3 do
+    Block.put_block svc ~pos:(base + (i * 4)) (frag_payload ~tag:(10 + i) 4)
+  done;
+  Block.flush_block svc ~pos:base ~fragments:16;
+  base
+
+let get_result svc pos () =
+  match Block.get_block svc ~pos ~fragments:4 with
+  | data -> Ok data
+  | exception Disk.Media_failure _ -> Error ()
+
+(* A block written with tag 1 whose track is not cached. *)
+let uncached_block svc =
+  let pos = Block.allocate svc ~fragments:4 in
+  Block.put_block svc ~pos (frag_payload ~tag:1 4);
+  Block.flush_block svc ~pos ~fragments:4;
+  pos
+
+let test_write_overtakes_track_read () =
+  (* The write queues behind a track read of the same block. The read
+     returns the old bytes, but the cache must not keep them. *)
+  with_service (fun sim svc disk ->
+      let pos = uncached_block svc in
+      let reader = start sim [ (fun () -> Block.get_block svc ~pos ~fragments:4) ] in
+      Sim.yield sim (* the reader queues its track read *);
+      Block.put_block svc ~pos (frag_payload ~tag:2 4);
+      List.iter (fun iv -> ignore (Sim.Ivar.read iv)) reader;
+      let back = Block.get_block svc ~pos ~fragments:4 in
+      check bool "read-back returns the write" true
+        (Bytes.equal back (frag_payload ~tag:2 4));
+      check bool "read-back matches the platter" true
+        (Bytes.equal back (Disk.peek disk ~sector:(pos * 4) ~count:16)))
+
+let test_read_after_write_does_not_join () =
+  (* A read issued once the write is queued must not join the track
+     read queued before it: it would return the bytes the write
+     replaces. *)
+  with_service (fun sim svc _ ->
+      let pos = uncached_block svc in
+      let read () = Block.get_block svc ~pos ~fragments:4 in
+      let early = start sim [ read ] in
+      Sim.yield sim (* the early read queues its track read *);
+      let write = start sim [ (fun () -> Block.put_block svc ~pos (frag_payload ~tag:2 4)) ] in
+      Sim.yield sim (* the write queues behind it *);
+      let late = start sim [ read ] in
+      List.iter (fun iv -> ignore (Sim.Ivar.read iv)) early;
+      List.iter Sim.Ivar.read write;
+      check int "no join" 0 (Counter.get (Block.stats svc) "track_joins");
+      check bool "the late read sees the write" true
+        (List.for_all (fun iv -> Bytes.equal (Sim.Ivar.read iv) (frag_payload ~tag:2 4)) late))
+
+let test_concurrent_misses_share_track_read () =
+  with_service (fun sim svc disk ->
+      let base = uncached_track svc in
+      Disk.reset_stats disk;
+      Block.reset_stats svc;
+      let got =
+        start sim
+          (List.init 4 (fun i () -> Block.get_block svc ~pos:(base + (i * 4)) ~fragments:4))
+        |> List.map Sim.Ivar.read
+      in
+      check int "one disk reference" 1 (Disk.stats disk).references;
+      check int "three joins" 3 (Counter.get (Block.stats svc) "track_joins");
+      check int "joins still count as misses" 4
+        (Counter.get (Block.stats svc) "cache_misses");
+      List.iteri
+        (fun i data ->
+          check bool
+            (Printf.sprintf "block %d has its own bytes" i)
+            true
+            (Bytes.equal data (frag_payload ~tag:(10 + i) 4)))
+        got)
+
+let test_media_fault_sends_joiners_to_exact_reads () =
+  (* Block 3 of the track has decayed: the track read fails, every
+     reader falls back to its own sectors, and only block 3 fails. *)
+  with_service (fun sim svc disk ->
+      let base = uncached_track svc in
+      Disk.inject_media_fault disk ~sector:((base + 12) * 4) ~count:1;
+      Disk.reset_stats disk;
+      Block.reset_stats svc;
+      let got = start sim (List.init 4 (fun i -> get_result svc (base + (i * 4)))) in
+      let got = List.map Sim.Ivar.read got in
+      check int "three joins" 3 (Counter.get (Block.stats svc) "track_joins");
+      check int "one failed track read + four exact reads" 5
+        (Disk.stats disk).references;
+      List.iteri
+        (fun i r ->
+          let expected = if i = 3 then Error () else Ok (frag_payload ~tag:(10 + i) 4) in
+          check bool (Printf.sprintf "block %d as without joining" i) true (r = expected))
+        got;
+      ignore (Block.get_block svc ~pos:base ~fragments:4);
+      check int "the failed track was not cached" 0
+        (Counter.get (Block.stats svc) "cache_hits"))
+
+let test_killed_issuer_wakes_joiners () =
+  with_service (fun sim svc _ ->
+      let base = uncached_track svc in
+      let issuer =
+        Sim.spawn sim (fun () -> ignore (Block.get_block svc ~pos:base ~fragments:4))
+      in
+      Sim.yield sim (* the issuer queues its track read *);
+      let joiners =
+        start sim (List.init 3 (fun i -> get_result svc (base + ((i + 1) * 4))))
+      in
+      Sim.yield sim (* the joiners wait on it *);
+      check int "three joins" 3 (Counter.get (Block.stats svc) "track_joins");
+      Sim.kill sim issuer;
+      List.iteri
+        (fun i iv ->
+          check bool
+            (Printf.sprintf "joiner %d got its block" (i + 1))
+            true
+            (Sim.Ivar.read iv = Ok (frag_payload ~tag:(11 + i) 4)))
+        joiners)
+
+(* ------------------------------------------------------------------ *)
 (* Stable storage destinations                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -520,6 +655,19 @@ let () =
           Alcotest.test_case "flush" `Quick test_flush_forces_disk_read;
           Alcotest.test_case "cache coherent with writes" `Quick test_cache_sees_writes;
           QCheck_alcotest.to_alcotest put_get_prop;
+        ] );
+      ( "inflight",
+        [
+          Alcotest.test_case "write overtakes track read" `Quick
+            test_write_overtakes_track_read;
+          Alcotest.test_case "read after write does not join" `Quick
+            test_read_after_write_does_not_join;
+          Alcotest.test_case "concurrent misses share a read" `Quick
+            test_concurrent_misses_share_track_read;
+          Alcotest.test_case "media fault: exact reads" `Quick
+            test_media_fault_sends_joiners_to_exact_reads;
+          Alcotest.test_case "killed issuer wakes joiners" `Quick
+            test_killed_issuer_wakes_joiners;
         ] );
       ( "stable",
         [

@@ -563,6 +563,54 @@ let test_e15_backend_digest_parity () =
   check int "same event count" n_heap n_wheel;
   check int "same digest" d_heap d_wheel
 
+(* The E15 scan shape: a cold 512 KiB sequential scan in 8 KiB reads.
+   Read-ahead keeps several single-block fetches of one track in flight
+   at once; they must share the track's disk reference, so the main
+   disk reads each track the file touches once, plus once more for each
+   block that straddles a track boundary (its two-track read cannot
+   join a one-track read). *)
+let test_cold_scan_reads_each_track_once () =
+  Cluster.run (fun _sim t ->
+      let size = 512 * 1024 in
+      let c, d, payload = cold_read_setup t ~len:size in
+      let fs = Cluster.file_service t in
+      let file = Fs.id_of_int (File_agent.descriptor_file (Cluster.file_agent c) d) in
+      let disk = (Cluster.disks t).(0) in
+      let g = Rhodos_disk.Disk.geometry disk in
+      let sectors_per_frag = Rhodos_block.Block_service.fragment_bytes / g.sector_bytes in
+      let block_sectors = 8192 / g.sector_bytes in
+      let tracks = Hashtbl.create 32 and straddles = ref 0 in
+      for block_index = 0 to (size / 8192) - 1 do
+        match Fs.block_location fs file ~block_index with
+        | Some (_, frag) ->
+          let first = frag * sectors_per_frag / g.sectors_per_track in
+          let last =
+            ((frag * sectors_per_frag) + block_sectors - 1) / g.sectors_per_track
+          in
+          Hashtbl.replace tracks first ();
+          Hashtbl.replace tracks last ();
+          if last <> first then incr straddles
+        | None -> Alcotest.fail "unmapped block"
+      done;
+      (* Locating the blocks loaded the FIT through the track cache. *)
+      Array.iter
+        (fun bs ->
+          Rhodos_block.Block_service.flush_block bs ~pos:0
+            ~fragments:(Rhodos_block.Block_service.total_fragments bs))
+        (Cluster.block_services t);
+      Rhodos_disk.Disk.reset_stats disk;
+      ignore (Cluster.lseek c d (`Set 0));
+      let got = Buffer.create size in
+      for _ = 1 to size / 8192 do
+        Buffer.add_bytes got (Cluster.read c d 8192)
+      done;
+      check bool "data intact" true (Bytes.equal (Buffer.to_bytes got) payload);
+      let bound = Hashtbl.length tracks + !straddles in
+      let reads = (Rhodos_disk.Disk.stats disk).reads in
+      if reads > bound then
+        Alcotest.failf "%d main-disk reads; bound %d (%d tracks + %d straddling blocks)"
+          reads bound (Hashtbl.length tracks) !straddles)
+
 let () =
   Alcotest.run "rhodos_cluster"
     [
@@ -583,6 +631,8 @@ let () =
             test_cold_read_is_one_streamed_rpc;
           Alcotest.test_case "streamed read under loss" `Quick
             test_streamed_read_survives_message_loss;
+          Alcotest.test_case "cold scan reads each track once" `Quick
+            test_cold_scan_reads_each_track_once;
         ] );
       ( "transactions",
         [
