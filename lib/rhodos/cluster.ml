@@ -701,8 +701,8 @@ let create ?(config = default_config) sim =
   if cfg.remote then Array.iter (serve_rpc t) t.t_servers;
   t
 
-let run ?config ?queue f =
-  let sim = Sim.create ?queue () in
+let run ?config f =
+  let sim = Sim.create () in
   let result = ref None in
   let _ =
     Sim.spawn ~name:"main" sim (fun () ->

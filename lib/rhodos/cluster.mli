@@ -56,13 +56,11 @@ val create : ?config:config -> Rhodos_sim.Sim.t -> t
 
 val run :
   ?config:config ->
-  ?queue:Rhodos_util.Prio_queue.backend ->
   (Rhodos_sim.Sim.t -> t -> 'a) ->
   'a
-(** Create a simulation and a cluster, run the function inside a
-    simulated process, drive the simulation to completion and return
-    the result. [queue] selects the event-queue backend exactly as in
-    {!Rhodos_sim.Sim.create}; the run digest does not depend on it. *)
+(** Create a simulation (default [Fifo] tie-breaking) and a cluster,
+    run the function inside a simulated process, drive the simulation
+    to completion and return the result. *)
 
 (** {1 Components (Fig. 1 layers)} *)
 

@@ -28,7 +28,6 @@ exception Blocking_outside_process
 
 val create :
   ?tie_break:Rhodos_util.Prio_queue.tie ->
-  ?queue:Rhodos_util.Prio_queue.backend ->
   ?track:bool ->
   ?scheduler:Schedule.strategy ->
   ?record:bool ->
@@ -40,12 +39,11 @@ val create :
     (default [false]) records every spawned process so {!audit} can
     report leaks at end of run.
 
-    [queue] picks the event-queue backend (default [Wheel], a timing
-    wheel tuned for the dense near-horizon event mass a simulation
-    produces; [Heap] is the binary-heap fallback). The two backends
-    dispatch in the identical order under either tie policy — run
-    digests are byte-identical across backends, asserted by tests —
-    so the knob only affects speed.
+    Events wait in one {!Rhodos_util.Prio_queue}: a binary heap for
+    future times plus a ring for events scheduled at the current time
+    (wakeups, spawns, yields), which the loop dispatches without a
+    heap sift. The dispatch order is the queue's (time, then tie
+    policy) total order; tests pin the resulting run digests.
 
     [scheduler] switches the event loop into controlled mode: whenever
     more than one live event is ready at the same simulated time, the

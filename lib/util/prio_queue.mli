@@ -4,32 +4,23 @@
     event processing in the simulator deterministic; see {!tie} for
     the perturbed alternative.
 
-    Two backends share this interface (see {!backend}): a binary heap
-    over parallel unboxed arrays (the default), and a timing wheel
-    ({!Timing_wheel}) tuned for the simulator's near-horizon event
-    mass. Both pop in the identical (prio, then tie-policy) total
-    order — asserted by the qcheck differential suite — so code using
-    the queue cannot observe the choice except through speed. Steady
-    -state operations allocate nothing; only capacity growth does. *)
+    One structure: a binary heap over parallel unboxed arrays, plus a
+    FIFO ring for entries added at the priority of the last pop (in the
+    simulator, the current time: wakeups, spawns, yields), which makes
+    same-time bursts O(1) per operation. The split is invisible: pops
+    follow the single (prio, then tie-policy) total order. Steady-state
+    operations allocate nothing; only capacity growth does. *)
 
 type 'a t
 
-type tie = Timing_wheel.tie = Fifo | Lifo
+type tie = Fifo | Lifo
 (** Policy for elements with equal priority: [Fifo] (the default) pops
     them in insertion order; [Lifo] pops newest-first. [Lifo] exists
     for the determinism sanitizer, which re-runs a simulation with
     perturbed tie-breaking to expose schedule-order dependence. *)
 
-type backend = Heap | Wheel
-(** [Heap] is a binary min-heap: O(log n) add/pop, robust for any
-    priority distribution. [Wheel] is a timing wheel with heap
-    overflow: O(1) add/pop when events cluster near the minimum (the
-    simulator's workload), at the cost of a bucket-array footprint. *)
-
-val create : ?tie:tie -> ?backend:backend -> unit -> 'a t
-(** [create ()] is an empty queue ([Fifo], [Heap]). *)
-
-val backend : 'a t -> backend
+val create : ?tie:tie -> unit -> 'a t
+(** [create ()] is an empty [Fifo] queue. *)
 
 val length : 'a t -> int
 
@@ -39,26 +30,21 @@ val add : 'a t -> prio:float -> 'a -> unit
 (** [add q ~prio v] inserts [v] with priority [prio]. Allocation-free
     except when the backing store grows. *)
 
-val min_prio : 'a t -> float option
-(** Priority of the minimum element, if any. *)
-
 val unsafe_min_prio : 'a t -> float
-(** Allocation-free {!min_prio} for the hot loop: undefined on an
-    empty queue (the caller must check {!is_empty} first). *)
+(** Priority of the minimum element, without an option wrapper, for
+    the hot loop: undefined on an empty queue (the caller must check
+    {!is_empty} first). *)
 
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the element with the smallest priority;
-    among equal priorities, the earliest inserted. *)
+    among equal priorities, the earliest inserted ([Fifo]) or the
+    latest ([Lifo]). *)
 
 val pop_into : 'a t -> 'a
 (** Allocation-free {!pop} for the hot loop: removes the minimum
     element and returns its value directly — read {!unsafe_min_prio}
     first if the priority is needed. Raises [Invalid_argument] on an
     empty queue. *)
-
-val peek : 'a t -> (float * 'a) option
-
-val clear : 'a t -> unit
 
 (** {2 Ready-set access}
 

@@ -537,13 +537,13 @@ let crash_anytime_conservation_prop =
           !total = naccounts * 100))
 
 (* An E15-shaped run (cold sequential scan through the whole stack —
-   RPCs, disk events, cache fills, wakeups) must dispatch the
-   identical event sequence under both event-queue backends: the
-   backend is a speed knob, and byte-identical run digests prove it
-   stayed one. *)
+   RPCs, disk events, cache fills, wakeups) is pinned to the run digest
+   and dispatch count the plain binary-heap event queue produced: the
+   queue's same-time ring is an implementation detail, and an
+   unchanged digest proves the dispatch order stayed byte-identical. *)
 let test_e15_backend_digest_parity () =
-  let scan queue =
-    Cluster.run ~queue (fun sim t ->
+  let d, n =
+    Cluster.run (fun sim t ->
         let ws = Cluster.add_client t ~name:"ws" in
         let d = Cluster.create_file ws "/data" in
         let data = Bytes.make (64 * 1024) 'x' in
@@ -558,10 +558,8 @@ let test_e15_backend_digest_parity () =
         done;
         (Sim.run_digest sim, Sim.events_dispatched sim))
   in
-  let d_heap, n_heap = scan Rhodos_util.Prio_queue.Heap in
-  let d_wheel, n_wheel = scan Rhodos_util.Prio_queue.Wheel in
-  check int "same event count" n_heap n_wheel;
-  check int "same digest" d_heap d_wheel
+  check int "event count" 172 n;
+  check int "digest" 27079686 d
 
 (* The E15 scan shape: a cold 512 KiB sequential scan in 8 KiB reads.
    Read-ahead keeps several single-block fetches of one track in flight

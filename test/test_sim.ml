@@ -414,11 +414,11 @@ let test_probe_digest_parity () =
   check int "same event count" n_off n_on;
   check bool "same digest" true (d_off = d_on)
 
-(* --- event-queue backend neutrality -------------------------------- *)
+(* --- pinned dispatch order ----------------------------------------- *)
 
 (* A churn-shaped workload: mailbox ping-pong with yields and timers,
-   producing large same-time ready bursts — the shape the timing-wheel
-   backend is optimised for. *)
+   producing large same-time ready bursts — the shape the event
+   queue's same-time ring serves. *)
 let churn_workload sim =
   for _ = 1 to 50 do
     let a = Sim.Mailbox.create sim and b = Sim.Mailbox.create sim in
@@ -437,22 +437,27 @@ let churn_workload sim =
   done;
   Sim.run sim
 
-(* The queue backend is a pure speed knob: heap and wheel runs of the
-   same program must dispatch the identical event sequence, hence
-   byte-identical digests. *)
+(* The event queue's internal split (heap plus same-time ring) must not
+   change what is dispatched: the (run digest, dispatch count) pairs
+   are pinned to the values the plain binary heap produced, under both
+   tie policies. A change here forks every recorded digest. *)
 let test_backend_digest_parity () =
-  let digest_of workload queue =
-    let sim = Sim.create ~queue () in
-    workload sim;
-    (Sim.run_digest sim, Sim.events_dispatched sim)
-  in
   List.iter
-    (fun (name, workload) ->
-      let d_heap, n_heap = digest_of workload Rhodos_util.Prio_queue.Heap in
-      let d_wheel, n_wheel = digest_of workload Rhodos_util.Prio_queue.Wheel in
-      check int (name ^ ": same event count") n_heap n_wheel;
-      check int (name ^ ": same digest") d_heap d_wheel)
-    [ ("probe workload", probe_workload); ("churn", churn_workload) ]
+    (fun (name, workload, tie, digest, dispatched) ->
+      let sim = Sim.create ~tie_break:tie () in
+      workload sim;
+      check int (name ^ ": event count") dispatched (Sim.events_dispatched sim);
+      check int (name ^ ": digest") digest (Sim.run_digest sim))
+    [
+      ("probe workload, Fifo", probe_workload, Rhodos_util.Prio_queue.Fifo,
+       1060510104, 10);
+      ("probe workload, Lifo", probe_workload, Rhodos_util.Prio_queue.Lifo,
+       19610964, 10);
+      ("churn, Fifo", churn_workload, Rhodos_util.Prio_queue.Fifo, 575646155,
+       1250);
+      ("churn, Lifo", churn_workload, Rhodos_util.Prio_queue.Lifo, 53345891,
+       1300);
+    ]
 
 (* The digest fold is a hand-unrolled [Hashtbl.hash] of the
    (digest, id, bits-of-time) triple (see Sim.digest_step) — pin the

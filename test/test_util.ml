@@ -56,113 +56,127 @@ let pq_sorted_prop =
       in
       List.length prios = List.length items && nondecreasing prios)
 
+(* Reference model for the queue: (prio, seq, value) triples in
+   insertion order. The ready set is every entry at the minimum prio,
+   in insertion order; a pop takes its first ([Fifo]) or last ([Lifo])
+   entry. [last] is the priority of the last pop, where the queue's
+   same-time ring takes adds. *)
+type pq_model = {
+  mutable items : (float * int * int) list;
+  mutable next : int;
+  mutable last : float;
+}
+
+let model_ready m =
+  let min_p = List.fold_left (fun mn (p, _, _) -> min mn p) infinity m.items in
+  List.filter (fun (p, _, _) -> p = min_p) m.items
+
+let model_take m ((p, s, v) : float * int * int) =
+  m.items <- List.filter (fun (_, s', _) -> s' <> s) m.items;
+  m.last <- p;
+  Some (p, v)
+
+let model_pop tie m =
+  match model_ready m with
+  | [] -> None
+  | ready -> (
+    match tie with
+    | Prio_queue.Fifo -> model_take m (List.hd ready)
+    | Prio_queue.Lifo -> model_take m (List.nth ready (List.length ready - 1)))
+
+(* Run one op script against the queue and the model; after every op
+   the ready sets, ready counts and lengths must agree, and every
+   removal must return the model's entry. Op codes, with [a] in 0..4:
+   0-1 add at time [a] (ties across the script), 2 add at the last
+   popped time (the ring path), 3 add just below it, 4 a burst of
+   [a + 1] adds at it, 5 a far-future add, 6-7 pop, 8 pop_nth [a]
+   (out of range when the ready set is smaller). A final drain must
+   match too. *)
+let pq_matches_model tie ops =
+  let q = Prio_queue.create ~tie () in
+  let m = { items = []; next = 0; last = 0. } in
+  let add p =
+    Prio_queue.add q ~prio:p m.next;
+    m.items <- m.items @ [ (p, m.next, m.next) ];
+    m.next <- m.next + 1
+  in
+  let step (c, a) =
+    let removal_ok =
+      match c with
+      | 0 | 1 -> add (float_of_int a); true
+      | 2 -> add m.last; true
+      | 3 -> add (m.last -. 1.); true
+      | 4 -> for _ = 0 to a do add m.last done; true
+      | 5 -> add (1000. +. float_of_int m.next); true
+      | 6 | 7 -> Prio_queue.pop q = model_pop tie m
+      | _ ->
+        let ready = model_ready m in
+        let expect =
+          if a < List.length ready then model_take m (List.nth ready a) else None
+        in
+        Prio_queue.pop_nth q a = expect
+    in
+    let ready = List.map (fun (p, _, v) -> (p, v)) (model_ready m) in
+    removal_ok
+    && Prio_queue.ready q = ready
+    && Prio_queue.ready_count q = List.length ready
+    && Prio_queue.length q = List.length m.items
+  in
+  let rec drain_model acc =
+    match model_pop tie m with None -> List.rev acc | Some x -> drain_model (x :: acc)
+  in
+  List.for_all step ops && Prio_queue.drain q = drain_model []
+
+(* Scripts are capped at 300 ops: the model and the ready-set compare
+   are O(n) per op. *)
+let pq_ops = QCheck.(list_of_size Gen.(0 -- 300) (pair (int_bound 8) (int_bound 4)))
+
 (* [ready_count] is the event loop's allocation-free fast path (O(1)
    when the minimum is unique); it must always agree with the size of
-   the full ready set. *)
+   the full ready set, including entries parked in the same-time ring. *)
 let test_pq_ready_count () =
-  List.iter
-    (fun backend ->
-      let q = Prio_queue.create ~backend () in
-      check int "empty" 0 (Prio_queue.ready_count q);
-      Prio_queue.add q ~prio:2. "b";
-      check int "singleton" 1 (Prio_queue.ready_count q);
-      Prio_queue.add q ~prio:1. "a1";
-      Prio_queue.add q ~prio:1. "a2";
-      Prio_queue.add q ~prio:1. "a3";
-      Prio_queue.add q ~prio:3. "c";
-      check int "tied min of three" 3 (Prio_queue.ready_count q);
-      check int "agrees with ready set" (List.length (Prio_queue.ready q))
-        (Prio_queue.ready_count q);
-      ignore (Prio_queue.pop q);
-      check int "after pop" (List.length (Prio_queue.ready q))
-        (Prio_queue.ready_count q))
-    [ Prio_queue.Heap; Prio_queue.Wheel ]
+  let q = Prio_queue.create () in
+  check int "empty" 0 (Prio_queue.ready_count q);
+  Prio_queue.add q ~prio:2. "b";
+  check int "singleton" 1 (Prio_queue.ready_count q);
+  Prio_queue.add q ~prio:1. "a1";
+  Prio_queue.add q ~prio:1. "a2";
+  Prio_queue.add q ~prio:1. "a3";
+  Prio_queue.add q ~prio:3. "c";
+  check int "tied min of three" 3 (Prio_queue.ready_count q);
+  check int "agrees with ready set" (List.length (Prio_queue.ready q))
+    (Prio_queue.ready_count q);
+  ignore (Prio_queue.pop q);
+  check int "after pop" (List.length (Prio_queue.ready q))
+    (Prio_queue.ready_count q);
+  (* adds at the popped priority join the ready set behind the older
+     tied entries *)
+  Prio_queue.add q ~prio:1. "a4";
+  Prio_queue.add q ~prio:1. "a5";
+  check int "ring joins the ready set" 4 (Prio_queue.ready_count q);
+  check (Alcotest.list Alcotest.string) "ready in insertion order"
+    [ "a2"; "a3"; "a4"; "a5" ]
+    (List.map snd (Prio_queue.ready q))
 
 let pq_ready_count_prop =
   QCheck.Test.make
     ~name:"ready_count agrees with the ready set under both backends"
-    ~count:300
-    QCheck.(list (pair (int_bound 5) bool))
-    (fun ops ->
-      List.for_all
-        (fun backend ->
-          let q = Prio_queue.create ~backend () in
-          let n = ref 0 in
-          List.for_all
-            (fun (k, pop) ->
-              if pop then ignore (Prio_queue.pop q)
-              else begin
-                incr n;
-                Prio_queue.add q ~prio:(float_of_int k) !n
-              end;
-              Prio_queue.ready_count q = List.length (Prio_queue.ready q))
-            ops)
-        [ Prio_queue.Heap; Prio_queue.Wheel ])
+    ~count:300 QCheck.(pair bool pq_ops)
+    (fun (lifo, ops) ->
+      pq_matches_model (if lifo then Prio_queue.Lifo else Prio_queue.Fifo) ops)
 
 (* Removing the n-th ready entry replaces it with the last heap slot,
    which may belong *above* the removal point — the sift must go both
-   ways. Model-based: [pop_nth] against a sorted-list model, under
-   both tie policies. *)
+   ways — or closes a gap in the ring. Model-based, under both tie
+   policies, with ops weighted toward [pop_nth]. *)
 let pq_pop_nth_model_prop =
   QCheck.Test.make
     ~name:"pop_nth matches a sorted-list model under Fifo and Lifo"
     ~count:300
-    QCheck.(pair bool (list (pair (int_bound 3) (int_bound 4))))
+    QCheck.(pair bool (list_of_size Gen.(0 -- 300) (pair (int_bound 3) (int_bound 4))))
     (fun (lifo, ops) ->
-      let tie = if lifo then Prio_queue.Lifo else Prio_queue.Fifo in
-      List.for_all
-        (fun backend ->
-          let q = Prio_queue.create ~tie ~backend () in
-          (* model: (prio, seq, v) list, insertion order *)
-          let model = ref [] in
-          let seq = ref 0 in
-          let ok = ref true in
-          List.iter
-            (fun (k, nth) ->
-              if k = 3 && !model <> [] then begin
-                (* remove the nth ready entry from both *)
-                let min_p =
-                  List.fold_left (fun m (p, _, _) -> min m p) infinity !model
-                in
-                let ready =
-                  List.filter (fun (p, _, _) -> p = min_p) !model
-                in
-                let n = nth mod max 1 (List.length ready) in
-                let (_, rs, rv) = List.nth ready n in
-                model := List.filter (fun (_, s, _) -> s <> rs) !model;
-                match Prio_queue.pop_nth q n with
-                | Some (p, v) ->
-                  if p <> min_p || v <> rv then ok := false
-                | None -> ok := false
-              end
-              else begin
-                let p = float_of_int (k mod 3) in
-                Prio_queue.add q ~prio:p !seq;
-                model := !model @ [ (p, !seq, !seq) ];
-                incr seq
-              end)
-            ops;
-          (* drain both and compare the full (prio, value) sequence *)
-          let rec drain_model m acc =
-            match m with
-            | [] -> List.rev acc
-            | _ ->
-              let min_p =
-                List.fold_left (fun mn (p, _, _) -> min mn p) infinity m
-              in
-              let ready = List.filter (fun (p, _, _) -> p = min_p) m in
-              let (_, s, v) =
-                match tie with
-                | Prio_queue.Fifo -> List.hd ready
-                | Prio_queue.Lifo -> List.nth ready (List.length ready - 1)
-              in
-              drain_model
-                (List.filter (fun (_, s', _) -> s' <> s) m)
-                ((min_p, v) :: acc)
-          in
-          let expect = drain_model !model [] in
-          !ok && Prio_queue.drain q = expect)
-        [ Prio_queue.Heap; Prio_queue.Wheel ])
+      let ops = List.map (fun (c, a) -> ((if c = 3 then 8 else c * 2), a)) ops in
+      pq_matches_model (if lifo then Prio_queue.Lifo else Prio_queue.Fifo) ops)
 
 (* Crafted regression: the replacement slot for a removed tied-minimum
    entry must sift *up* past its parent when the tie policy orders it
@@ -171,9 +185,10 @@ let pq_pop_nth_model_prop =
 let test_pq_pop_nth_sift_up () =
   List.iter
     (fun tie ->
-      let q = Prio_queue.create ~tie ~backend:Prio_queue.Heap () in
-      (* seven tied entries building a 3-level heap, then remove deep
-         indices so the last slot replaces an interior one *)
+      let q = Prio_queue.create ~tie () in
+      (* seven tied entries building a 3-level heap (nothing popped
+         yet, so none lands in the ring), then remove deep indices so
+         the last slot replaces an interior one *)
       for v = 0 to 6 do
         Prio_queue.add q ~prio:1. v
       done;
@@ -190,50 +205,18 @@ let test_pq_pop_nth_sift_up () =
       check (Alcotest.list int) "drain after pop_nth" expect got)
     [ Prio_queue.Fifo; Prio_queue.Lifo ]
 
-(* The two backends must pop the identical (prio, value) sequence for
-   any interleaving of adds and pops — including same-time bursts
-   (many adds at one priority), far-future outliers (beyond the wheel
-   window, forced into its overflow heap), and re-adds below an
-   already-rotated window (forcing a wheel rebuild). *)
-let pq_backend_differential_prop tie name =
-  QCheck.Test.make ~name ~count:400
-    QCheck.(list (pair (int_bound 9) bool))
-    (fun ops ->
-      let h = Prio_queue.create ~tie ~backend:Prio_queue.Heap () in
-      let w = Prio_queue.create ~tie ~backend:Prio_queue.Wheel () in
-      let n = ref 0 in
-      let step_ok (k, pop) =
-        if pop then
-          match (Prio_queue.pop h, Prio_queue.pop w) with
-          | None, None -> true
-          | Some (ph, vh), Some (pw, vw) -> ph = pw && vh = vw
-          | _ -> false
-        else begin
-          let prio =
-            if k = 9 then 1000. +. float_of_int !n (* overflow territory *)
-            else float_of_int (k mod 4) *. 0.01 (* same-time bursts *)
-          in
-          incr n;
-          Prio_queue.add h ~prio !n;
-          Prio_queue.add w ~prio !n;
-          Prio_queue.length h = Prio_queue.length w
-        end
-      in
-      let rec drain_ok () =
-        match (Prio_queue.pop h, Prio_queue.pop w) with
-        | None, None -> true
-        | Some (ph, vh), Some (pw, vw) -> ph = pw && vh = vw && drain_ok ()
-        | _ -> false
-      in
-      List.for_all step_ok ops && drain_ok ())
+(* The heap and the same-time ring must together pop the model's
+   (prio, value) sequence for any interleaving of adds and pops:
+   same-time bursts at the last popped time, adds below it, cross-time
+   ties and far-future outliers. *)
+let pq_model_prop tie name =
+  QCheck.Test.make ~name ~count:400 pq_ops (pq_matches_model tie)
 
 let pq_differential_fifo =
-  pq_backend_differential_prop Prio_queue.Fifo
-    "wheel and heap pop identically (Fifo ties)"
+  pq_model_prop Prio_queue.Fifo "wheel and heap pop identically (Fifo ties)"
 
 let pq_differential_lifo =
-  pq_backend_differential_prop Prio_queue.Lifo
-    "wheel and heap pop identically (Lifo ties)"
+  pq_model_prop Prio_queue.Lifo "wheel and heap pop identically (Lifo ties)"
 
 (* ------------------------------------------------------------------ *)
 (* Bitset                                                              *)
