@@ -11,13 +11,8 @@ module Lint = Rhodos_analysis.Lint
 
 let line_of = Callgraph.line_of_loc
 
-let rec strip e =
-  match e.pexp_desc with
-  | Pexp_constraint (e, _) | Pexp_open (_, e) -> strip e
-  | _ -> e
-
 let ident_path e =
-  match (strip e).pexp_desc with
+  match (Flow.strip e).pexp_desc with
   | Pexp_ident { txt; _ } -> Some (Names.flatten txt)
   | _ -> None
 
@@ -48,7 +43,7 @@ let raw_shared_cell (f : Source.file) items =
         :: !acc
     in
     let field_of e =
-      match (strip e).pexp_desc with
+      match (Flow.strip e).pexp_desc with
       | Pexp_field (_, { txt; _ }) ->
         let fld = Names.last txt in
         if List.mem fld fields then Some fld else None

@@ -27,71 +27,74 @@ let rec binding_name pat =
   | Ppat_constraint (p, _) -> binding_name p
   | _ -> None
 
-let rec collect_aliases acc prefix_done items =
-  ignore prefix_done;
-  match items with
-  | [] -> acc
-  | item :: rest ->
-    let acc =
-      match item.pstr_desc with
-      | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr; _ } -> (
-        match pmb_expr.pmod_desc with
-        | Pmod_ident { txt; _ } -> (name, Names.flatten txt) :: acc
-        | _ -> acc)
-      | _ -> acc
-    in
-    collect_aliases acc prefix_done rest
+let collect_aliases items =
+  List.rev
+    (List.filter_map
+       (fun item ->
+         match item.pstr_desc with
+         | Pstr_module
+             {
+               pmb_name = { txt = Some name; _ };
+               pmb_expr = { pmod_desc = Pmod_ident { txt; _ }; _ };
+               _;
+             } ->
+           Some (name, Names.flatten txt)
+         | _ -> None)
+       items)
 
-(* Every value binding, at top level or inside a nested
-   [module X = struct ... end], becomes a node named by its dotted
-   module path. Top-level [let () = ...] initialisation code gets a
-   synthetic [_init] node so calls made at module init are not lost. *)
-let rec collect_defs ~file ~env ~prefix acc items =
-  List.fold_left
-    (fun acc item ->
+(* Visit every structure item with its dotted module path, descending
+   into nested [module X = struct ... end] (and [module rec]) bodies
+   right after the item that opens them. *)
+let rec walk_structure on_item prefix items =
+  List.iter
+    (fun item ->
+      on_item prefix item;
+      match item.pstr_desc with
+      | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr; _ } ->
+        walk_module on_item (prefix ^ "." ^ name) pmb_expr
+      | Pstr_recmodule mbs ->
+        List.iter
+          (fun mb ->
+            match mb.pmb_name.txt with
+            | Some name -> walk_module on_item (prefix ^ "." ^ name) mb.pmb_expr
+            | None -> ())
+          mbs
+      | _ -> ())
+    items
+
+and walk_module on_item prefix m =
+  match m.pmod_desc with
+  | Pmod_structure sub -> walk_structure on_item prefix sub
+  | Pmod_constraint (m, _) -> walk_module on_item prefix m
+  | _ -> ()
+
+(* Every value binding, at top level or inside a nested module,
+   becomes a node named by its dotted module path. Top-level
+   [let () = ...] initialisation code gets a synthetic [_init] node so
+   calls made at module init are not lost. *)
+let collect_defs ~file ~env ~prefix items =
+  let acc = ref [] in
+  let add fn line body =
+    acc := { fn; file; line; body = Some body; env; calls = [] } :: !acc
+  in
+  let init prefix line = Printf.sprintf "%s._init_%d" prefix line in
+  walk_structure
+    (fun prefix item ->
       match item.pstr_desc with
       | Pstr_value (_, vbs) ->
-        List.fold_left
-          (fun acc vb ->
+        List.iter
+          (fun vb ->
             let line = line_of_loc vb.pvb_loc in
-            let name =
-              match binding_name vb.pvb_pat with
-              | Some n -> prefix ^ "." ^ n
-              | None -> Printf.sprintf "%s._init_%d" prefix line
-            in
-            { fn = name; file; line; body = Some vb.pvb_expr; env; calls = [] }
-            :: acc)
-          acc vbs
+            match binding_name vb.pvb_pat with
+            | Some n -> add (prefix ^ "." ^ n) line vb.pvb_expr
+            | None -> add (init prefix line) line vb.pvb_expr)
+          vbs
       | Pstr_eval (e, _) ->
         let line = line_of_loc item.pstr_loc in
-        {
-          fn = Printf.sprintf "%s._init_%d" prefix line;
-          file;
-          line;
-          body = Some e;
-          env;
-          calls = [];
-        }
-        :: acc
-      | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr; _ } ->
-        collect_module ~file ~env ~prefix:(prefix ^ "." ^ name) acc pmb_expr
-      | Pstr_recmodule mbs ->
-        List.fold_left
-          (fun acc mb ->
-            match mb.pmb_name.txt with
-            | Some name ->
-              collect_module ~file ~env ~prefix:(prefix ^ "." ^ name) acc
-                mb.pmb_expr
-            | None -> acc)
-          acc mbs
-      | _ -> acc)
-    acc items
-
-and collect_module ~file ~env ~prefix acc mexpr =
-  match mexpr.pmod_desc with
-  | Pmod_structure items -> collect_defs ~file ~env ~prefix acc items
-  | Pmod_constraint (m, _) -> collect_module ~file ~env ~prefix acc m
-  | _ -> acc
+        add (init prefix line) line e
+      | _ -> ())
+    prefix items;
+  List.rev !acc
 
 (* ------------------------------------------------------------------ *)
 (* Callee classification                                               *)
@@ -110,6 +113,9 @@ let conn_fields =
     "tdelete"; "tread"; "twrite"; "tget_attribute"; "tend"; "tabort";
   ]
 
+let is_conn_call name =
+  List.exists (fun f -> name = "Service_conn." ^ f) conn_fields
+
 let callee_of_expr env ~defined e =
   match e.pexp_desc with
   | Pexp_ident { txt; _ } -> Some (Names.resolve_lid env ~defined txt)
@@ -118,10 +124,7 @@ let callee_of_expr env ~defined e =
     | [ _ ] -> None (* unqualified field: not provably a conn field *)
     | path ->
       let c = Names.canonical env path in
-      let is_conn =
-        List.exists (fun f -> c = "Service_conn." ^ f) conn_fields
-      in
-      if is_conn then Some c else None)
+      if is_conn_call c then Some c else None)
   | _ -> None
 
 (* Arguments of these run in a fresh process or a deferred callback,
@@ -175,12 +178,11 @@ let build (files : Source.file list) =
         match f.ast with
         | None -> []
         | Some items ->
-          let aliases = collect_aliases [] true items in
+          let aliases = collect_aliases items in
           let env =
             Names.make_env ~current_module:f.module_name ~aliases ~known_roots
           in
-          List.rev
-            (collect_defs ~file:f.path ~env ~prefix:f.module_name [] items))
+          collect_defs ~file:f.path ~env ~prefix:f.module_name items)
       files
   in
   let nodes = Hashtbl.create 256 in

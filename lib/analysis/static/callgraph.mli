@@ -46,6 +46,21 @@ val callee_name : t -> Names.env -> Parsetree.expression -> string option
 
 val conn_fields : string list
 
+val is_conn_call : string -> bool
+(** Whether a canonical callee is a [Service_conn.<field>] RPC. *)
+
 val spawn_like : string list
 
 val line_of_loc : Location.t -> int
+
+val binding_name : Parsetree.pattern -> string option
+(** The variable a [let] binds, through type constraints. *)
+
+val walk_structure :
+  (string -> Parsetree.structure_item -> unit) ->
+  string ->
+  Parsetree.structure ->
+  unit
+(** [walk_structure f prefix items] calls [f] on every item with its
+    dotted module path, descending into nested and recursive module
+    bodies right after the item that opens them. *)

@@ -15,10 +15,10 @@ open Parsetree
    - [swallowed-control-exn]: a catch-all arm that can absorb a
      control exception ([Sim.Killed]) without re-raising it — the
      process would survive its own kill point;
-   - [leak-on-raise] (with {!Lockpass} summaries): a lock or
-     semaphore token is held at a call that may raise an exception no
-     enclosing handler catches, with no enclosing [Fun.protect] — the
-     grant leaks forever;
+   - [leak-on-raise] (with {!Lockpass} summaries, on {!Flow}'s
+     may-domain walk): a lock or semaphore token is held at a call
+     that may raise an exception no enclosing handler catches, with
+     no enclosing [Fun.protect] — the grant leaks forever;
    - [ivar-unfilled-on-raise]: an [Ivar.fill] only reachable after a
      possibly-escaping raise point — the readers are stranded;
    - [unmapped-wire-error] / [escaping-raise-into-dispatch] (with
@@ -101,25 +101,18 @@ let implicit_raises =
    from a [Fs.File_not_found] match arm in cluster.ml). *)
 let collect_exn_decls (files : Source.file list) =
   let acc = ref SS.empty in
-  let rec walk prefix items =
-    List.iter
-      (fun item ->
-        match item.pstr_desc with
-        | Pstr_exception te ->
-          acc :=
-            SS.add (prefix ^ "." ^ te.ptyexn_constructor.pext_name.txt) !acc
-        | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr; _ } -> (
-          match pmb_expr.pmod_desc with
-          | Pmod_structure sub -> walk (prefix ^ "." ^ name) sub
-          | _ -> ())
-        | _ -> ())
-      items
-  in
   List.iter
     (fun (f : Source.file) ->
-      match f.Source.ast with
-      | None -> ()
-      | Some items -> walk f.Source.module_name items)
+      Option.iter
+        (Callgraph.walk_structure
+           (fun prefix item ->
+             match item.pstr_desc with
+             | Pstr_exception te ->
+               acc :=
+                 SS.add (prefix ^ "." ^ te.ptyexn_constructor.pext_name.txt) !acc
+             | _ -> ())
+           f.Source.module_name)
+        f.Source.ast)
     files;
   !acc
 
@@ -175,19 +168,6 @@ let rec shape_of_pat t env ~fn p =
   | Ppat_constraint (p, _) | Ppat_open (_, p) -> shape_of_pat t env ~fn p
   | _ -> { a_all = false; a_ctors = []; a_bound = None }
 
-let rec strip e =
-  match e.pexp_desc with
-  | Pexp_constraint (e, _) | Pexp_open (_, e) -> strip e
-  | _ -> e
-
-let is_exception_case c =
-  match c.pc_lhs.ppat_desc with Ppat_exception _ -> true | _ -> false
-
-let strip_exception_case c =
-  match c.pc_lhs.ppat_desc with
-  | Ppat_exception p -> { c with pc_lhs = p }
-  | _ -> c
-
 (* ------------------------------------------------------------------ *)
 (* Error mappers (exception -> E_* wire constructor)                   *)
 (* ------------------------------------------------------------------ *)
@@ -200,7 +180,7 @@ let rec fun_body_cases e =
   | _ -> None
 
 let is_e_ctor_result e =
-  match (strip e).pexp_desc with
+  match (Flow.strip e).pexp_desc with
   | Pexp_construct ({ txt; _ }, _) ->
     let n = Names.last txt in
     String.length n > 2 && String.sub n 0 2 = "E_"
@@ -217,7 +197,6 @@ type ctx = {
       (* keyed by the dispatcher's function *)
   mappers : (string, SS.t) Hashtbl.t;  (* fn -> explicitly mapped ctors *)
   mutable emit : bool;
-  mutable changed : bool;
   mutable findings : Finding.t list;
 }
 
@@ -238,21 +217,12 @@ let collect_mappers t =
     (Callgraph.nodes_in_order t.graph);
   mappers
 
-let map_of t fn =
-  match Hashtbl.find_opt t.raise_maps fn with
-  | Some m -> m
-  | None ->
-    let m = ref SM.empty in
-    Hashtbl.replace t.raise_maps fn m;
-    m
-
 (* What a call to [name] may let escape, by name. *)
 let callee_raises ctx name =
   match List.assoc_opt name declared_raises with
   | Some l -> l
   | None ->
-    if List.exists (fun f -> name = "Service_conn." ^ f) Callgraph.conn_fields
-    then [ "Sim.Killed"; "Net.Rpc.Timeout" ]
+    if Callgraph.is_conn_call name then [ "Sim.Killed"; "Net.Rpc.Timeout" ]
     else (
       match List.assoc_opt name implicit_raises with
       | Some l -> l
@@ -300,9 +270,8 @@ let rec eval ctx (node : Callgraph.node) rebinds e : rmap =
     let m = union (eval ctx node rebinds c) (eval ctx node rebinds th) in
     (match el with Some el -> union m (eval ctx node rebinds el) | None -> m)
   | Pexp_let (_, vbs, b) ->
-    List.fold_left
-      (fun acc vb -> union acc (eval ctx node rebinds vb.pvb_expr))
-      (eval ctx node rebinds b) vbs
+    eval_all ctx node rebinds (eval ctx node rebinds b)
+      (List.map (fun vb -> vb.pvb_expr) vbs)
   | Pexp_fun (_, default, _, b) ->
     let m = eval ctx node rebinds b in
     (match default with
@@ -310,35 +279,19 @@ let rec eval ctx (node : Callgraph.node) rebinds e : rmap =
     | None -> m)
   | Pexp_newtype (_, b) -> eval ctx node rebinds b
   | Pexp_function cases ->
-    List.fold_left
-      (fun acc c ->
-        let acc =
-          match c.pc_guard with
-          | Some g -> union acc (eval ctx node rebinds g)
-          | None -> acc
-        in
-        union acc (eval ctx node rebinds c.pc_rhs))
-      SM.empty cases
+    eval_all ctx node rebinds SM.empty (Flow.case_exprs cases)
   | Pexp_try (b, cases) ->
     handle ctx node rebinds ~body_map:(eval ctx node rebinds b) ~cases
   | Pexp_match (scrut, cases) ->
-    let exn_cases, val_cases = List.partition is_exception_case cases in
+    let exn_cases, val_cases = List.partition Flow.is_exception_case cases in
     let scrut_map = eval ctx node rebinds scrut in
     let scrut_map =
       if exn_cases = [] then scrut_map
       else
         handle ctx node rebinds ~body_map:scrut_map
-          ~cases:(List.map strip_exception_case exn_cases)
+          ~cases:(List.map Flow.strip_exception_case exn_cases)
     in
-    List.fold_left
-      (fun acc c ->
-        let acc =
-          match c.pc_guard with
-          | Some g -> union acc (eval ctx node rebinds g)
-          | None -> acc
-        in
-        union acc (eval ctx node rebinds c.pc_rhs))
-      scrut_map val_cases
+    eval_all ctx node rebinds scrut_map (Flow.case_exprs val_cases)
   | Pexp_apply (f, args) -> apply ctx node rebinds e f args
   | Pexp_ident _ -> (
     (* A bare reference passed as a value: the typical higher-order
@@ -356,6 +309,9 @@ let rec eval ctx (node : Callgraph.node) rebinds e : rmap =
         SM.empty (callee_raises ctx n)
     | None -> SM.empty)
   | _ -> fallback ctx node rebinds e
+
+and eval_all ctx node rebinds init es =
+  List.fold_left (fun acc e -> union acc (eval ctx node rebinds e)) init es
 
 and fallback ctx node rebinds e =
   let acc = ref SM.empty in
@@ -377,9 +333,9 @@ and apply ctx node rebinds e f args =
   in
   match Callgraph.callee_name ctx.t.graph node.env f with
   | Some ("raise" | "raise_notrace") -> (
-    match Lockpass.nolabel_args args with
+    match Flow.nolabel_args args with
     | a :: _ -> (
-      match (strip a).pexp_desc with
+      match (Flow.strip a).pexp_desc with
       | Pexp_construct ({ txt; _ }, arg) ->
         let m =
           SM.singleton
@@ -535,18 +491,27 @@ and mapper_in ctx node e =
 (* Effect scan: leak-on-raise and ivar-unfilled-on-raise               *)
 (* ------------------------------------------------------------------ *)
 
-(* Lockpass-style abstract walk in evaluation order, tracking the
-   held tokens, the enclosing handlers, the enclosing [Fun.protect]
-   depth, and whether an escaping raise is already possible on the
-   current path. *)
+(* The may-domain walk of {!Flow}, tracking the held tokens, the
+   enclosing handlers, the enclosing [Fun.protect] depth, and whether
+   an escaping raise is already possible on the current path. *)
 
 type est = {
-  mutable lm : bool;
-  mutable held : string list;
-  mutable raised : bool;
-  mutable raise_info : (string * string * int) option;
+  lm : bool;
+  held : string list;
+  raised : bool;
+  raise_info : (string * string * int) option;
       (* exn, source callee ("" = direct raise), line *)
 }
+
+let fresh = { lm = false; held = []; raised = false; raise_info = None }
+
+let merge a b =
+  {
+    lm = a.lm || b.lm;
+    held = Flow.union a.held b.held;
+    raised = a.raised || b.raised;
+    raise_info = (if a.raise_info = None then b.raise_info else a.raise_info);
+  }
 
 let scan_effects ctx (node : Callgraph.node) =
   let fn = node.fn in
@@ -554,32 +519,33 @@ let scan_effects ctx (node : Callgraph.node) =
     (* A function that intentionally returns holding (2PL) is judged
        by its caller's release discipline, not here. *)
     match Hashtbl.find_opt ctx.lock.Lockpass.summaries fn with
-    | Some s -> not s.Lockpass.holds_on_return
+    | Some s -> not s.Flow.holds_on_return
     | None -> true
   in
-  let st = { lm = false; held = []; raised = false; raise_info = None } in
+  let st = ref fresh in
   let protect = ref 0 in
   let handlers = ref [] in
   let leak_reported = ref [] in
   let ivar_reported = ref false in
-  let escaping names =
-    List.filter
-      (fun exn ->
-        not
-          (List.exists
-             (fun (all, cs) -> all || List.mem exn cs)
-             !handlers))
-      names
+  let caught exn =
+    List.exists (fun (all, cs) -> all || List.mem exn cs) !handlers
   in
   let at_raise_point ~callee names line =
-    match escaping names with
+    match List.filter (fun exn -> not (caught exn)) names with
     | [] -> ()
     | exn :: _ ->
-      if st.raise_info = None then st.raise_info <- Some (exn, callee, line);
-      st.raised <- true;
-      if !protect = 0 && scoped && (st.lm || st.held <> []) then begin
+      let s = !st in
+      st :=
+        {
+          s with
+          raised = true;
+          raise_info =
+            (if s.raise_info = None then Some (exn, callee, line)
+             else s.raise_info);
+        };
+      if !protect = 0 && scoped && (s.lm || s.held <> []) then begin
         let tok =
-          match st.held with tok :: _ -> tok | [] -> "Lock_manager grant"
+          match s.held with tok :: _ -> tok | [] -> "Lock_manager grant"
         in
         if not (List.mem tok !leak_reported) then begin
           leak_reported := tok :: !leak_reported;
@@ -595,8 +561,8 @@ let scan_effects ctx (node : Callgraph.node) =
                  [
                    Printf.sprintf "held here: %s"
                      (String.concat ", "
-                        (if st.held = [] then [ "Lock_manager grant" ]
-                         else st.held));
+                        (if s.held = [] then [ "Lock_manager grant" ]
+                         else s.held));
                    Printf.sprintf "escaping %s from %s" exn source;
                  ]
                ~rule:"leak-on-raise" ~file:node.file ~line ~slug:tok
@@ -610,196 +576,87 @@ let scan_effects ctx (node : Callgraph.node) =
         end
       end
   in
-  let add_tok tok =
-    if not (List.mem tok st.held) then st.held <- st.held @ [ tok ]
+  let hold toks = st := { !st with held = Flow.union !st.held toks } in
+  let drop_grants () =
+    st := { !st with lm = false; held = List.filter Flow.is_sem_token !st.held }
   in
-  let snap () = (st.lm, st.held, st.raised, st.raise_info) in
-  let restore (lm, held, raised, ri) =
-    st.lm <- lm;
-    st.held <- held;
-    st.raised <- raised;
-    st.raise_info <- ri
-  in
-  let rec scan e =
-    match e.pexp_desc with
-    | Pexp_sequence (a, b) ->
-      scan a;
-      scan b
-    | Pexp_ifthenelse (c, th, el) ->
-      scan c;
-      branch ~include_pre:(el = None) (th :: Option.to_list el)
-    | Pexp_try (b, cases) ->
-      with_handlers cases (fun () -> scan b);
-      branch ~include_pre:true
-        (List.concat_map
-           (fun c -> Option.to_list c.pc_guard @ [ c.pc_rhs ])
-           cases)
-    | Pexp_match (scrut, cases) ->
-      let exn_cases = List.filter is_exception_case cases in
-      if exn_cases = [] then scan scrut
-      else
-        with_handlers
-          (List.map strip_exception_case exn_cases)
-          (fun () -> scan scrut);
-      branch ~include_pre:false
-        (List.concat_map
-           (fun c -> Option.to_list c.pc_guard @ [ c.pc_rhs ])
-           cases)
-    | Pexp_function cases ->
-      branch ~include_pre:true
-        (List.concat_map
-           (fun c -> Option.to_list c.pc_guard @ [ c.pc_rhs ])
-           cases)
-    | Pexp_while (c, b) ->
-      scan c;
-      scan b
-    | Pexp_apply (f, args) -> apply_eff e f args
-    | _ -> fallback e
-  and fallback e =
-    let it =
-      { Ast_iterator.default_iterator with expr = (fun _ e' -> scan e') }
-    in
-    Ast_iterator.default_iterator.expr it e
-  and with_handlers cases body =
+  let with_handlers cases body =
     let shapes =
       List.filter_map
         (fun c ->
           if c.pc_guard <> None then None
-          else
-            Some (shape_of_pat ctx.t node.Callgraph.env ~fn c.pc_lhs))
+          else Some (shape_of_pat ctx.t node.env ~fn c.pc_lhs))
         cases
     in
-    let combined =
+    handlers :=
       ( List.exists (fun s -> s.a_all) shapes,
         List.concat_map (fun s -> s.a_ctors) shapes )
-    in
-    handlers := combined :: !handlers;
+      :: !handlers;
     body ();
     handlers := List.tl !handlers
-  and branch ~include_pre exprs =
-    match exprs with
-    | [] -> ()
-    | _ ->
-      let pre = snap () in
-      let posts =
-        List.map
-          (fun e ->
-            restore pre;
-            scan e;
-            snap ())
-          exprs
-      in
-      let posts = if include_pre then pre :: posts else posts in
-      st.lm <- List.exists (fun (lm, _, _, _) -> lm) posts;
-      st.raised <- List.exists (fun (_, _, r, _) -> r) posts;
-      st.raise_info <-
-        List.fold_left
-          (fun acc (_, _, _, ri) ->
-            match acc with Some _ -> acc | None -> ri)
-          None posts;
-      st.held <-
-        List.fold_left
-          (fun acc (_, held, _, _) ->
-            List.fold_left
-              (fun acc t -> if List.mem t acc then acc else acc @ [ t ])
-              acc held)
-          [] posts
-  and apply_eff e f args =
+  in
+  let rec w =
+    {
+      Flow.graph = ctx.t.graph;
+      env = node.env;
+      summaries = ctx.lock.Lockpass.summaries;
+      join = Flow.May;
+      get = (fun () -> !st);
+      set = (fun s -> st := s);
+      merge;
+      expr = (fun e -> Flow.arms w e);
+      arg = (fun e -> Flow.arms w e);
+      call;
+      lock;
+      spawn;
+      handlers = with_handlers;
+      protect =
+        (fun body finally ->
+          incr protect;
+          body ();
+          decr protect;
+          (* The finally thunk runs on every path: an earlier raise
+             cannot skip an [Ivar.fill] that lives here (only a raise
+             within the thunk itself still can). *)
+          let s = !st in
+          st := { s with raised = false; raise_info = None };
+          finally ();
+          st := { !st with raised = s.raised; raise_info = s.raise_info });
+    }
+  and spawn _ args =
+    (* Each spawned closure is its own process: fresh state, and
+       nothing it does flows back to the spawner's path. *)
+    List.iter
+      (fun (_, a) ->
+        let s, p, h = (!st, !protect, !handlers) in
+        st := fresh;
+        protect := 0;
+        handlers := [];
+        Flow.arms w a;
+        st := s;
+        protect := p;
+        handlers := h)
+      args
+  and call e n args =
     let line = Callgraph.line_of_loc e.pexp_loc in
-    match Callgraph.callee_name ctx.t.graph node.Callgraph.env f with
-    | Some ("raise" | "raise_notrace") ->
+    match n with
+    | "raise" | "raise_notrace" ->
       let names =
-        match Lockpass.nolabel_args args with
+        match Flow.nolabel_args args with
         | a :: _ -> (
-          match (strip a).pexp_desc with
+          match (Flow.strip a).pexp_desc with
           | Pexp_construct ({ txt; _ }, _) ->
-            [ resolve_exn ctx.t node.Callgraph.env ~fn txt ]
+            [ resolve_exn ctx.t node.env ~fn txt ]
           | _ -> [ any_exn ])
         | [] -> [ any_exn ]
       in
       at_raise_point ~callee:"" names line
-    | Some n when List.mem n Callgraph.spawn_like ->
-      (* Each spawned closure is its own process: fresh state, and
-         nothing it does flows back to the spawner's path. *)
-      List.iter
-        (fun (_, a) ->
-          let saved = (snap (), !protect, !handlers) in
-          st.lm <- false;
-          st.held <- [];
-          st.raised <- false;
-          st.raise_info <- None;
-          protect := 0;
-          handlers := [];
-          scan a;
-          let s, p, h = saved in
-          restore s;
-          protect := p;
-          handlers := h)
-        args
-    | Some "Fun.protect" ->
-      incr protect;
-      List.iter scan (Lockpass.nolabel_args args);
-      decr protect;
-      List.iter
-        (fun (l, a) ->
-          match l with
-          | Asttypes.Labelled "finally" | Asttypes.Optional "finally" ->
-            (* The finally thunk runs on every path: an earlier raise
-               cannot skip an [Ivar.fill] that lives here (only a
-               raise within the thunk itself still can). *)
-            let raised = st.raised and ri = st.raise_info in
-            st.raised <- false;
-            st.raise_info <- None;
-            scan a;
-            st.raised <- raised;
-            st.raise_info <- ri
-          | _ -> ())
-        args
-    | Some n when n = Lockpass.sem_with_acquire ->
-      (* Structurally protected: the token cannot leak, and like
-         Fun.protect the enclosing tokens are assumed released by the
-         combinator discipline. *)
-      at_raise_point ~callee:n (callee_raises ctx n) line;
-      incr protect;
-      List.iter (fun (_, a) -> scan a) args;
-      decr protect
-    | Some n when List.mem n Lockpass.lm_acquires ->
-      List.iter (fun (_, a) -> scan a) args;
-      at_raise_point ~callee:n (callee_raises ctx n) line;
-      st.lm <- true;
-      (match Lockpass.nolabel_args args with
-      | _ :: item :: _ -> (
-        match Lockpass.render_item item with
-        | Some tok -> add_tok tok
-        | None -> ())
-      | _ -> ())
-    | Some n when n = Lockpass.lm_release ->
-      List.iter (fun (_, a) -> scan a) args;
-      st.lm <- false;
-      st.held <- List.filter Lockpass.is_sem_token st.held
-    | Some n when n = Lockpass.sem_acquire ->
-      List.iter (fun (_, a) -> scan a) args;
-      at_raise_point ~callee:n (callee_raises ctx n) line;
-      (match Lockpass.nolabel_args args with
-      | sem :: _ -> (
-        match Lockpass.render_sem sem with
-        | Some tok -> add_tok tok
-        | None -> ())
-      | _ -> ())
-    | Some n when n = Lockpass.sem_release ->
-      List.iter (fun (_, a) -> scan a) args;
-      (match Lockpass.nolabel_args args with
-      | sem :: _ -> (
-        match Lockpass.render_sem sem with
-        | Some tok -> st.held <- List.filter (fun t -> t <> tok) st.held
-        | None -> ())
-      | _ -> ())
-    | Some "Sim.Ivar.fill" ->
-      List.iter (fun (_, a) -> scan a) args;
-      if st.raised && not !ivar_reported then begin
+    | "Sim.Ivar.fill" ->
+      List.iter (fun (_, a) -> Flow.arms w a) args;
+      if !st.raised && not !ivar_reported then begin
         ivar_reported := true;
         let why =
-          match st.raise_info with
+          match !st.raise_info with
           | Some (exn, "", l) ->
             Printf.sprintf "an earlier raise of %s at %s:%d can skip it" exn
               node.file l
@@ -819,25 +676,33 @@ let scan_effects ctx (node : Callgraph.node) =
                  Fun.protect finally"
                 why))
       end
-    | Some n ->
-      List.iter (fun (_, a) -> scan a) args;
+    | _ ->
+      List.iter (fun (_, a) -> Flow.arms w a) args;
+      at_raise_point ~callee:n (callee_raises ctx n) line
+  and lock n line = function
+    | Flow.Acquire { tok; _ } ->
       at_raise_point ~callee:n (callee_raises ctx n) line;
-      (match Hashtbl.find_opt ctx.lock.Lockpass.summaries n with
-      | Some gs when Callgraph.defined ctx.t.graph n ->
-        if gs.Lockpass.holds_on_return then begin
-          st.lm <- true;
-          List.iter (fun (v, _) -> add_tok v) gs.Lockpass.acquires
-        end
-        else if gs.Lockpass.releases then begin
-          st.lm <- false;
-          st.held <- List.filter Lockpass.is_sem_token st.held
-        end
-      | _ -> ())
-    | None ->
-      scan f;
-      List.iter (fun (_, a) -> scan a) args
+      st := { !st with lm = true };
+      hold (Option.to_list tok)
+    | Sem_acquire tok ->
+      at_raise_point ~callee:n (callee_raises ctx n) line;
+      hold (Option.to_list tok)
+    | Sem_release tok ->
+      st := { !st with held = List.filter (fun t -> Some t <> tok) !st.held }
+    | Sem_scoped (_, body) ->
+      (* Structurally protected: the token cannot leak, and like
+         Fun.protect the enclosing tokens are assumed released by the
+         combinator discipline. *)
+      at_raise_point ~callee:n (callee_raises ctx n) line;
+      incr protect;
+      body ();
+      decr protect
+    | Returns_holding toks ->
+      st := { !st with lm = true };
+      hold toks
+    | Release_all | Returns_released -> drop_grants ()
   in
-  match node.Callgraph.body with Some b -> scan b | None -> ()
+  Option.iter (Flow.arms w) node.body
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -893,30 +758,24 @@ let run graph (lock : Lockpass.result) =
           (Protocol.dispatchers graph);
       mappers = Hashtbl.create 8;
       emit = false;
-      changed = true;
       findings = [];
     }
   in
   Hashtbl.iter (fun k v -> Hashtbl.replace ctx.mappers k v)
     (collect_mappers t);
-  let rounds = ref 0 in
-  while ctx.changed && !rounds < 32 do
-    ctx.changed <- false;
-    incr rounds;
-    List.iter
-      (fun (n : Callgraph.node) ->
-        match n.body with
-        | None -> ()
-        | Some b ->
-          let m = eval ctx n [] b in
-          let cur = map_of t n.fn in
-          let merged = union !cur m in
-          if SM.cardinal merged <> SM.cardinal !cur then begin
-            cur := merged;
-            ctx.changed <- true
-          end)
-      (Callgraph.nodes_in_order graph)
-  done;
+  Flow.fixpoint
+    (fun (n : Callgraph.node) ->
+      match n.body with
+      | None -> false
+      | Some b ->
+        let cur = Flow.find_or_add t.raise_maps n.fn (fun () -> ref SM.empty) in
+        let merged = union !cur (eval ctx n [] b) in
+        SM.cardinal merged <> SM.cardinal !cur
+        && begin
+             cur := merged;
+             true
+           end)
+    (Callgraph.nodes_in_order graph);
   ctx.emit <- true;
   List.iter
     (fun (n : Callgraph.node) ->

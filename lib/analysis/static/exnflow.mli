@@ -28,8 +28,10 @@
     Approximations are documented in DESIGN.md section 4b''':
     lambdas are inlined at their definition point, [assert] is
     ignored, guarded handler arms neither subtract nor swallow, any
-    enclosing [Fun.protect] absolves a leak, and spawn-like closure
-    arguments are analysed in a fresh context. *)
+    enclosing [Fun.protect] absolves a leak, [Ivar.fill] is checked
+    only at direct call sites, and spawn-like closure arguments are
+    analysed in a fresh context. The effect scan is {!Flow}'s
+    may-domain walk. *)
 
 type t
 (** The computed raise sets. *)

@@ -37,6 +37,9 @@ val pp : Format.formatter -> t -> unit
 (** Compiler-style [file:line: [rule] message], witness lines
     indented below. *)
 
+val json_escape : string -> string
+(** Escape a string for inclusion in a JSON string literal. *)
+
 val to_json : t -> string
 
 val list_to_json :

@@ -1,22 +1,11 @@
 open Parsetree
 
-(* A lock token names one statically identifiable lock: a
-   [Lock_manager] item rendered from its constructor and arguments
-   ("File_item 1", "Page_item(fid,i)"), or a semaphore identified by
-   the path expression it is acquired through ("sem:t.fetch_slots").
-   Items whose arguments cannot be rendered are dynamic: they still
-   set the held flag for the may-block pass but take no part in the
-   order graph (a dynamic item unifies with nothing). *)
-type token = string
-
-type summary = {
-  mutable acquires : (token * string list) list;
-      (** tokens this function may acquire, directly or transitively;
-          the chain starts at this function and ends at the acquiring
-          function *)
-  mutable holds_on_return : bool;  (** may return with a grant held *)
-  mutable releases : bool;  (** may call [release_all] *)
-}
+(* Tokens come from {!Flow}: a rendered [Lock_manager] item or a
+   semaphore path. Items whose arguments cannot be rendered are
+   dynamic: they still set the held flag for the may-block rule but
+   take no part in the order graph (a dynamic item unifies with
+   nothing). *)
+type token = Flow.token
 
 type edge = {
   e_from : token;
@@ -29,106 +18,38 @@ type edge = {
 type result = {
   findings : Finding.t list;
   edges : edge list;
-  summaries : (string, summary) Hashtbl.t;
+  summaries : (string, Flow.summary) Hashtbl.t;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Token rendering                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let item_ctors = [ "File_item"; "Page_item"; "Record_item" ]
-
-let rec strip e =
-  match e.pexp_desc with
-  | Pexp_constraint (e, _) | Pexp_open (_, e) -> strip e
-  | _ -> e
-
-let rec render_path e =
-  match (strip e).pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (String.concat "." (Names.flatten txt))
-  | Pexp_field (b, { txt; _ }) ->
-    Option.map (fun p -> p ^ "." ^ Names.last txt) (render_path b)
-  | _ -> None
-
-let render_scalar e =
-  match (strip e).pexp_desc with
-  | Pexp_constant (Pconst_integer (s, _)) -> Some s
-  | _ -> render_path e
-
-let render_item e =
-  match (strip e).pexp_desc with
-  | Pexp_construct ({ txt; _ }, arg) when List.mem (Names.last txt) item_ctors
-    -> (
-    let c = Names.last txt in
-    match arg with
-    | None -> Some c
-    | Some a -> (
-      match (strip a).pexp_desc with
-      | Pexp_tuple parts ->
-        let rs = List.map render_scalar parts in
-        if List.for_all Option.is_some rs then
-          Some
-            (c ^ "("
-            ^ String.concat "," (List.map (Option.value ~default:"?") rs)
-            ^ ")")
-        else None
-      | _ -> Option.map (fun s -> c ^ " " ^ s) (render_scalar a)))
-  | _ -> None
-
-let render_sem e = Option.map (fun p -> "sem:" ^ p) (render_path e)
-
-let is_sem_token tok =
-  String.length tok >= 4 && String.sub tok 0 4 = "sem:"
-
-(* ------------------------------------------------------------------ *)
-(* Canonical callee groups                                             *)
-(* ------------------------------------------------------------------ *)
-
-let lm_acquires = [ "Lock_manager.acquire"; "Lock_manager.try_acquire" ]
-let lm_release = "Lock_manager.release_all"
-let sem_acquire = "Sim.Semaphore.acquire"
-let sem_release = "Sim.Semaphore.release"
-let sem_with_acquire = "Sim.Semaphore.with_acquire"
 let cell_update = "Sim.Cell.update"
-
-let nolabel_args args =
-  List.filter_map
-    (fun (l, e) -> match l with Asttypes.Nolabel -> Some e | _ -> None)
-    args
 
 (* ------------------------------------------------------------------ *)
 (* Per-function scan                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type state = { mutable lm_held : bool; mutable toks : token list }
-
 type ctx = {
   graph : Callgraph.t;
   mb : Mayblock.t;
-  summaries : (string, summary) Hashtbl.t;
+  summaries : (string, Flow.summary) Hashtbl.t;
   emit : bool;
   mutable findings : Finding.t list;
   mutable edges : edge list;
-  mutable changed : bool;
 }
 
-let summary_of ctx fn =
-  match Hashtbl.find_opt ctx.summaries fn with
-  | Some s -> s
-  | None ->
-    let s = { acquires = []; holds_on_return = false; releases = false } in
-    Hashtbl.replace ctx.summaries fn s;
-    s
-
+(* Scan one function body; true when its summary grew. *)
 let scan_node ctx (node : Callgraph.node) =
   let fn = node.fn in
-  let s = summary_of ctx fn in
-  let st = { lm_held = false; toks = [] } in
+  let s =
+    Flow.find_or_add ctx.summaries fn (fun () ->
+        { Flow.acquires = []; holds_on_return = false; releases = false })
+  in
+  let changed = ref false in
+  let held = ref false and toks = ref [] in
   let cell_depth = ref 0 in
   let add_acquire tok chain =
     if not (List.mem_assoc tok s.acquires) then begin
       s.acquires <- (tok, chain) :: s.acquires;
-      ctx.changed <- true
+      changed := true
     end
   in
   let add_edge u v line chain =
@@ -147,234 +68,130 @@ let scan_node ctx (node : Callgraph.node) =
         :: ctx.edges
   in
   let finding f = if ctx.emit then ctx.findings <- f :: ctx.findings in
-  let on_new_token tok line chain =
-    List.iter (fun u -> add_edge u tok line chain) st.toks;
-    if not (List.mem tok st.toks) then st.toks <- st.toks @ [ tok ]
+  let acquire tok line =
+    add_acquire tok [ fn ];
+    List.iter (fun u -> add_edge u tok line [ fn ]) !toks;
+    if not (List.mem tok !toks) then toks := !toks @ [ tok ]
+  in
+  let drop tok = toks := List.filter (fun t -> t <> tok) !toks in
+  let drop_grants () =
+    held := false;
+    toks := List.filter Flow.is_sem_token !toks
+  in
+  let blocking_paths callee reasons =
+    List.filteri
+      (fun i _ -> i < 2)
+      (List.map
+         (fun (seed, cls) ->
+           Printf.sprintf "blocking path (%s): %s"
+             (Mayblock.cls_to_string cls)
+             (String.concat " -> " (fn :: Mayblock.chain ctx.mb callee seed)))
+         reasons)
   in
   let check_blocking callee line =
     let all = Mayblock.reasons ctx.mb callee in
     if !cell_depth > 0 && all <> [] then
       finding
-        (Finding.v ~symbol:fn
-           ~witness:
-             (List.filteri
-                (fun i _ -> i < 2)
-                (List.map
-                   (fun (seed, cls) ->
-                     Printf.sprintf "blocking path (%s): %s"
-                       (Mayblock.cls_to_string cls)
-                       (String.concat " -> "
-                          (fn :: Mayblock.chain ctx.mb callee seed)))
-                   all))
+        (Finding.v ~symbol:fn ~witness:(blocking_paths callee all)
            ~rule:"may-block-in-cell-update" ~file:node.file ~line ~slug:callee
            (Printf.sprintf
               "call to %s may block inside a Sim.Cell.update critical \
                section; the read-modify-write must stay atomic"
               callee));
-    if st.lm_held && not (List.mem callee Mayblock.acquire_specials) then begin
-      let hazardous =
+    let hazardous =
+      if !held then
         Mayblock.may_block ctx.mb callee
           ~classes:[ Mayblock.Time; Mayblock.Remote ]
-      in
-      if hazardous <> [] then
-        finding
-          (Finding.v ~symbol:fn
-             ~witness:
-               (List.filteri
-                  (fun i _ -> i < 2)
-                  (List.map
-                     (fun (seed, cls) ->
-                       Printf.sprintf "blocking path (%s): %s"
-                         (Mayblock.cls_to_string cls)
-                         (String.concat " -> "
-                            (fn :: Mayblock.chain ctx.mb callee seed)))
-                     hazardous))
-             ~rule:"may-block-under-lock" ~file:node.file ~line ~slug:callee
-             (Printf.sprintf
-                "call to %s may block while a Lock_manager grant is held \
-                 (lock-held-across-%s); release first, or suppress with a \
-                 static-ok justification"
-                callee
-                (if
-                   List.exists (fun (_, c) -> c = Mayblock.Remote) hazardous
-                 then "RPC"
-                 else "wait")))
-    end
-  in
-  let snap () = (st.lm_held, st.toks) in
-  let restore (h, t) =
-    st.lm_held <- h;
-    st.toks <- t
-  in
-  let rec scan e =
-    match e.pexp_desc with
-    | Pexp_sequence (a, b) ->
-      scan a;
-      scan b
-    | Pexp_ifthenelse (c, th, el) ->
-      scan c;
-      branch (th :: Option.to_list el)
-    | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->
-      scan scrut;
-      branch_cases cases
-    | Pexp_function cases -> branch_cases cases
-    | Pexp_while (c, b) ->
-      scan c;
-      scan b
-    | Pexp_record (fields, base) ->
-      (* Record fields do not execute at construction time — the
-         typical case is a record of RPC stub closures
-         ([Service_conn]) which run much later on someone else's
-         path (and are modelled there via the conn-field
-         pseudo-callees). Scan each field for hazards under the
-         construction-time state, but let no state leak between
-         fields or out of the record. *)
-      let pre = snap () in
-      Option.iter scan base;
-      List.iter
-        (fun (_, fe) ->
-          restore pre;
-          scan fe)
-        fields;
-      restore pre
-    | Pexp_apply (f, args) -> apply e f args
-    | _ -> fallback e
-  and fallback e =
-    let it =
-      { Ast_iterator.default_iterator with expr = (fun _ e' -> scan e') }
+      else []
     in
-    Ast_iterator.default_iterator.expr it e
-  and branch exprs =
-    match exprs with
-    | [] -> ()
-    | _ ->
-      let pre = snap () in
-      let posts =
-        List.map
-          (fun e ->
-            restore pre;
-            scan e;
-            snap ())
-          exprs
-      in
-      st.lm_held <- List.exists (fun (h, _) -> h) posts;
-      st.toks <-
-        List.fold_left
-          (fun acc (_, ts) ->
-            List.fold_left
-              (fun acc t -> if List.mem t acc then acc else acc @ [ t ])
-              acc ts)
-          [] posts
-  and branch_cases cases =
-    branch
-      (List.concat_map
-         (fun c -> Option.to_list c.pc_guard @ [ c.pc_rhs ])
-         cases)
-  and apply e f args =
+    if hazardous <> [] then
+      finding
+        (Finding.v ~symbol:fn ~witness:(blocking_paths callee hazardous)
+           ~rule:"may-block-under-lock" ~file:node.file ~line ~slug:callee
+           (Printf.sprintf
+              "call to %s may block while a Lock_manager grant is held \
+               (lock-held-across-%s); release first, or suppress with a \
+               static-ok justification"
+              callee
+              (if List.exists (fun (_, c) -> c = Mayblock.Remote) hazardous
+               then "RPC"
+               else "wait")))
+  in
+  let rec w =
+    {
+      Flow.graph = ctx.graph;
+      env = node.env;
+      summaries = ctx.summaries;
+      join = Flow.May;
+      get = (fun () -> (!held, !toks));
+      set =
+        (fun (h, t) ->
+          held := h;
+          toks := t);
+      merge = (fun (h1, t1) (h2, t2) -> (h1 || h2, Flow.union t1 t2));
+      expr = (fun e -> Flow.arms w e);
+      arg = (fun e -> Flow.arms w e);
+      call;
+      lock;
+      (* a spawned closure runs in another process, under no lock *)
+      spawn = (fun _ _ -> ());
+      handlers = (fun _ body -> body ());
+      protect =
+        (fun body finally ->
+          body ();
+          finally ());
+    }
+  and call e n args =
     let line = Callgraph.line_of_loc e.pexp_loc in
-    let callee = Callgraph.callee_name ctx.graph node.env f in
-    match callee with
-    | Some n when List.mem n Callgraph.spawn_like -> ()
-    | Some "Fun.protect" ->
-      (* The body runs first, the finally closure last — scan in
-         execution order, not argument order. *)
-      List.iter scan (nolabel_args args);
-      List.iter
-        (fun (l, a) ->
-          match l with
-          | Asttypes.Labelled "finally" | Asttypes.Optional "finally" ->
-            scan a
-          | _ -> ())
-        args
-    | Some n when n = cell_update ->
+    let walk_args () = List.iter (fun (_, a) -> Flow.arms w a) args in
+    if n = cell_update then begin
       incr cell_depth;
-      List.iter (fun (_, a) -> scan a) args;
+      walk_args ();
       decr cell_depth
-    | Some n when List.mem n lm_acquires ->
-      List.iter (fun (_, a) -> scan a) args;
-      st.lm_held <- true;
-      (match nolabel_args args with
-      | _ :: item :: _ -> (
-        match render_item item with
-        | Some tok ->
-          add_acquire tok [ fn ];
-          on_new_token tok line [ fn ]
-        | None -> ())
-      | _ -> ())
-    | Some n when n = lm_release ->
-      List.iter (fun (_, a) -> scan a) args;
-      st.lm_held <- false;
-      st.toks <- List.filter is_sem_token st.toks;
-      if not s.releases then begin
-        s.releases <- true;
-        ctx.changed <- true
-      end
-    | Some n when n = sem_acquire ->
-      List.iter (fun (_, a) -> scan a) args;
-      (match nolabel_args args with
-      | sem :: _ -> (
-        match render_sem sem with
-        | Some tok ->
-          add_acquire tok [ fn ];
-          on_new_token tok line [ fn ]
-        | None -> ())
-      | _ -> ())
-    | Some n when n = sem_with_acquire ->
-      (* Scoped acquisition: the closure runs with the token held and
-         the release is structural, so the token cannot escape the
-         call. *)
-      (match nolabel_args args with
-      | sem :: rest ->
-        (match render_sem sem with
-        | Some tok ->
-          add_acquire tok [ fn ];
-          on_new_token tok line [ fn ];
-          List.iter scan rest;
-          st.toks <- List.filter (fun t -> t <> tok) st.toks
-        | None -> List.iter scan rest)
-      | [] -> ())
-    | Some n when n = sem_release ->
-      List.iter (fun (_, a) -> scan a) args;
-      (match nolabel_args args with
-      | sem :: _ -> (
-        match render_sem sem with
-        | Some tok -> st.toks <- List.filter (fun t -> t <> tok) st.toks
-        | None -> ())
-      | _ -> ())
-    | Some n ->
-      List.iter (fun (_, a) -> scan a) args;
+    end
+    else begin
+      walk_args ();
       check_blocking n line;
-      (match Hashtbl.find_opt ctx.summaries n with
+      match Hashtbl.find_opt ctx.summaries n with
       | Some gs when Callgraph.defined ctx.graph n ->
         List.iter
           (fun u ->
             List.iter
               (fun (v, chain) -> add_edge u v line (fn :: chain))
               gs.acquires)
-          st.toks;
-        List.iter (fun (v, chain) -> add_acquire v (fn :: chain)) gs.acquires;
-        if gs.holds_on_return then begin
-          st.lm_held <- true;
-          List.iter
-            (fun (v, _) ->
-              if not (List.mem v st.toks) then st.toks <- st.toks @ [ v ])
-            gs.acquires
-        end
-        else if gs.releases then begin
-          st.lm_held <- false;
-          st.toks <- List.filter is_sem_token st.toks
-        end
-      | _ -> ())
-    | None ->
-      scan f;
-      List.iter (fun (_, a) -> scan a) args
+          !toks;
+        List.iter (fun (v, chain) -> add_acquire v (fn :: chain)) gs.acquires
+      | _ -> ()
+    end
+  and lock _ line = function
+    | Flow.Acquire { tok; _ } ->
+      held := true;
+      Option.iter (fun t -> acquire t line) tok
+    | Release_all ->
+      drop_grants ();
+      if not s.releases then begin
+        s.releases <- true;
+        changed := true
+      end
+    | Sem_acquire tok -> Option.iter (fun t -> acquire t line) tok
+    | Sem_release tok -> Option.iter drop tok
+    | Sem_scoped (tok, body) ->
+      (* the release is structural: the token cannot escape the call *)
+      Option.iter (fun t -> acquire t line) tok;
+      body ();
+      Option.iter drop tok
+    | Returns_holding vs ->
+      held := true;
+      toks := Flow.union !toks vs
+    | Returns_released -> drop_grants ()
   in
-  (match node.body with Some b -> scan b | None -> ());
-  let holds = st.lm_held || List.exists is_sem_token st.toks in
+  Option.iter (Flow.arms w) node.body;
+  let holds = !held || List.exists Flow.is_sem_token !toks in
   if holds && not s.holds_on_return then begin
     s.holds_on_return <- true;
-    ctx.changed <- true
-  end
+    changed := true
+  end;
+  !changed
 
 (* ------------------------------------------------------------------ *)
 (* Cycle detection over the order graph                                *)
@@ -394,46 +211,35 @@ let cycle_findings edges =
     edges;
   let nodes = List.sort compare !nodes in
   let succs u = try Hashtbl.find adj u with Not_found -> [] in
-  (* Tarjan's SCC. *)
-  let index = Hashtbl.create 32 in
-  let lowlink = Hashtbl.create 32 in
-  let on_stack = Hashtbl.create 32 in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let sccs = ref [] in
-  let rec strongconnect v =
-    Hashtbl.replace index v !counter;
-    Hashtbl.replace lowlink v !counter;
-    incr counter;
-    stack := v :: !stack;
-    Hashtbl.replace on_stack v true;
-    List.iter
-      (fun (w, _) ->
-        if not (Hashtbl.mem index w) then begin
-          strongconnect w;
-          Hashtbl.replace lowlink v
-            (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
-        end
-        else if Hashtbl.find_opt on_stack w = Some true then
-          Hashtbl.replace lowlink v
-            (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
-      (succs v);
-    if Hashtbl.find lowlink v = Hashtbl.find index v then begin
-      let scc = ref [] in
-      let continue = ref true in
-      while !continue do
-        match !stack with
-        | w :: rest ->
-          stack := rest;
-          Hashtbl.replace on_stack w false;
-          scc := w :: !scc;
-          if w = v then continue := false
-        | [] -> continue := false
-      done;
-      if List.length !scc >= 2 then sccs := List.sort compare !scc :: !sccs
-    end
+  (* Strongly connected components of two or more tokens: the nodes
+     reachable from each node and reaching back to it. *)
+  let reach u =
+    let seen = Hashtbl.create 16 in
+    let rec go v =
+      List.iter
+        (fun (w, _) ->
+          if not (Hashtbl.mem seen w) then begin
+            Hashtbl.replace seen w ();
+            go w
+          end)
+        (succs v)
+    in
+    go u;
+    seen
   in
-  List.iter (fun v -> if not (Hashtbl.mem index v) then strongconnect v) nodes;
+  let reaches = List.map (fun u -> (u, reach u)) nodes in
+  let mutual u v =
+    Hashtbl.mem (List.assoc u reaches) v && Hashtbl.mem (List.assoc v reaches) u
+  in
+  let sccs =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun u ->
+           match List.filter (fun v -> v = u || mutual u v) nodes with
+           | _ :: _ :: _ as scc -> Some scc
+           | _ -> None)
+         nodes)
+  in
   (* For each SCC, extract one witnessing simple cycle by DFS from its
      smallest node back to itself, restricted to SCC members. *)
   let find_cycle scc =
@@ -470,7 +276,7 @@ let cycle_findings edges =
              (Printf.sprintf
                 "potential ABBA deadlock: locks are acquired in a cycle %s"
                 ring)))
-    (List.sort compare !sccs)
+    sccs
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -485,17 +291,12 @@ let run graph mb =
       emit = false;
       findings = [];
       edges = [];
-      changed = true;
     }
   in
-  let rounds = ref 0 in
-  while ctx.changed && !rounds < 16 do
-    ctx.changed <- false;
-    incr rounds;
-    List.iter (scan_node ctx) (Callgraph.nodes_in_order graph)
-  done;
-  let ctx = { ctx with emit = true; changed = false } in
-  List.iter (scan_node ctx) (Callgraph.nodes_in_order graph);
+  let nodes = Callgraph.nodes_in_order graph in
+  Flow.fixpoint (scan_node ctx) nodes;
+  let ctx = { ctx with emit = true } in
+  List.iter (fun n -> ignore (scan_node ctx n)) nodes;
   let edges = List.rev ctx.edges in
   {
     findings = Finding.sort (ctx.findings @ cycle_findings edges);

@@ -15,20 +15,16 @@
       [lock-order-cycle] (potential ABBA deadlock) with one
       witnessing edge chain per cycle.
 
-    Approximations: closures are inlined into the enclosing path
-    ([Fun.protect] scans the body before the [~finally] closure);
-    branches merge as the union of their post-states; [Sim.spawn]-like
-    arguments are skipped (they run elsewhere); lock items whose
-    arguments cannot be rendered statically set the held flag but
-    join no order edges. *)
+    The body walk is {!Flow}'s may-domain walk: a closure is inlined
+    where it is built ([Fun.protect] walks the body before the
+    [~finally] closure); branches merge as the union of their
+    post-states, joined with the pre-state for an [if] with no [else],
+    a [try] body that falls through, [function] cases and loops;
+    [Sim.spawn]-like arguments are skipped (they run elsewhere); lock
+    items whose arguments cannot be rendered statically set the held
+    flag but join no order edges. *)
 
-type token = string
-
-type summary = {
-  mutable acquires : (token * string list) list;
-  mutable holds_on_return : bool;
-  mutable releases : bool;
-}
+type token = Flow.token
 
 type edge = {
   e_from : token;
@@ -41,39 +37,7 @@ type edge = {
 type result = {
   findings : Finding.t list;
   edges : edge list;
-  summaries : (string, summary) Hashtbl.t;
+  summaries : (string, Flow.summary) Hashtbl.t;
 }
 
 val run : Callgraph.t -> Mayblock.t -> result
-
-(** {2 Shared vocabulary}
-
-    The exception-flow pass tracks the same tokens through the same
-    acquire/release primitives; exporting the canonical names and the
-    token renderers keeps the two passes in agreement. *)
-
-val lm_acquires : string list
-val lm_release : string
-val sem_acquire : string
-val sem_release : string
-
-val sem_with_acquire : string
-(** [Sim.Semaphore.with_acquire] — scoped, release-on-raise by
-    construction; both passes treat it as leak-free. *)
-
-val nolabel_args :
-  (Asttypes.arg_label * Parsetree.expression) list ->
-  Parsetree.expression list
-
-val render_path : Parsetree.expression -> string option
-(** Render an identifier/record-field access path ("t.fetch_slots");
-    [None] for anything more dynamic. *)
-
-val render_item : Parsetree.expression -> token option
-(** Render a [Lock_manager] item expression ("File_item 1",
-    "Page_item(fid,i)"); [None] when an argument is dynamic. *)
-
-val render_sem : Parsetree.expression -> token option
-(** Render a semaphore acquisition path as a ["sem:"]-prefixed token. *)
-
-val is_sem_token : token -> bool

@@ -19,6 +19,12 @@ let seeds =
     ("Sim.Condition.wait", Time);
     ("Sim.Condition.wait_timeout", Time);
     ("Sim.Ivar.read", Time);
+    (* Taking another lock while holding one is ordinary 2PL, judged by
+       the lock-order pass, not the may-block pass. Like every seed,
+       these are opaque in the fixpoint: a caller inherits only their
+       [Lock] class, never the [Time] reasons of their implementations
+       (the lock manager's simulated search cost would otherwise paint
+       every multi-lock transaction as time-blocking). *)
     ("Sim.Semaphore.acquire", Lock);
     ("Sim.Semaphore.with_acquire", Lock);
     ("Lock_manager.acquire", Lock);
@@ -28,19 +34,8 @@ let seeds =
     ("Net.Rpc.call", Remote);
   ]
 
-(* Taking another lock while holding one is ordinary 2PL, judged by
-   the lock-order pass, not the may-block pass. These are therefore
-   opaque in the fixpoint: a caller inherits only their [Lock] class,
-   never the [Time] reasons of their implementations (the lock
-   manager's simulated search cost would otherwise paint every
-   multi-lock transaction as time-blocking). *)
-let acquire_specials =
-  [ "Lock_manager.acquire"; "Lock_manager.try_acquire";
-    "Sim.Semaphore.acquire"; "Sim.Semaphore.with_acquire" ]
-
 let seed_class name =
-  if List.exists (fun f -> name = "Service_conn." ^ f) Callgraph.conn_fields
-  then Some Remote
+  if Callgraph.is_conn_call name then Some Remote
   else List.assoc_opt name seeds
 
 type info = {
@@ -54,14 +49,6 @@ type t = {
   infos : (string, info) Hashtbl.t;
 }
 
-let info t fn =
-  match Hashtbl.find_opt t.infos fn with
-  | Some i -> i
-  | None ->
-    let i = { reasons = [] } in
-    Hashtbl.replace t.infos fn i;
-    i
-
 let add_reason i seed cls via =
   if not (List.mem_assoc seed i.reasons) then begin
     i.reasons <- (seed, (cls, via)) :: i.reasons;
@@ -71,33 +58,24 @@ let add_reason i seed cls via =
 
 let compute graph =
   let t = { graph; infos = Hashtbl.create 256 } in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (n : Callgraph.node) ->
-        let i = info t n.fn in
-        List.iter
-          (fun (callee, _) ->
-            if List.mem callee acquire_specials then begin
-              if add_reason i callee Lock None then changed := true
-            end
-            else
-              match seed_class callee with
-              | Some cls ->
-                if add_reason i callee cls None then changed := true
-              | None -> (
-                match Hashtbl.find_opt t.infos callee with
-                | None -> ()
-                | Some ci ->
-                  List.iter
-                    (fun (seed, (cls, _)) ->
-                      if add_reason i seed cls (Some callee) then
-                        changed := true)
-                    ci.reasons))
-          n.calls)
-      (Callgraph.nodes_in_order graph)
-  done;
+  Flow.fixpoint
+    (fun (n : Callgraph.node) ->
+      let i = Flow.find_or_add t.infos n.fn (fun () -> { reasons = [] }) in
+      List.fold_left
+        (fun changed (callee, _) ->
+          (match seed_class callee with
+          | Some cls -> add_reason i callee cls None
+          | None -> (
+            match Hashtbl.find_opt t.infos callee with
+            | None -> false
+            | Some ci ->
+              List.fold_left
+                (fun added (seed, (cls, _)) ->
+                  add_reason i seed cls (Some callee) || added)
+                false ci.reasons))
+          || changed)
+        false n.calls)
+    (Callgraph.nodes_in_order graph);
   t
 
 let reasons t fn =
@@ -106,11 +84,9 @@ let reasons t fn =
   match seed_class fn with
   | Some cls -> [ (fn, cls) ]
   | None -> (
-    if List.mem fn acquire_specials then [ (fn, Lock) ]
-    else
-      match Hashtbl.find_opt t.infos fn with
-      | None -> []
-      | Some i -> List.map (fun (s, (c, _)) -> (s, c)) i.reasons)
+    match Hashtbl.find_opt t.infos fn with
+    | None -> []
+    | Some i -> List.map (fun (s, (c, _)) -> (s, c)) i.reasons)
 
 let may_block t fn ~classes =
   List.filter (fun (_, c) -> List.mem c classes) (reasons t fn)

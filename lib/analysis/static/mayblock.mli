@@ -22,9 +22,6 @@ val cls_to_string : cls -> string
 
 val seeds : (string * cls) list
 
-val acquire_specials : string list
-(** Functions treated as opaque lock acquisitions. *)
-
 val seed_class : string -> cls option
 (** Class of a canonical name that is itself a primitive (including
     [Service_conn.<field>] pseudo-callees); [None] otherwise. *)

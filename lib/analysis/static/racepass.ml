@@ -35,24 +35,10 @@ type result = {
    observability plane is digest-neutral by its own contract. *)
 let exempt_file path =
   let base = Filename.basename path in
-  List.mem base [ "sim.ml"; "prio_queue.ml"; "timing_wheel.ml" ]
+  List.mem base [ "sim.ml"; "prio_queue.ml" ]
   || List.exists (fun seg -> seg = "obs") (String.split_on_char '/' path)
 
 let line_of = Callgraph.line_of_loc
-
-let module_of_file file =
-  String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
-
-let rec strip e =
-  match e.pexp_desc with
-  | Pexp_constraint (e, _) | Pexp_open (_, e) -> strip e
-  | _ -> e
-
-let rec binding_name pat =
-  match pat.ppat_desc with
-  | Ppat_var { txt; _ } -> Some txt
-  | Ppat_constraint (p, _) -> binding_name p
-  | _ -> None
 
 let leaf_of_path e =
   Option.map
@@ -60,7 +46,7 @@ let leaf_of_path e =
       match List.rev (String.split_on_char '.' p) with
       | l :: _ -> l
       | [] -> p)
-    (Lockpass.render_path e)
+    (Flow.render_path e)
 
 (* Tokens that survive [Lock_manager.release_all]: semaphores, ivar
    handoffs and the Cell.update RMW pseudo-token have their own
@@ -89,9 +75,9 @@ let mutable_creator_paths =
     [ "Buffer"; "create" ] ]
 
 let is_mutable_creation e =
-  match (strip e).pexp_desc with
+  match (Flow.strip e).pexp_desc with
   | Pexp_apply (f, _) -> (
-    match (strip f).pexp_desc with
+    match (Flow.strip f).pexp_desc with
     | Pexp_ident { txt; _ } -> List.mem (Names.flatten txt) mutable_creator_paths
     | _ -> false)
   | _ -> false
@@ -100,9 +86,9 @@ let is_mutable_creation e =
    (default Data, the checked discipline) and the [~name] string
    literal when static (it matches the dynamic sanitizer's naming). *)
 let cell_create_info env e =
-  match (strip e).pexp_desc with
+  match (Flow.strip e).pexp_desc with
   | Pexp_apply (f, args) -> (
-    match (strip f).pexp_desc with
+    match (Flow.strip f).pexp_desc with
     | Pexp_ident { txt; _ }
       when Names.canonical env (Names.flatten txt) = "Sim.Cell.create" ->
       let role = ref Data in
@@ -111,12 +97,12 @@ let cell_create_info env e =
         (fun (l, a) ->
           match l with
           | Asttypes.Labelled "role" -> (
-            match (strip a).pexp_desc with
+            match (Flow.strip a).pexp_desc with
             | Pexp_construct ({ txt; _ }, _) when Names.last txt = "Sync" ->
               role := Sync
             | _ -> ())
           | Asttypes.Labelled "name" -> (
-            match (strip a).pexp_desc with
+            match (Flow.strip a).pexp_desc with
             | Pexp_constant (Pconst_string (s, _, _)) -> name := Some s
             | _ -> ())
           | _ -> ())
@@ -182,14 +168,7 @@ type ctx = {
 }
 
 let declare_field ctx m n =
-  let l =
-    match Hashtbl.find_opt ctx.fdecls n with
-    | Some l -> l
-    | None ->
-      let l = ref [] in
-      Hashtbl.replace ctx.fdecls n l;
-      l
-  in
+  let l = Flow.find_or_add ctx.fdecls n (fun () -> ref []) in
   if not (List.mem m !l) then l := m :: !l
 
 (* Pick the declaring module for field [n] seen from module [m] (with
@@ -250,39 +229,14 @@ let register ctx id kind ~role ~cell_name ~file ~line =
       { i_id = id; i_kind = kind; i_role = role; i_cell_name = cell_name;
         i_file = file; i_line = line }
 
-(* Structure walker shared by the two inventory passes. *)
-let rec walk_structure on_item prefix items =
-  List.iter
-    (fun item ->
-      on_item prefix item;
-      match item.pstr_desc with
-      | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr; _ } ->
-        walk_module on_item (prefix ^ "." ^ name) pmb_expr
-      | Pstr_recmodule mbs ->
-        List.iter
-          (fun mb ->
-            match mb.pmb_name.txt with
-            | Some name -> walk_module on_item (prefix ^ "." ^ name) mb.pmb_expr
-            | None -> ())
-          mbs
-      | _ -> ())
-    items
-
-and walk_module on_item prefix m =
-  match m.pmod_desc with
-  | Pmod_structure sub -> walk_structure on_item prefix sub
-  | Pmod_constraint (m, _) -> walk_module on_item prefix m
-  | _ -> ()
-
 (* Inventory pass 1 — record types: every field declaration feeds the
    name -> declaring-modules index (for access resolution), mutable
    fields become [field:Mod.name] locations. Runs over every file
    before pass 2 so a record literal in one module can resolve a field
    declared in another. *)
 let inventory_types ctx (f : Source.file) items =
-  let file = f.Source.path in
-  let m = module_of_file file in
-  walk_structure
+  let file = f.Source.path and m = f.Source.module_name in
+  Callgraph.walk_structure
     (fun _prefix item ->
       match item.pstr_desc with
       | Pstr_type (_, tds) ->
@@ -309,8 +263,7 @@ let inventory_types ctx (f : Source.file) items =
    become [field:] locations, and every [Sim.Cell.create] bound to a
    let or a record field names a [cell:] location. *)
 let inventory_values ctx env (f : Source.file) items =
-  let file = f.Source.path in
-  let m = module_of_file file in
+  let file = f.Source.path and m = f.Source.module_name in
   let reg_cell name e =
     match cell_create_info env e with
     | Some (role, cn) ->
@@ -328,7 +281,7 @@ let inventory_values ctx env (f : Source.file) items =
           | Pexp_let (_, vbs, _) ->
             List.iter
               (fun vb ->
-                match binding_name vb.pvb_pat with
+                match Callgraph.binding_name vb.pvb_pat with
                 | Some n -> ignore (reg_cell n vb.pvb_expr)
                 | None -> ())
               vbs
@@ -358,13 +311,13 @@ let inventory_values ctx env (f : Source.file) items =
           Ast_iterator.default_iterator.expr it e);
     }
   in
-  walk_structure
+  Callgraph.walk_structure
     (fun prefix item ->
       match item.pstr_desc with
       | Pstr_value (_, vbs) ->
         List.iter
           (fun vb ->
-            (match binding_name vb.pvb_pat with
+            (match Callgraph.binding_name vb.pvb_pat with
             | Some n ->
               if not (reg_cell n vb.pvb_expr) then
                 if is_mutable_creation vb.pvb_expr then
@@ -389,16 +342,16 @@ let inventory_values ctx env (f : Source.file) items =
    access sites attached to the real cell. *)
 let wrapper_of env body =
   let canon e =
-    match (strip e).pexp_desc with
+    match (Flow.strip e).pexp_desc with
     | Pexp_ident { txt; _ } -> Some (Names.canonical env (Names.flatten txt))
     | _ -> None
   in
   let spec_of params a0 =
-    match (strip a0).pexp_desc with
+    match (Flow.strip a0).pexp_desc with
     | Pexp_ident { txt = Longident.Lident v; _ } when List.mem v params ->
       Some `Arg
     | Pexp_field (b, { txt; _ }) -> (
-      match (strip b).pexp_desc with
+      match (Flow.strip b).pexp_desc with
       | Pexp_ident { txt = Longident.Lident v; _ } when List.mem v params ->
         Some (`Fld (Names.last txt))
       | _ -> None)
@@ -415,10 +368,10 @@ let wrapper_of env body =
   | Some op -> classify op `Arg (* eta alias: [let tbl = Sim.Cell.get] *)
   | None ->
     let rec peel params e =
-      match (strip e).pexp_desc with
+      match (Flow.strip e).pexp_desc with
       | Pexp_fun (_, _, pat, b) when List.length params < 2 ->
         let params =
-          match binding_name pat with
+          match Callgraph.binding_name pat with
           | Some v -> v :: params
           | None -> params
         in
@@ -426,7 +379,7 @@ let wrapper_of env body =
       | Pexp_apply (f, args) -> (
         match canon f with
         | Some op -> (
-          match Lockpass.nolabel_args args with
+          match Flow.nolabel_args args with
           | a0 :: _ -> (
             match spec_of params a0 with
             | Some spec -> classify op spec
@@ -454,8 +407,6 @@ let container_op n =
     Some (List.mem op container_writes)
   | _ -> None
 
-let lm_must_acquire = "Lock_manager.acquire"
-let lm_try_acquire = "Lock_manager.try_acquire"
 let cell_ops = [ "Sim.Cell.get"; "Sim.Cell.set"; "Sim.Cell.update";
                  "Sim.Cell.peek" ]
 let ivar_read = "Sim.Ivar.read"
@@ -477,7 +428,7 @@ let scan_unit ctx ~name ~file ~env ~is_root ~mult_hint ~localmuts body =
       u_calls = []; u_fills = []; u_spawn_seq = None }
   in
   Hashtbl.replace ctx.units name u;
-  let umod = module_of_file file in
+  let umod = Source.module_name_of_path file in
   let localmuts = ref localmuts in
   let seq = ref 0 in
   let held = ref SS.empty in
@@ -510,13 +461,12 @@ let scan_unit ctx ~name ~file ~env ~is_root ~mult_hint ~localmuts body =
         ua_released = !released; ua_seq = !seq }
       :: u.u_acc
   in
-  let record_call n line =
-    ignore line;
+  let record_call n =
     incr seq;
     u.u_calls <- (n, !held, !released, !seq) :: u.u_calls
   in
   let loc_of_path pe =
-    match (strip pe).pexp_desc with
+    match (Flow.strip pe).pexp_desc with
     | Pexp_ident { txt = Longident.Lident n; _ } -> (
       match List.assoc_opt n !localmuts with
       | Some id -> Some id
@@ -553,63 +503,43 @@ let scan_unit ctx ~name ~file ~env ~is_root ~mult_hint ~localmuts body =
     held := h;
     released := r
   in
-  let rec scan e =
+  let rec w =
+    {
+      Flow.graph = ctx.graph;
+      env;
+      summaries = ctx.lock.Lockpass.summaries;
+      join = Flow.Must;
+      get = snap;
+      set = restore;
+      merge = (fun (h1, r1) (h2, r2) -> (SS.inter h1 h2, r1 || r2));
+      expr = scan;
+      arg = scan_arg;
+      call;
+      lock;
+      spawn = spawn_site;
+      handlers = (fun _ body -> body ());
+      protect =
+        (fun body finally ->
+          body ();
+          finally ());
+    }
+  and scan e =
     match e.pexp_desc with
-    | Pexp_sequence (a, b) ->
-      scan a;
-      scan b
-    | Pexp_ifthenelse (c, th, el) -> (
-      scan c;
-      match el with
-      | Some el -> branch [ th; el ]
-      | None ->
-        (* may not execute: post = pre /\ post(then) *)
-        let pre = snap () in
-        scan th;
-        held := SS.inter (fst pre) !held;
-        released := snd pre || !released)
-    | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->
-      scan scrut;
-      branch_cases cases
-    | Pexp_function cases ->
-      (* a closure value: runs later; nothing it acquires survives *)
-      let pre = snap () in
-      branch_cases cases;
-      restore pre
-    | Pexp_fun (_, default, _, fb) ->
-      Option.iter scan default;
-      let pre = snap () in
-      scan fb;
-      restore pre
-    | Pexp_while (c, b) ->
-      scan c;
-      let pre = snap () in
+    | Pexp_while _ | Pexp_for _ ->
       incr loop_depth;
-      scan b;
-      decr loop_depth;
-      held := SS.inter (fst pre) !held;
-      released := snd pre || !released
-    | Pexp_for (_, a, b, _, fb) ->
-      scan a;
-      scan b;
-      let pre = snap () in
-      incr loop_depth;
-      scan fb;
-      decr loop_depth;
-      held := SS.inter (fst pre) !held;
-      released := snd pre || !released
+      Flow.arms w e;
+      decr loop_depth
     | Pexp_let (_, vbs, lb) ->
       List.iter
         (fun vb ->
-          match (binding_name vb.pvb_pat, (strip vb.pvb_expr).pexp_desc) with
+          let bound = Callgraph.binding_name vb.pvb_pat in
+          match (bound, (Flow.strip vb.pvb_expr).pexp_desc) with
           | Some n, (Pexp_fun _ | Pexp_function _) ->
-            (* local function: inline its body for accesses, but let
-               no must-state leak; remember the name so a spawn
-               inside it inherits the call multiplicity *)
+            (* local function: inline its body for accesses; remember
+               the name so a spawn inside it inherits the call
+               multiplicity *)
             local_fns := n :: !local_fns;
-            let pre = snap () in
             scan vb.pvb_expr;
-            restore pre;
             local_fns := List.tl !local_fns
           | Some n, _ when is_mutable_creation vb.pvb_expr ->
             let id = Printf.sprintf "ref:%s:%s" name n in
@@ -619,34 +549,21 @@ let scan_unit ctx ~name ~file ~env ~is_root ~mult_hint ~localmuts body =
           | _ -> scan vb.pvb_expr)
         vbs;
       scan lb
-    | Pexp_record (fields, base) ->
-      let conn_count =
-        List.length
-          (List.filter
-             (fun (({ txt; _ } : Longident.t Asttypes.loc), _) ->
-               List.mem (Names.last txt) Callgraph.conn_fields)
-             fields)
-      in
-      if conn_count >= 5 then begin
-        (* a Service_conn: each field closure is a server handler any
-           number of clients can invoke concurrently *)
-        mark_concurrent ();
-        Option.iter scan base;
-        List.iter
-          (fun (({ txt; _ } : Longident.t Asttypes.loc), fe) ->
-            conn_root (Names.last txt) fe)
-          fields
-      end
-      else begin
-        let pre = snap () in
-        Option.iter scan base;
-        List.iter
-          (fun (_, fe) ->
-            restore pre;
-            scan fe)
-          fields;
-        restore pre
-      end
+    | Pexp_record (fields, base)
+      when List.length
+             (List.filter
+                (fun (({ txt; _ } : Longident.t Asttypes.loc), _) ->
+                  List.mem (Names.last txt) Callgraph.conn_fields)
+                fields)
+           >= 5 ->
+      (* a Service_conn: each field closure is a server handler any
+         number of clients can invoke concurrently *)
+      mark_concurrent ();
+      Option.iter scan base;
+      List.iter
+        (fun (({ txt; _ } : Longident.t Asttypes.loc), fe) ->
+          conn_root (Names.last txt) fe)
+        fields
     | Pexp_field (b, { txt; _ }) -> (
       scan b;
       match resolve_field ctx ~m:umod ~hint:(hint_of_lid txt) (Names.last txt)
@@ -665,63 +582,31 @@ let scan_unit ctx ~name ~file ~env ~is_root ~mult_hint ~localmuts body =
       | Some id -> access id false (line_of e.pexp_loc)
       | None ->
         let r = Names.resolve_lid env ~defined txt in
-        if defined r then record_call r (line_of e.pexp_loc))
-    | Pexp_apply (f, args) -> apply e f args
-    | _ -> fallback e
-  and fallback e =
-    let it =
-      { Ast_iterator.default_iterator with expr = (fun _ e' -> scan e') }
-    in
-    Ast_iterator.default_iterator.expr it e
-  and branch exprs =
-    match exprs with
-    | [] -> ()
-    | _ ->
-      let pre = snap () in
-      let posts =
-        List.map
-          (fun e ->
-            restore pre;
-            scan e;
-            snap ())
-          exprs
-      in
-      (match posts with
-      | [] -> restore pre
-      | (h0, r0) :: rest ->
-        held := List.fold_left (fun acc (h, _) -> SS.inter acc h) h0 rest;
-        released := List.fold_left (fun acc (_, r) -> acc || r) r0 rest)
-  and branch_cases cases =
-    branch
-      (List.concat_map
-         (fun c -> Option.to_list c.pc_guard @ [ c.pc_rhs ])
-         cases)
+        if defined r then record_call r)
+    | _ -> Flow.arms w e
   and scan_arg a =
-    match (strip a).pexp_desc with
+    match (Flow.strip a).pexp_desc with
     | Pexp_fun _ | Pexp_function _ ->
       incr hof_depth;
       scan a;
       decr hof_depth
     | _ -> scan a
+  and root_target id mult h =
+    match callee h with
+    | Some n when defined n ->
+      add_root { r_id = id; r_mult = mult; r_target = Rcallee n }
+    | _ -> ()
   and conn_root label fe =
     let line = line_of fe.pexp_loc in
     let id =
       Printf.sprintf "conn:%s:%s:%d" label (Filename.basename file) line
     in
-    match (strip fe).pexp_desc with
-    | Pexp_fun _ | Pexp_function _ ->
-      root_of_closure id 2 fe
-    | Pexp_ident _ -> (
-      match callee fe with
-      | Some n when defined n -> add_root { r_id = id; r_mult = 2;
-                                            r_target = Rcallee n }
-      | _ -> ())
-    | Pexp_apply (h, hargs) -> (
+    match (Flow.strip fe).pexp_desc with
+    | Pexp_fun _ | Pexp_function _ -> root_of_closure id 2 fe
+    | Pexp_ident _ -> root_target id 2 fe
+    | Pexp_apply (h, hargs) ->
       List.iter (fun (_, a) -> scan a) hargs;
-      match callee h with
-      | Some n when defined n -> add_root { r_id = id; r_mult = 2;
-                                            r_target = Rcallee n }
-      | _ -> ())
+      root_target id 2 h
     | _ -> ()
   and root_of_closure id mult clos =
     Hashtbl.replace ctx.parents id name;
@@ -735,180 +620,89 @@ let scan_unit ctx ~name ~file ~env ~is_root ~mult_hint ~localmuts body =
     List.iter
       (fun (l, a) -> if l <> Asttypes.Nolabel then scan a)
       args;
-    match List.rev (Lockpass.nolabel_args args) with
+    match List.rev (Flow.nolabel_args args) with
     | clos :: before_rev -> (
       List.iter scan (List.rev before_rev);
       let line = line_of e.pexp_loc in
       let id = Printf.sprintf "spawn:%s:%d" (Filename.basename file) line in
       let mult = spawn_mult () in
-      match (strip clos).pexp_desc with
+      match (Flow.strip clos).pexp_desc with
       | Pexp_fun _ | Pexp_function _ -> root_of_closure id mult clos
-      | Pexp_ident _ -> (
-        match callee clos with
-        | Some n when defined n ->
-          add_root { r_id = id; r_mult = mult; r_target = Rcallee n }
-        | _ -> ())
-      | Pexp_apply (h, hargs) -> (
+      | Pexp_ident _ -> root_target id mult clos
+      | Pexp_apply (h, hargs) ->
         List.iter (fun (_, a) -> scan a) hargs;
-        match callee h with
-        | Some n when defined n ->
-          add_root { r_id = id; r_mult = mult; r_target = Rcallee n }
-        | _ -> ())
+        root_target id mult h
       | _ -> ())
     | [] -> ()
-  and cell_access ~write ~upd path_e extras line =
+  and cell_access ~write ~upd id extras line =
+    if not (Hashtbl.mem ctx.inv id) then
+      register ctx id Cell ~role:Unknown ~cell_name:None ~file ~line;
+    if upd then begin
+      (* the RMW is atomic w.r.t. this cell: the access and the
+         closure body hold the cell's own pseudo-token *)
+      let saved = snap () in
+      held := SS.add id !held;
+      access id true line;
+      List.iter scan extras;
+      restore saved
+    end
+    else begin
+      access id write line;
+      List.iter scan extras
+    end
+  and cell_path_access ~write ~upd path_e extras line =
     match leaf_of_path path_e with
     | None -> List.iter scan extras
-    | Some leaf ->
-      let id = "cell:" ^ leaf in
-      if not (Hashtbl.mem ctx.inv id) then
-        register ctx id Cell ~role:Unknown ~cell_name:None ~file ~line;
-      if upd then begin
-        (* the RMW is atomic w.r.t. this cell: the access and the
-           closure body hold the cell's own pseudo-token *)
-        let saved = snap () in
-        held := SS.add id !held;
-        access id true line;
-        List.iter scan extras;
-        restore saved
-      end
-      else begin
-        access id write line;
-        List.iter scan extras
-      end
-  and apply e f args =
+    | Some leaf -> cell_access ~write ~upd ("cell:" ^ leaf) extras line
+  and call e n args =
     let line = line_of e.pexp_loc in
-    match callee f with
-    | Some n when List.mem n Callgraph.spawn_like -> spawn_site e args
-    | Some "Fun.protect" ->
-      List.iter scan (Lockpass.nolabel_args args);
-      List.iter
-        (fun (l, a) ->
-          match l with
-          | Asttypes.Labelled "finally" | Asttypes.Optional "finally" ->
-            scan a
-          | _ -> ())
-        args
-    | Some n when List.mem n cell_ops -> (
-      match Lockpass.nolabel_args args with
+    match n with
+    | _ when List.mem n cell_ops -> (
+      match Flow.nolabel_args args with
       | path_e :: extras ->
         if n = "Sim.Cell.peek" then List.iter scan extras
           (* unmonitored by contract: reporting/debug reads *)
         else
-          cell_access ~write:(n <> "Sim.Cell.get")
+          cell_path_access ~write:(n <> "Sim.Cell.get")
             ~upd:(n = "Sim.Cell.update") path_e extras line
       | [] -> ())
-    | Some n when Hashtbl.mem ctx.wrappers n -> (
+    | _ when Hashtbl.mem ctx.wrappers n -> (
       let write, spec, upd = Hashtbl.find ctx.wrappers n in
-      record_call n line;
-      match Lockpass.nolabel_args args with
+      record_call n;
+      match Flow.nolabel_args args with
       | a0 :: extras -> (
         match spec with
-        | `Arg -> cell_access ~write ~upd a0 extras line
+        | `Arg -> cell_path_access ~write ~upd a0 extras line
         | `Fld fl ->
           scan a0;
-          let id = "cell:" ^ fl in
-          if not (Hashtbl.mem ctx.inv id) then
-            register ctx id Cell ~role:Unknown ~cell_name:None ~file ~line;
-          if upd then begin
-            let saved = snap () in
-            held := SS.add id !held;
-            access id true line;
-            List.iter scan extras;
-            restore saved
-          end
-          else begin
-            access id write line;
-            List.iter scan extras
-          end)
+          cell_access ~write ~upd ("cell:" ^ fl) extras line)
       | [] -> ())
-    | Some n when n = lm_must_acquire ->
+    | _ when n = ivar_read || n = ivar_fill -> (
       List.iter (fun (_, a) -> scan a) args;
-      record_call n line;
-      (match Lockpass.nolabel_args args with
-      | _ :: item :: _ ->
-        let tok =
-          match Lockpass.render_item item with
-          | Some t -> Some t
-          | None ->
-            Option.map (fun p -> "lm:" ^ p) (Lockpass.render_path item)
-        in
-        Option.iter (fun t -> held := SS.add t !held) tok
-      | _ -> ())
-    | Some n when n = lm_try_acquire ->
-      (* may fail: contributes no must-held token *)
-      List.iter (fun (_, a) -> scan a) args;
-      record_call n line
-    | Some n when n = Lockpass.lm_release ->
-      List.iter (fun (_, a) -> scan a) args;
-      record_call n line;
-      held := SS.filter is_sticky !held;
-      released := true
-    | Some n when n = Lockpass.sem_acquire ->
-      List.iter (fun (_, a) -> scan a) args;
-      (match Lockpass.nolabel_args args with
-      | sem :: _ ->
-        Option.iter (fun t -> held := SS.add t !held)
-          (Lockpass.render_sem sem)
-      | [] -> ())
-    | Some n when n = Lockpass.sem_with_acquire -> (
-      match Lockpass.nolabel_args args with
-      | sem :: rest -> (
-        match Lockpass.render_sem sem with
-        | Some tok ->
-          held := SS.add tok !held;
-          List.iter scan rest;
-          held := SS.remove tok !held
-        | None -> List.iter scan rest)
-      | [] -> ())
-    | Some n when n = Lockpass.sem_release ->
-      List.iter (fun (_, a) -> scan a) args;
-      (match Lockpass.nolabel_args args with
-      | sem :: _ ->
-        Option.iter (fun t -> held := SS.remove t !held)
-          (Lockpass.render_sem sem)
-      | [] -> ())
-    | Some n when n = ivar_read ->
-      List.iter (fun (_, a) -> scan a) args;
-      (match Lockpass.nolabel_args args with
-      | iv :: _ -> (
-        match leaf_of_path iv with
-        | Some l ->
-          (* happens-after the fill, permanently from here on *)
-          held := SS.add ("ivar:" ^ l) !held
-        | None -> ())
-      | [] -> ())
-    | Some n when n = ivar_fill ->
-      List.iter (fun (_, a) -> scan a) args;
-      (match Lockpass.nolabel_args args with
-      | iv :: _ -> (
-        match leaf_of_path iv with
-        | Some l -> u.u_fills <- ("ivar:" ^ l, !seq) :: u.u_fills
-        | None -> ())
-      | [] -> ())
-    | Some "!" -> (
-      match Lockpass.nolabel_args args with
-      | [ r ] -> (
-        match loc_of_path r with
-        | Some id -> access id false line
-        | None -> scan r)
-      | other -> List.iter scan other)
-    | Some ":=" -> (
-      match Lockpass.nolabel_args args with
+      match
+        Option.bind (List.nth_opt (Flow.nolabel_args args) 0) leaf_of_path
+      with
+      | Some l when n = ivar_read ->
+        (* happens-after the fill, permanently from here on *)
+        held := SS.add ("ivar:" ^ l) !held
+      | Some l -> u.u_fills <- ("ivar:" ^ l, !seq) :: u.u_fills
+      | None -> ())
+    | ":=" -> (
+      match Flow.nolabel_args args with
       | r :: rest ->
         List.iter scan rest;
         (match loc_of_path r with
         | Some id -> access id true line
         | None -> scan r)
       | [] -> ())
-    | Some ("incr" | "decr") -> (
-      match Lockpass.nolabel_args args with
+    | "!" | "incr" | "decr" -> (
+      match Flow.nolabel_args args with
       | [ r ] -> (
         match loc_of_path r with
-        | Some id -> access id true line
+        | Some id -> access id (n <> "!") line
         | None -> scan r)
       | other -> List.iter scan other)
-    | Some n when container_op n <> None ->
+    | _ when container_op n <> None ->
       let write = match container_op n with Some w -> w | None -> false in
       let hit = ref false in
       List.iter
@@ -918,27 +712,41 @@ let scan_unit ctx ~name ~file ~env ~is_root ~mult_hint ~localmuts body =
             hit := true;
             access id write line
           | _ -> scan_arg a)
-        (Lockpass.nolabel_args args);
+        (Flow.nolabel_args args);
       List.iter
         (fun (l, a) -> if l <> Asttypes.Nolabel then scan_arg a)
         args
-    | Some n ->
+    | _ ->
       List.iter (fun (_, a) -> scan_arg a) args;
-      record_call n line;
-      (match Hashtbl.find_opt ctx.lock.Lockpass.summaries n with
-      | Some gs when Callgraph.defined ctx.graph n ->
-        if gs.Lockpass.holds_on_return then
-          List.iter
-            (fun (v, _) -> held := SS.add v !held)
-            gs.Lockpass.acquires
-        else if gs.Lockpass.releases then begin
-          held := SS.filter is_sticky !held;
-          released := true
-        end
-      | _ -> ())
-    | None ->
-      scan f;
-      List.iter (fun (_, a) -> scan_arg a) args
+      record_call n
+  (* The must-domain reading of the lock events: a [try_acquire] may
+     fail and adds no token; semaphore, ivar and cell tokens survive
+     [release_all]; an unrenderable item falls back to its path. *)
+  and lock n _ = function
+    | Flow.Acquire { tok; item; must } ->
+      record_call n;
+      if must then
+        Option.iter
+          (fun t -> held := SS.add t !held)
+          (match tok with
+          | Some _ -> tok
+          | None ->
+            Option.map (fun p -> "lm:" ^ p) (Option.bind item Flow.render_path))
+    | Release_all ->
+      record_call n;
+      drop_grants ()
+    | Returns_released -> drop_grants ()
+    | Sem_acquire tok -> Option.iter (fun t -> held := SS.add t !held) tok
+    | Sem_release tok -> Option.iter (fun t -> held := SS.remove t !held) tok
+    | Sem_scoped (tok, body) ->
+      Option.iter (fun t -> held := SS.add t !held) tok;
+      body ();
+      Option.iter (fun t -> held := SS.remove t !held) tok
+    | Returns_holding toks ->
+      List.iter (fun t -> held := SS.add t !held) toks
+  and drop_grants () =
+    held := SS.filter is_sticky !held;
+    released := true
   in
   scan body;
   u.u_acc <- List.rev u.u_acc;
@@ -950,14 +758,13 @@ let scan_unit ctx ~name ~file ~env ~is_root ~mult_hint ~localmuts body =
 (* ------------------------------------------------------------------ *)
 
 let env_of_file ctx (f : Source.file) =
-  let found = ref None in
-  Hashtbl.iter
-    (fun _ (n : Callgraph.node) ->
-      if n.Callgraph.file = f.Source.path && !found = None then
-        found := Some n.Callgraph.env)
-    ctx.graph.Callgraph.nodes;
-  match !found with
-  | Some env -> env
+  (* every node of a file carries that file's environment *)
+  match
+    List.find_opt
+      (fun (n : Callgraph.node) -> n.file = f.Source.path)
+      (Callgraph.nodes_in_order ctx.graph)
+  with
+  | Some n -> n.env
   | None ->
     Names.make_env ~current_module:f.Source.module_name ~aliases:[]
       ~known_roots:
@@ -1024,19 +831,21 @@ let run graph mb (lock : Lockpass.result) =
                body)
         | None -> ())
     (Callgraph.nodes_in_order graph);
-  let guard = ref 0 in
-  while ctx.pending <> [] && !guard < 1000 do
-    incr guard;
-    let batch = List.rev ctx.pending in
-    ctx.pending <- [];
-    List.iter
-      (fun p ->
-        ignore
-          (scan_unit ctx ~name:p.p_id ~file:p.p_file ~env:p.p_env
-             ~is_root:true ~mult_hint:p.p_mult ~localmuts:p.p_localmuts
-             p.p_expr))
-      batch
-  done;
+  let rec drain k =
+    match List.rev ctx.pending with
+    | batch when batch <> [] && k < 1000 ->
+      ctx.pending <- [];
+      List.iter
+        (fun p ->
+          ignore
+            (scan_unit ctx ~name:p.p_id ~file:p.p_file ~env:p.p_env
+               ~is_root:true ~mult_hint:p.p_mult ~localmuts:p.p_localmuts
+               p.p_expr))
+        batch;
+      drain (k + 1)
+    | _ -> ()
+  in
+  drain 0;
   (* The yield gate: under the cooperative scheduler execution is
      atomic between blocking points, so a race needs a {e torn
      window} — one activation touching the location both before and
@@ -1101,83 +910,67 @@ let run graph mb (lock : Lockpass.result) =
   in
   (* entry locksets: meet over call sites, roots start empty *)
   let entries : (string, SS.t) Hashtbl.t = Hashtbl.create 128 in
-  let meet callee abs changed =
-    if Hashtbl.mem ctx.units callee then
-      match Hashtbl.find_opt entries callee with
-      | None ->
-        Hashtbl.replace entries callee abs;
-        changed := true
-      | Some cur ->
-        let m = SS.inter cur abs in
-        if not (SS.equal m cur) then begin
-          Hashtbl.replace entries callee m;
-          changed := true
-        end
+  let meet callee abs =
+    Hashtbl.mem ctx.units callee
+    &&
+    match Hashtbl.find_opt entries callee with
+    | None ->
+      Hashtbl.replace entries callee abs;
+      true
+    | Some cur ->
+      let m = SS.inter cur abs in
+      (not (SS.equal m cur))
+      && begin
+           Hashtbl.replace entries callee m;
+           true
+         end
   in
   List.iter
     (fun r ->
       match r.r_target with
-      | Rcallee c -> ignore (meet c SS.empty (ref false))
+      | Rcallee c -> ignore (meet c SS.empty)
       | Rbody _ -> ())
     ctx.roots;
-  let unit_names = List.sort compare (Hashtbl.fold (fun k _ a -> k :: a) ctx.units []) in
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < 64 do
-    changed := false;
-    incr rounds;
-    List.iter
-      (fun uname ->
-        let u = Hashtbl.find ctx.units uname in
-        let base =
-          if u.u_is_root then Some SS.empty
-          else Hashtbl.find_opt entries uname
-        in
-        (match base with
-        | Some base ->
-          List.iter
-            (fun (callee, h, rel, _) ->
-              meet callee (SS.union h (adj base rel)) changed)
-            u.u_calls
-        | None -> ());
-        (* the spawner's continuation enters with nothing held *)
-        match u.u_spawn_seq with
-        | Some s when not u.u_is_root ->
-          List.iter
-            (fun (callee, h, _, cseq) ->
-              if cseq >= s then meet callee h changed)
-            u.u_calls
-        | _ -> ())
-      unit_names
-  done;
+  Flow.fixpoint
+    (fun uname ->
+      let u = Hashtbl.find ctx.units uname in
+      let base =
+        if u.u_is_root then Some SS.empty else Hashtbl.find_opt entries uname
+      in
+      (* the meet is order-free: each callee's entry is the
+         intersection of everything met into it *)
+      List.fold_left
+        (fun changed (callee, h, rel, cseq) ->
+          let via_entry =
+            match base with
+            | Some base -> meet callee (SS.union h (adj base rel))
+            | None -> false
+          in
+          (* the spawner's continuation enters with nothing held *)
+          let via_spawn =
+            match u.u_spawn_seq with
+            | Some s when (not u.u_is_root) && cseq >= s -> meet callee h
+            | _ -> false
+          in
+          via_entry || via_spawn || changed)
+        false u.u_calls)
+    (List.sort compare (Hashtbl.fold (fun k _ a -> k :: a) ctx.units []));
   let entry_of uname =
     match Hashtbl.find_opt entries uname with
     | Some s -> s
     | None -> SS.empty
   in
-  (* reachability per root *)
-  let bfs starts =
-    let seen = ref SS.empty in
-    let q = Queue.create () in
-    List.iter
-      (fun s ->
-        if Hashtbl.mem ctx.units s && not (SS.mem s !seen) then begin
-          seen := SS.add s !seen;
-          Queue.add s q
-        end)
-      starts;
-    while not (Queue.is_empty q) do
-      let uname = Queue.pop q in
-      let u = Hashtbl.find ctx.units uname in
-      List.iter
-        (fun (callee, _, _, _) ->
-          if Hashtbl.mem ctx.units callee && not (SS.mem callee !seen) then begin
-            seen := SS.add callee !seen;
-            Queue.add callee q
-          end)
-        u.u_calls
-    done;
-    !seen
+  (* the units reachable from a root's start units *)
+  let reach starts =
+    let rec visit seen uname =
+      match Hashtbl.find_opt ctx.units uname with
+      | Some u when not (SS.mem uname seen) ->
+        List.fold_left
+          (fun seen (callee, _, _, _) -> visit seen callee)
+          (SS.add uname seen) u.u_calls
+      | _ -> seen
+    in
+    List.fold_left visit SS.empty starts
   in
   (* attribution *)
   let aggs :
@@ -1187,12 +980,7 @@ let run graph mb (lock : Lockpass.result) =
   in
   let note_access root mult uname a locks =
     let roots, reps =
-      match Hashtbl.find_opt aggs a.ua_loc with
-      | Some x -> x
-      | None ->
-        let x = (ref [], ref []) in
-        Hashtbl.replace aggs a.ua_loc x;
-        x
+      Flow.find_or_add aggs a.ua_loc (fun () -> (ref [], ref []))
     in
     if not (List.mem_assoc root !roots) then roots := (root, mult) :: !roots;
     let file = (Hashtbl.find ctx.units uname).u_file in
@@ -1201,23 +989,15 @@ let run graph mb (lock : Lockpass.result) =
         a_locks = SS.elements locks }
     in
     (* keep one representative access per root, writes preferred *)
+    let rep () =
+      Printf.sprintf "%s at %s:%d %s [%s]" acc.a_fn acc.a_file acc.a_line
+        (if acc.a_write then "writes" else "reads")
+        (if acc.a_locks = [] then "no locks" else String.concat "," acc.a_locks)
+    in
     (match List.assoc_opt root !reps with
-    | None ->
-      reps :=
-        (root,
-         Printf.sprintf "%s at %s:%d %s [%s]" acc.a_fn acc.a_file acc.a_line
-           (if acc.a_write then "writes" else "reads")
-           (if acc.a_locks = [] then "no locks"
-            else String.concat "," acc.a_locks))
-        :: !reps
+    | None -> reps := (root, rep ()) :: !reps
     | Some _ when a.ua_write ->
-      reps :=
-        (root,
-         Printf.sprintf "%s at %s:%d writes [%s]" acc.a_fn acc.a_file
-           acc.a_line
-           (if acc.a_locks = [] then "no locks"
-            else String.concat "," acc.a_locks))
-        :: List.remove_assoc root !reps
+      reps := (root, rep ()) :: List.remove_assoc root !reps
     | Some _ -> ());
     acc
   in
@@ -1247,14 +1027,7 @@ let run graph mb (lock : Lockpass.result) =
           | Some mult ->
             let locks = SS.union a.ua_held (adj entry a.ua_released) in
             let acc = note_access root mult uname a locks in
-            let l =
-              match Hashtbl.find_opt final_accs a.ua_loc with
-              | Some l -> l
-              | None ->
-                let l = ref [] in
-                Hashtbl.replace final_accs a.ua_loc l;
-                l
-            in
+            let l = Flow.find_or_add final_accs a.ua_loc (fun () -> ref []) in
             if
               not
                 (List.exists
@@ -1279,7 +1052,7 @@ let run graph mb (lock : Lockpass.result) =
           (direct, Some id, `Body id)
         | Rcallee c -> ([ c ], None, `Callee)
       in
-      let reached = bfs starts in
+      let reached = reach starts in
       Option.iter (fun id -> count_unit r.r_id r.r_mult ~rt id ~filter:all) own;
       SS.iter
         (fun uname -> count_unit r.r_id r.r_mult ~rt uname ~filter:all)
@@ -1297,7 +1070,7 @@ let run graph mb (lock : Lockpass.result) =
       count_unit rid mult ~rt fn ~filter:(fun a -> a.ua_seq >= s);
       SS.iter
         (fun uname -> count_unit rid mult ~rt uname ~filter:all)
-        (bfs post))
+        (reach post))
     after_roots;
   (* assemble locations + findings *)
   let loc_ids = List.sort compare (Hashtbl.fold (fun k _ a -> k :: a) aggs []) in
@@ -1358,10 +1131,10 @@ let run graph mb (lock : Lockpass.result) =
             :: !findings
         in
         let nroots = List.length roots in
-        (match inv.i_kind with
+        let racy = has_write && SS.is_empty inter && exposed in
+        match inv.i_kind with
         | Cell ->
-          if inv.i_role = Data && has_write && SS.is_empty inter && exposed
-          then
+          if inv.i_role = Data && racy then
             emit "unsynchronized-cell-write"
               (Printf.sprintf
                  "Data-role cell %s%s is written from %d concurrent roots \
@@ -1373,30 +1146,21 @@ let run graph mb (lock : Lockpass.result) =
                  | Some n -> Printf.sprintf " (%S)" n
                  | None -> "")
                  nroots)
-        | Global ->
-          if has_write then begin
+        | Global | Field ->
+          if inv.i_kind = Global && has_write then
             emit "unmonitored-shared-state"
               (Printf.sprintf
                  "module-level mutable %s is written by concurrent roots but \
                   is invisible to the sanitizer; move it into a per-world \
                   Sim.Cell so every access is monitored"
                  id);
-            if SS.is_empty inter && exposed then
-              emit "static-race"
-                (Printf.sprintf
-                   "shared location %s is reachable from %d concurrent roots \
-                    (weight %d) with no common lock across its %d access \
-                    sites; guard it or hand it off via an ivar"
-                   id nroots degree (List.length accesses))
-          end
-        | Field ->
-          if has_write && SS.is_empty inter && exposed then
+          if racy then
             emit "static-race"
               (Printf.sprintf
                  "shared location %s is reachable from %d concurrent roots \
                   (weight %d) with no common lock across its %d access \
                   sites; guard it or hand it off via an ivar"
-                 id nroots degree (List.length accesses)))
+                 id nroots degree (List.length accesses))
       end)
     loc_ids;
   { findings = Finding.sort !findings; locations = List.rev !locations }
@@ -1404,21 +1168,6 @@ let run graph mb (lock : Lockpass.result) =
 (* ------------------------------------------------------------------ *)
 (* Protection map JSON                                                 *)
 (* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 let kind_str = function
   | Global -> "global"
@@ -1428,7 +1177,7 @@ let kind_str = function
 let role_str = function Data -> "data" | Sync -> "sync" | Unknown -> "unknown"
 
 let locations_to_json locs =
-  let q s = "\"" ^ json_escape s ^ "\"" in
+  let q s = "\"" ^ Finding.json_escape s ^ "\"" in
   "["
   ^ String.concat ","
       (List.map

@@ -38,8 +38,9 @@
     [Sim.Cell.update] (the RMW is atomic w.r.t. that cell), and
     [ivar:] handoff tokens ([Ivar.read] happens-after the [fill], so
     the read side holds the token from the read on, and the fill side
-    holds it for accesses before the fill). Branch merges intersect;
-    function entry locksets are the meet over all call sites,
+    holds it for accesses before the fill). The body walk is
+    {!Flow}'s must-domain walk, so branch merges intersect; function
+    entry locksets are the meet over all call sites,
     propagated to a fixpoint with roots starting empty.
 
     Rules (all witnessed):
@@ -66,8 +67,7 @@
     single-location (an invariant spanning two locations broken
     across a yield is not modelled) and uses scan order within an
     activation as program order; [Sim.Cell.peek] is exempt by
-    contract; and the
-    simulator core ([sim.ml], [prio_queue.ml], [timing_wheel.ml]) and
+    contract; and the simulator core ([sim.ml], [prio_queue.ml]) and
     the observability plane ([lib/obs]) are outside the model's
     jurisdiction. *)
 

@@ -229,6 +229,50 @@ let test_cell_update_blocking () =
   check bool "blocking inside Cell.update found" true
     (has_rule report "may-block-in-cell-update")
 
+(* A semaphore is no Lock_manager grant: [release_all] leaves it held,
+   so the File_item 2 taken after the release still orders after it,
+   closing a cycle with [two]. *)
+let test_sem_outlives_release_all () =
+  let report =
+    analyze
+      [
+        ( "a.ml",
+          "let one t lm =\n\
+          \  Sim.Semaphore.acquire t.slots;\n\
+          \  Lock_manager.release_all lm ~txn:1;\n\
+          \  Lock_manager.acquire lm ~txn:1 (File_item 2) 0;\n\
+          \  Lock_manager.release_all lm ~txn:1;\n\
+          \  Sim.Semaphore.release t.slots\n\
+           let two t lm =\n\
+          \  Lock_manager.acquire lm ~txn:2 (File_item 2) 0;\n\
+          \  Sim.Semaphore.acquire t.slots;\n\
+          \  Sim.Semaphore.release t.slots;\n\
+          \  Lock_manager.release_all lm ~txn:2\n" );
+      ]
+  in
+  check bool "sem and File_item 2 form a cycle" true
+    (has_rule report "lock-order-cycle")
+
+(* [with_acquire]'s token ends with its closure: the File_item taken
+   after it orders after nothing. *)
+let test_scoped_sem_ends () =
+  let report =
+    analyze
+      [
+        ( "a.ml",
+          "let one t lm =\n\
+          \  Sim.Semaphore.with_acquire t.slots (fun () -> ());\n\
+          \  Lock_manager.acquire lm ~txn:1 (File_item 1) 0;\n\
+          \  Lock_manager.release_all lm ~txn:1\n\
+           let two t lm =\n\
+          \  Lock_manager.acquire lm ~txn:2 (File_item 1) 0;\n\
+          \  Sim.Semaphore.with_acquire t.slots (fun () -> ());\n\
+          \  Lock_manager.release_all lm ~txn:2\n" );
+      ]
+  in
+  check bool "no cycle through a finished with_acquire" false
+    (has_rule report "lock-order-cycle")
+
 (* ------------------------------------------------------------------ *)
 (* Wire-protocol coverage                                              *)
 (* ------------------------------------------------------------------ *)
@@ -561,6 +605,20 @@ let test_pass_timings () =
   List.iter
     (fun (_, s) -> check bool "positive duration" true (s > 0.))
     report.Static.timings
+
+(* [release_all] drops Lock_manager grants only: the semaphore is
+   still held when the lookup raises. *)
+let test_leak_after_release_all () =
+  let src =
+    "let f sem lm tbl k =\n\
+    \  Sim.Semaphore.acquire sem;\n\
+    \  Lock_manager.release_all lm ~txn:1;\n\
+    \  let v = Hashtbl.find tbl k in\n\
+    \  Sim.Semaphore.release sem;\n\
+    \  v\n"
+  in
+  check bool "semaphore leak past release_all flagged" true
+    (has_rule (analyze [ ("a.ml", src) ]) "leak-on-raise")
 
 (* Random call graphs: each function may raise one declared exception
    directly and calls some later-defined functions. The pass's raise
@@ -922,6 +980,42 @@ let test_race_json_deterministic () =
   let two = render () in
   check bool "identical JSON across runs" true (String.equal one two)
 
+(* Must-lockset readings of the shared lock events: a semaphore held
+   across [release_all] still protects; [try_acquire] may fail and
+   protects nothing; [with_acquire] protects only inside its closure. *)
+let race_worker body =
+  Printf.sprintf
+    "type counter = { mutable hits : int }\n\
+     let worker r sem lm =\n\
+    \  %s;\n\
+    \  let seen = r.hits in\n\
+    \  Sim.sleep 1.0;\n\
+    \  r.hits <- seen + 1\n\
+     let main sim sem lm =\n\
+    \  let r = { hits = 0 } in\n\
+    \  ignore (Sim.spawn sim (fun () -> worker r sem lm));\n\
+    \  ignore (Sim.spawn sim (fun () -> worker r sem lm))\n"
+    body
+
+let test_race_lock_events () =
+  check (Alcotest.list Alcotest.string) "semaphore survives release_all" []
+    (race_rules
+       [ ("a.ml",
+          race_worker
+            "Sim.Semaphore.acquire sem; Lock_manager.release_all lm ~txn:1") ]);
+  check bool "try_acquire protects nothing" true
+    (List.mem "static-race"
+       (race_rules
+          [ ("a.ml",
+             race_worker
+               "ignore (Lock_manager.try_acquire lm ~txn:1 (File_item 7) Iwrite)")
+          ]));
+  check bool "with_acquire protects only its closure" true
+    (List.mem "static-race"
+       (race_rules
+          [ ("a.ml",
+             race_worker "Sim.Semaphore.with_acquire sem (fun () -> ())") ]))
+
 (* Random lock nests: whatever the pass infers at an access site must
    be a subset of the items the program syntactically acquires —
    locksets are evidence, never invention. *)
@@ -991,6 +1085,39 @@ let prop_lockset_subset =
           && List.for_all (fun t -> List.mem t acquired) l.Racepass.l_locks)
         r.Racepass.locations)
 
+(* The fixture sweep's whole --json report, timings aside, is pinned
+   to a committed golden file: finding lines, witness chains, counts
+   and the protection map. After a deliberate change, regenerate it
+   from test/ with [rhodos_lint static --json fixtures/static] and the
+   "timings" array emptied. The file sits beside, not inside, the
+   fixture directory, so the sweep never reads it. *)
+let test_fixture_golden () =
+  let report = Static.analyze ~dirs:[ "fixtures/static" ] () in
+  let got =
+    Finding.list_to_json ~suppressed:report.Static.suppressed
+      ~parse_failures:
+        (List.map (fun (p, e) -> p ^ ": " ^ e) report.Static.parse_failures)
+      ~extras:
+        [ ("protection_map",
+           Racepass.locations_to_json report.Static.race_locations) ]
+      report.Static.findings
+  in
+  let ic = open_in_bin "fixtures/static.expected.json" in
+  let want = String.trim (really_input_string ic (in_channel_length ic)) in
+  close_in ic;
+  if got <> want then begin
+    let n = min (String.length got) (String.length want) in
+    let rec first i = if i < n && got.[i] = want.[i] then first (i + 1) else i in
+    let i = first 0 in
+    let around s =
+      let lo = max 0 (i - 80) in
+      String.sub s lo (min 200 (String.length s - lo))
+    in
+    Alcotest.failf
+      "fixture JSON differs at byte %d:\n want ...%s...\n got  ...%s..." i
+      (around want) (around got)
+  end
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1024,6 +1151,10 @@ let () =
             test_self_edge_not_a_cycle;
           Alcotest.test_case "blocking in Cell.update" `Quick
             test_cell_update_blocking;
+          Alcotest.test_case "sem outlives release_all" `Quick
+            test_sem_outlives_release_all;
+          Alcotest.test_case "with_acquire scope ends" `Quick
+            test_scoped_sem_ends;
         ] );
       ( "protocol",
         [
@@ -1039,6 +1170,7 @@ let () =
           Alcotest.test_case "baseline round trip" `Quick
             test_baseline_round_trip;
           Alcotest.test_case "fixture self-test" `Quick test_fixture_self_test;
+          Alcotest.test_case "fixture golden JSON" `Quick test_fixture_golden;
         ] );
       ( "token-engine",
         [
@@ -1071,6 +1203,8 @@ let () =
             test_exn_baseline_round_trip;
           Alcotest.test_case "per-pass timings" `Quick test_pass_timings;
           QCheck_alcotest.to_alcotest prop_raise_set_over_approximates;
+          Alcotest.test_case "sem leak past release_all" `Quick
+            test_leak_after_release_all;
         ] );
       ( "racepass",
         [
@@ -1099,6 +1233,7 @@ let () =
           Alcotest.test_case "deterministic JSON" `Quick
             test_race_json_deterministic;
           QCheck_alcotest.to_alcotest prop_lockset_subset;
+          Alcotest.test_case "lock event readings" `Quick test_race_lock_events;
         ] );
       ( "differential",
         [
