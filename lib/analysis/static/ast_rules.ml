@@ -107,7 +107,8 @@ let unseeded_random (f : Source.file) items =
 (* hashtbl-iter-order                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Scoped per top-level structure item: a [Hashtbl.iter]/[fold] whose
+(* Scoped per top-level structure item: a [Hashtbl.iter]/[fold] (or
+   the same walk of an [Lru] table, which is in table order) whose
    closure argument conses a list is flagged unless the enclosing item
    mentions an identifier whose last component starts with "sort"
    ([List.sort], [sort_uniq], a local [sorted_keys] helper). Unlike
@@ -163,7 +164,7 @@ let hashtbl_iter_order (f : Source.file) items =
               (match e.pexp_desc with
               | Pexp_apply (g, args) -> (
                 match ident_path g with
-                | Some [ "Hashtbl"; ("iter" | "fold") ]
+                | Some [ ("Hashtbl" | "Lru"); ("iter" | "fold") ]
                   when List.exists (fun (_, a) -> expr_has_cons a) args ->
                   let which =
                     match ident_path g with

@@ -72,7 +72,7 @@ type inv = {
 
 let mutable_creator_paths =
   [ [ "ref" ]; [ "Hashtbl"; "create" ]; [ "Queue"; "create" ];
-    [ "Buffer"; "create" ] ]
+    [ "Buffer"; "create" ]; [ "Lru"; "create" ] ]
 
 let is_mutable_creation e =
   match (Flow.strip e).pexp_desc with
@@ -394,7 +394,7 @@ let wrapper_of env body =
 (* Container operations on raw locations                               *)
 (* ------------------------------------------------------------------ *)
 
-let container_roots = [ "Hashtbl"; "Queue"; "Buffer"; "Stack" ]
+let container_roots = [ "Hashtbl"; "Queue"; "Buffer"; "Stack"; "Lru" ]
 
 let container_writes =
   [ "add"; "replace"; "remove"; "reset"; "clear"; "push"; "pop"; "take";

@@ -18,6 +18,41 @@ let finding_of_violation (v : Lint.violation) =
   Finding.v ~rule:v.Lint.rule ~file:v.Lint.file ~line:v.Lint.line
     ~slug:"text-fallback" v.Lint.message
 
+(* Every rule a pass reports. Only a [static-ok] marker naming one of
+   these can be stale: a doc comment that shows the syntax as
+   [static-ok: reason] names no rule. *)
+let pass_rules =
+  [
+    "may-block-under-lock"; "may-block-in-cell-update"; "lock-order-cycle";
+    "wire-protocol-coverage"; "swallowed-control-exn"; "unmapped-wire-error";
+    "leak-on-raise"; "ivar-unfilled-on-raise"; "escaping-raise-into-dispatch";
+    "static-race"; "unsynchronized-cell-write"; "unmonitored-shared-state";
+  ]
+  @ Ast_rules.migrated_rules
+
+(* A marker that suppressed nothing means the code it excused is gone,
+   or a pass has lost sight of it; either way the marker must go. *)
+let stale_suppressions files dropped =
+  List.concat_map
+    (fun (f : Source.file) ->
+      List.filter_map
+        (fun (line, rule) ->
+          let used (x : Finding.t) =
+            x.Finding.file = f.Source.path
+            && Source.suppressed [ (line, rule) ] ~line:x.Finding.line
+                 ~rule:x.Finding.rule
+          in
+          if List.mem rule pass_rules && not (List.exists used dropped) then
+            Some
+              (Finding.v ~rule:"stale-suppression" ~file:f.Source.path ~line
+                 ~slug:rule
+                 (Printf.sprintf
+                    "static-ok marker for %s suppresses no finding; delete it"
+                    rule))
+          else None)
+        f.Source.suppressions)
+    files
+
 (* [clock] defaults to a constant so the library stays free of host
    clocks (the host-clock-hygiene rule); the CLI passes [Sys.time] to
    get real per-pass wall-time in [--json]. *)
@@ -72,7 +107,7 @@ let analyze_files ?(clock = fun () -> 0.) files =
       all
   in
   {
-    findings = kept;
+    findings = Finding.sort (kept @ stale_suppressions files dropped);
     suppressed = List.length dropped;
     parse_failures =
       List.filter_map

@@ -2,7 +2,9 @@
     call graph, run the passes ({!Mayblock} + {!Lockpass},
     {!Protocol}, {!Exnflow}, {!Racepass}, {!Ast_rules}, token-engine
     fallback for unparseable sources), apply [static-ok]
-    suppressions, and diff against the committed baseline. Pure —
+    suppressions, report each marker for a pass rule that suppressed
+    nothing as [stale-suppression], and diff against the committed
+    baseline. Pure —
     printing and exit codes belong to [bin/rhodos_lint]. *)
 
 type report = {

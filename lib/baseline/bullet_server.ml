@@ -1,6 +1,7 @@
 module Net = Rhodos_net.Net
 module Block = Rhodos_block.Block_service
 module Counter = Rhodos_util.Stats.Counter
+module Lru = Rhodos_util.Lru
 
 type file_id = int
 
@@ -15,15 +16,12 @@ type request =
 
 type response = Created of file_id | Data of bytes | Deleted | Error of string
 
-type cached = { data : bytes; mutable last_use : int }
-
 type t = {
   net : Net.t;
   block : Block.t;
   files : (file_id, stored) Hashtbl.t;
-  ram : (file_id, cached) Hashtbl.t;
+  ram : (file_id, bytes) Lru.t;
   ram_capacity : int;
-  mutable clock : int;
   mutable next_id : int;
   cache_counters : Counter.t;
   port : (request, response) Net.Rpc.port;
@@ -32,16 +30,8 @@ type t = {
 let frag_bytes = Block.fragment_bytes
 
 let evict_if_needed t =
-  while Hashtbl.length t.ram > t.ram_capacity do
-    let victim =
-      Hashtbl.fold
-        (fun id c acc ->
-          match acc with
-          | Some (_, best) when best.last_use <= c.last_use -> acc
-          | _ -> Some (id, c))
-        t.ram None
-    in
-    match victim with Some (id, _) -> Hashtbl.remove t.ram id | None -> ()
+  while Lru.length t.ram > t.ram_capacity do
+    match Lru.lru t.ram with Some (id, _) -> Lru.remove t.ram id | None -> ()
   done
 
 (* The serving process must answer every request: a storage fault
@@ -62,8 +52,7 @@ let handle t req =
       let id = t.next_id in
       t.next_id <- id + 1;
       Hashtbl.replace t.files id { frag; fragments; size };
-      t.clock <- t.clock + 1;
-      Hashtbl.replace t.ram id { data = Bytes.copy data; last_use = t.clock };
+      Lru.replace t.ram id (Bytes.copy data);
       evict_if_needed t;
       Created id
     | exception Block.No_space _ -> Error "no space")
@@ -71,27 +60,28 @@ let handle t req =
     match Hashtbl.find_opt t.files id with
     | None -> Error "no such file"
     | Some stored -> (
-      t.clock <- t.clock + 1;
-      match Hashtbl.find_opt t.ram id with
-      | Some c ->
+      (* Replies travel by reference: hand out copies, or a client
+         editing what it read would change the immutable file for
+         every later reader. *)
+      match Lru.find t.ram id with
+      | Some data ->
         Counter.incr t.cache_counters "hits";
-        c.last_use <- t.clock;
-        Data c.data
+        Data (Bytes.copy data)
       | None ->
         Counter.incr t.cache_counters "misses";
         (* One disk reference: the file is contiguous. *)
         let raw = Block.get_block t.block ~pos:stored.frag ~fragments:stored.fragments in
         let data = Bytes.sub raw 0 stored.size in
-        Hashtbl.replace t.ram id { data; last_use = t.clock };
+        Lru.replace t.ram id data;
         evict_if_needed t;
-        Data data))
+        Data (Bytes.copy data)))
   | Delete id -> (
     match Hashtbl.find_opt t.files id with
     | None -> Error "no such file"
     | Some stored ->
       Block.free t.block ~pos:stored.frag ~fragments:stored.fragments;
       Hashtbl.remove t.files id;
-      Hashtbl.remove t.ram id;
+      Lru.remove t.ram id;
       Deleted)
   with
   | Rhodos_sim.Sim.Killed as k -> raise k
@@ -104,9 +94,8 @@ let create ~net ~node ~block ~ram_cache_files =
         net;
         block;
         files = Hashtbl.create 32;
-        ram = Hashtbl.create 32;
+        ram = Lru.create 32;
         ram_capacity = ram_cache_files;
-        clock = 0;
         next_id = 1;
         cache_counters = Counter.create ();
         port = Net.Rpc.serve ~name:"bullet" net node (fun req -> handle (Lazy.force t) req);

@@ -3,6 +3,7 @@ module Disk = Rhodos_disk.Disk
 module Stable = Rhodos_stable.Stable_store
 module Bitset = Rhodos_util.Bitset
 module Counter = Rhodos_util.Stats.Counter
+module Lru = Rhodos_util.Lru
 module Trace = Rhodos_obs.Trace
 
 module L = (val Logs.src_log (Rhodos_util.Logging.src "block") : Logs.LOG)
@@ -34,8 +35,6 @@ let default_config =
 let array_rows = 64
 let row_capacity = 64
 
-type cached_track = { mutable data : bytes; mutable last_use : int }
-
 (* One whole-track disk read in flight. Its buffer starts at track
    [first_track]; the ivar carries it, or [None] when the read failed
    or its issuer died, which sends the joined readers to the disk
@@ -61,12 +60,11 @@ type t = {
      static-ok: static-race write-once latch *)
   mutable formatted : bool;
   (* track cache *)
-  tracks : (int, cached_track) Hashtbl.t;
+  tracks : (int, bytes) Lru.t;
   track_gen : (int, int) Hashtbl.t;  (* bumped by every write to the track *)
   inflight : (int, track_read) Hashtbl.t Sim.Cell.cell;
       (* track -> the read that will deliver it; concurrent misses on a
          track join it instead of queueing their own (single-flight) *)
-  mutable lru_clock : int;
   (* background stable writes outstanding *)
   mutable pending_background : int;
   background_done : Sim.Condition.cond;
@@ -109,12 +107,11 @@ let create ?(name = "blocksrv") ?(config = default_config) ?tracer ~disk ?stable
     bitmap = Bitset.create total_fragments;
     extent_rows = Array.make array_rows [];
     formatted = false;
-    tracks = Hashtbl.create 64;
+    tracks = Lru.create 64;
     track_gen = Hashtbl.create 64;
     inflight =
       Sim.Cell.create ~role:Sim.Sync ~name:"block_service:inflight" sim
         (Hashtbl.create 16);
-    lru_clock = 0;
     pending_background = 0;
     background_done = Sim.Condition.create sim;
     counters = Counter.create ();
@@ -192,10 +189,6 @@ let metadata_fragments t = t.data_start
 let sectors_per_track t = (Disk.geometry t.disk).sectors_per_track
 let sector_bytes t = (Disk.geometry t.disk).sector_bytes
 
-let touch t track =
-  t.lru_clock <- t.lru_clock + 1;
-  track.last_use <- t.lru_clock
-
 (* The in-flight table lives in a cell; [mut] runs an in-place
    mutation under an [update] so it registers as a write. *)
 let mut c f =
@@ -213,17 +206,9 @@ let drop_inflight t ~first_track ~last_track =
         done)
 
 let evict_if_needed t =
-  while Hashtbl.length t.tracks > t.config.track_cache_tracks do
-    let victim =
-      Hashtbl.fold
-        (fun key track acc ->
-          match acc with
-          | Some (_, best) when best.last_use <= track.last_use -> acc
-          | _ -> Some (key, track))
-        t.tracks None
-    in
-    match victim with
-    | Some (key, _) -> Hashtbl.remove t.tracks key
+  while Lru.length t.tracks > t.config.track_cache_tracks do
+    match Lru.lru t.tracks with
+    | Some (key, _) -> Lru.remove t.tracks key
     | None -> ()
   done
 
@@ -236,10 +221,7 @@ let gen_of t track_idx =
 
 let cache_insert t track_idx data =
   if t.config.track_cache_tracks > 0 then begin
-    (match Hashtbl.find_opt t.tracks track_idx with
-    | Some track -> track.data <- data
-    | None -> Hashtbl.replace t.tracks track_idx { data; last_use = 0 });
-    touch t (Hashtbl.find t.tracks track_idx);
+    Lru.replace t.tracks track_idx data;
     evict_if_needed t
   end
 
@@ -261,19 +243,15 @@ let cache_read t ~sector ~count =
     let spt = sectors_per_track t in
     let first_track = sector / spt and last_track = (sector + count - 1) / spt in
     let rec all_present i =
-      i > last_track
-      ||
-      match Hashtbl.find_opt t.tracks i with
-      | Some _ -> all_present (i + 1)
-      | None -> false
+      i > last_track || (Lru.mem t.tracks i && all_present (i + 1))
     in
     if not (all_present first_track) then None
     else begin
       let out = Bytes.create (count * sector_bytes t) in
       for tr = first_track to last_track do
-        let track = Hashtbl.find t.tracks tr in
-        touch t track;
-        blit_track t ~src:track.data ~src_track:tr ~tr ~sector ~count out
+        match Lru.find t.tracks tr with
+        | Some src -> blit_track t ~src ~src_track:tr ~tr ~sector ~count out
+        | None -> ()
       done;
       Some out
     end
@@ -291,13 +269,13 @@ let cache_update_on_write t ~sector data =
   drop_inflight t ~first_track ~last_track;
   for tr = first_track to last_track do
     bump_gen t tr;
-    match Hashtbl.find_opt t.tracks tr with
+    match Lru.peek t.tracks tr with
     | None -> ()
     | Some track ->
       let tr_first_sector = tr * spt in
       let lo = max sector tr_first_sector in
       let hi = min (sector + count) (tr_first_sector + spt) in
-      Bytes.blit data ((lo - sector) * sb) track.data ((lo - tr_first_sector) * sb)
+      Bytes.blit data ((lo - sector) * sb) track ((lo - tr_first_sector) * sb)
         ((hi - lo) * sb)
   done
 
@@ -379,10 +357,8 @@ let join_tracks t ~sector ~count ~first_track ~last_track waits =
   Counter.incr t.counters "track_joins";
   let out = Bytes.create (count * sector_bytes t) in
   for tr = first_track to last_track do
-    match Hashtbl.find_opt t.tracks tr with
-    | Some track ->
-      touch t track;
-      blit_track t ~src:track.data ~src_track:tr ~tr ~sector ~count out
+    match Lru.find t.tracks tr with
+    | Some src -> blit_track t ~src ~src_track:tr ~tr ~sector ~count out
     | None -> ()
   done;
   let joined (tr, r) =
@@ -402,7 +378,7 @@ let read_tracks t ~sector ~count =
      nor in flight. *)
   let rec waits tr acc =
     if tr > last_track then Some (List.rev acc)
-    else if Hashtbl.mem t.tracks tr then waits (tr + 1) acc
+    else if Lru.mem t.tracks tr then waits (tr + 1) acc
     else
       match Hashtbl.find_opt inflight tr with
       | Some r -> waits (tr + 1) ((tr, r) :: acc)
@@ -494,7 +470,7 @@ let flush_block t ~pos ~fragments =
   let first_track = sector / spt and last_track = (sector + count - 1) / spt in
   drop_inflight t ~first_track ~last_track;
   for tr = first_track to last_track do
-    Hashtbl.remove t.tracks tr
+    Lru.remove t.tracks tr
   done
 
 (* ------------------------------------------------------------------ *)
@@ -657,7 +633,7 @@ let format t =
   Bitset.set_range t.bitmap ~pos:0 ~len:t.data_start;
   Array.fill t.extent_rows 0 array_rows [];
   rebuild_extent_array t;
-  Hashtbl.reset t.tracks;
+  Lru.reset t.tracks;
   let dest = if t.stable = None then Original else Original_and_stable in
   put_block ~dest ~wait:Wait_stable t ~pos:0 (encode_superblock t);
   persist_bitmap_all t
@@ -667,7 +643,7 @@ let attach t =
      metadata reads see consistent pages. *)
   (match t.stable with Some s -> ignore (Stable.recover s) | None -> ());
   t.formatted <- true;
-  Hashtbl.reset t.tracks;
+  Lru.reset t.tracks;
   let sb =
     match t.stable with
     | Some s -> (

@@ -1,5 +1,6 @@
 module Sim = Rhodos_sim.Sim
 module Counter = Rhodos_util.Stats.Counter
+module Lru = Rhodos_util.Lru
 
 type policy =
   | Write_through
@@ -15,7 +16,6 @@ type policy =
 type buffer = {
   mutable data : bytes;
   mutable dirty : bool;
-  mutable last_use : int;
   mutable flushing : bool;
 }
 
@@ -29,8 +29,7 @@ type 'k t = {
   writeback : 'k -> bytes -> unit;
   writeback_batch : (('k * bytes * (unit -> unit)) list -> unit) option;
   on_evict : ('k -> unit) option;
-  buffers : ('k, buffer) Hashtbl.t Sim.Cell.cell;
-  mutable lru_clock : int;
+  buffers : ('k, buffer) Lru.t Sim.Cell.cell;
   counters : Counter.t;
   mutable flusher : Sim.pid option;
   mutable monitor : ('k event -> unit) option;
@@ -51,7 +50,7 @@ let mut t f =
 (* Is [b] still the pool's current buffer for [k]? An analysis check
    ([peek]), not an access. *)
 let still_pooled t k b =
-  match Hashtbl.find_opt (Sim.Cell.peek t.buffers) k with
+  match Lru.peek (Sim.Cell.peek t.buffers) k with
   | Some b' -> b' == b
   | None -> false
 
@@ -117,13 +116,10 @@ let rec flusher_loop t () =
 
 and flush t =
   (* Oldest dirty buffers first, so recency is preserved on re-dirty. *)
-  let dirty =
-    Hashtbl.fold
-      (fun k b acc -> if b.dirty then (k, b) :: acc else acc)
-      (bufs t) []
-    |> List.sort (fun (_, a) (_, b) -> compare a.last_use b.last_use)
-  in
-  write_out t dirty
+  let h = bufs t in
+  Lru.fold (fun k b acc -> if b.dirty then (k, b) :: acc else acc) h []
+  |> Lru.sort_oldest_first h
+  |> write_out t
 
 let create ?(name = "cache") ?writeback_batch ?on_evict ~sim ~capacity ~policy
     ~writeback () =
@@ -139,8 +135,7 @@ let create ?(name = "cache") ?writeback_batch ?on_evict ~sim ~capacity ~policy
       on_evict;
       buffers =
         Sim.Cell.create ~role:Sim.Sync ~name:("cache:" ^ name ^ ":pool") sim
-          (Hashtbl.create capacity);
-      lru_clock = 0;
+          (Lru.create capacity);
       counters = Counter.create ();
       flusher = None;
       monitor = None;
@@ -153,18 +148,13 @@ let create ?(name = "cache") ?writeback_batch ?on_evict ~sim ~capacity ~policy
   t
 
 let capacity t = t.capacity
-let length t = Hashtbl.length (Sim.Cell.peek t.buffers)
+let length t = Lru.length (Sim.Cell.peek t.buffers)
 let stats t = t.counters
 
-let touch t b =
-  t.lru_clock <- t.lru_clock + 1;
-  b.last_use <- t.lru_clock
-
 let find t k =
-  match Hashtbl.find_opt (bufs t) k with
+  match Lru.find (bufs t) k with
   | Some b ->
     Counter.incr t.counters "hits";
-    touch t b;
     (* A copy, not the pool's own buffer: handing out the live buffer
        let a caller's in-place edit silently corrupt the cache (and be
        flushed as if it had been written). *)
@@ -173,23 +163,13 @@ let find t k =
     Counter.incr t.counters "misses";
     None
 
-let mem t k = Hashtbl.mem (bufs t) k
+let mem t k = Lru.mem (bufs t) k
 
 (* [false] = nothing evictable (every candidate is mid-flush); the
    pool then temporarily exceeds capacity rather than corrupting a
    flush in progress. *)
 let evict_one t =
-  let victim =
-    Hashtbl.fold
-      (fun k b acc ->
-        if b.flushing then acc
-        else
-          match acc with
-          | Some (_, best) when best.last_use <= b.last_use -> acc
-          | _ -> Some (k, b))
-      (bufs t) None
-  in
-  match victim with
+  match Lru.lru ~skip:(fun b -> b.flushing) (bufs t) with
   | None -> false
   | Some (k, b) ->
     Counter.incr t.counters "evictions";
@@ -206,27 +186,24 @@ let evict_one t =
     (* Re-dirtied during the blocking writeback: the new bytes must
        survive, so the eviction is abandoned (the next round picks
        another victim, or this one once it is flushed). *)
-    if not b.dirty then mut t (fun h -> Hashtbl.remove h k);
+    if not b.dirty then mut t (fun h -> Lru.remove h k);
     true
 
 let make_room t =
   let evictable = ref true in
-  while !evictable && Hashtbl.length (bufs t) >= t.capacity do
+  while !evictable && Lru.length (bufs t) >= t.capacity do
     evictable := evict_one t
   done
 
 let upsert t k data ~dirty =
-  match Hashtbl.find_opt (bufs t) k with
+  match Lru.find (bufs t) k with
   | Some b ->
     mut t (fun _ ->
         b.data <- data;
-        if dirty then b.dirty <- true);
-    touch t b
+        if dirty then b.dirty <- true)
   | None ->
     make_room t;
-    let b = { data; dirty; last_use = 0; flushing = false } in
-    mut t (fun h -> Hashtbl.replace h k b);
-    touch t b
+    mut t (fun h -> Lru.replace h k { data; dirty; flushing = false })
 
 let insert_clean t k data = upsert t k data ~dirty:false
 
@@ -239,31 +216,29 @@ let write t k data =
     t.writeback k data
   | Delayed_write _ -> upsert t k data ~dirty:true
 
-let invalidate t k = mut t (fun h -> Hashtbl.remove h k)
+let invalidate t k = mut t (fun h -> Lru.remove h k)
 
-let invalidate_all t = mut t (fun h -> Hashtbl.reset h)
+let invalidate_all t = mut t (fun h -> Lru.reset h)
 
 let flush_keys t ks =
-  let dirty =
-    List.filter_map
-      (fun k ->
-        match Hashtbl.find_opt (bufs t) k with
-        | Some b when b.dirty -> Some (k, b)
-        | Some _ | None -> None)
-      ks
-    |> List.sort (fun (_, a) (_, b) -> compare a.last_use b.last_use)
-  in
-  write_out t dirty
+  List.filter_map
+    (fun k ->
+      match Lru.peek (bufs t) k with
+      | Some b when b.dirty -> Some (k, b)
+      | Some _ | None -> None)
+    ks
+  |> Lru.sort_oldest_first (Sim.Cell.peek t.buffers)
+  |> write_out t
 
 let flush_key t k = flush_keys t [ k ]
 
 let dirty_count t =
-  Hashtbl.fold
+  Lru.fold
     (fun _ b acc -> if b.dirty then acc + 1 else acc)
     (Sim.Cell.peek t.buffers) 0
 
 let dirty_keys t =
-  Hashtbl.fold
+  Lru.fold
     (fun k b acc -> if b.dirty then k :: acc else acc)
     (Sim.Cell.peek t.buffers) []
   |> List.sort compare
@@ -271,7 +246,7 @@ let dirty_keys t =
 let crash t =
   let lost = dirty_count t in
   Counter.add t.counters "lost_dirty" lost;
-  mut t (fun h -> Hashtbl.reset h);
+  mut t (fun h -> Lru.reset h);
   lost
 
 let stop t =

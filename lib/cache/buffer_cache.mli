@@ -1,7 +1,10 @@
 (** The RHODOS caching module (paper section 5).
 
     A buffer pool of fixed-size buffers with LRU replacement and a
-    configurable modification policy:
+    configurable modification policy. Recency and the victim choice
+    live in {!Rhodos_util.Lru}; the pool adds its capacity rule (make
+    room before an insert, skip buffers mid-flush) and writes a dirty
+    victim back before dropping it:
 
     - {b write-through}: a [write] persists immediately via the
       write-back function (the file service uses this for

@@ -2,6 +2,7 @@ module Sim = Rhodos_sim.Sim
 module Block = Rhodos_block.Block_service
 module Cache = Rhodos_cache.Buffer_cache
 module Counter = Rhodos_util.Stats.Counter
+module Lru = Rhodos_util.Lru
 module Trace = Rhodos_obs.Trace
 
 let block_size = Block.block_bytes (* 8192 *)
@@ -53,7 +54,6 @@ type open_fit = {
      read-only callers empty the entry lockset.
      static-ok: static-race 2PL file item / per-descriptor ownership *)
   mutable runs_dirty : bool;
-  mutable last_use : int;
   mutable pins : int;
       (* operations in flight on this entry: never evict while > 0,
          or a blocked writer and a fresh reload would diverge *)
@@ -64,8 +64,7 @@ type t = {
   sim : Sim.t;
   disks : Block.t array;
   config : config;
-  fits : (file_id, open_fit) Hashtbl.t;
-  mutable fit_clock : int;
+  fits : (file_id, open_fit) Lru.t;
   deleted : (file_id, unit) Hashtbl.t;
   data_cache : (int * int) Cache.t; (* (disk index, fragment) -> 8 KiB block *)
   mutable rr_next : int;            (* round-robin cursor *)
@@ -92,8 +91,7 @@ let create ?(name = "filesrv") ?(config = default_config) ?tracer ~disks () =
        same-file mutation is pinned under [with_fit]; keyed add/remove
        commute so the torn window is benign.
        static-ok: static-race keyed entries commute *)
-    fits = Hashtbl.create 64;
-    fit_clock = 0;
+    fits = Lru.create 64;
     deleted = Hashtbl.create 16;
     data_cache =
       Cache.create ~name:(name ^ "-datacache") ~sim ~capacity:config.data_cache_blocks
@@ -109,7 +107,7 @@ let disk_count t = Array.length t.disks
 let block_service t i = t.disks.(i)
 let stats t = t.counters
 let cache_stats t = Cache.stats t.data_cache
-let cached_fits t = Hashtbl.length t.fits
+let cached_fits t = Lru.length t.fits
 let now t = Sim.now t.sim
 
 (* ------------------------------------------------------------------ *)
@@ -120,38 +118,22 @@ let check_id t id =
   if id_disk id >= Array.length t.disks then raise (File_not_found id);
   if Hashtbl.mem t.deleted id then raise (File_not_found id)
 
-let touch_fit t ofit =
-  t.fit_clock <- t.fit_clock + 1;
-  ofit.last_use <- t.fit_clock
-
 (* FITs are written through on every mutation (store_fit), so a cached
    entry is always clean and eviction is just dropping it; it reloads
    from disk on the next use. *)
 let evict_fits_if_needed t =
-  let evictable ofit = ofit.pins = 0 && ofit.fit.Fit.ref_count = 0 in
+  let in_use ofit = ofit.pins > 0 || ofit.fit.Fit.ref_count > 0 in
   let continue = ref true in
-  while !continue && Hashtbl.length t.fits > t.config.fit_cache_entries do
-    let victim =
-      Hashtbl.fold
-        (fun id ofit acc ->
-          if not (evictable ofit) then acc
-          else
-            match acc with
-            | Some (_, best) when best.last_use <= ofit.last_use -> acc
-            | _ -> Some (id, ofit))
-        t.fits None
-    in
-    match victim with
-    | Some (id, _) -> Hashtbl.remove t.fits id
+  while !continue && Lru.length t.fits > t.config.fit_cache_entries do
+    match Lru.lru ~skip:in_use t.fits with
+    | Some (id, _) -> Lru.remove t.fits id
     | None -> continue := false (* everything pinned or open *)
   done
 
 let load_fit t id =
   check_id t id;
-  match Hashtbl.find_opt t.fits id with
-  | Some ofit ->
-    touch_fit t ofit;
-    ofit
+  match Lru.find t.fits id with
+  | Some ofit -> ofit
   | None ->
     Trace.maybe t.tracer ~service:"file_service" ~op:"fit_load"
       ~attrs:(fun () -> [ ("file", Trace.Int (id_to_int id)) ])
@@ -169,9 +151,8 @@ let load_fit t id =
             let raw = Block.get_block t.disks.(disk) ~pos:frag ~fragments:fpb in
             fit.Fit.runs <- fit.Fit.runs @ Fit.decode_indirect raw)
           fit.Fit.indirect;
-        let ofit = { fit; runs_dirty = false; last_use = 0; pins = 1 } in
-        touch_fit t ofit;
-        Hashtbl.replace t.fits id ofit;
+        let ofit = { fit; runs_dirty = false; pins = 1 } in
+        Lru.replace t.fits id ofit;
         (* The fresh entry is pinned across the eviction pass so it
            cannot reclaim itself before the caller gets to use it. *)
         evict_fits_if_needed t;
@@ -245,9 +226,8 @@ let create_file ?(service_type = Fit.Basic) ?(locking_level = Fit.Page_level)
   Fit.append_blocks fit ~disk:home_disk ~frag:(frag + 1) ~blocks:1;
   let id = id_encode ~disk:home_disk ~frag in
   Hashtbl.remove t.deleted id;
-  let ofit = { fit; runs_dirty = false; last_use = 0; pins = 1 } in
-  touch_fit t ofit;
-  Hashtbl.replace t.fits id ofit;
+  let ofit = { fit; runs_dirty = false; pins = 1 } in
+  Lru.replace t.fits id ofit;
   evict_fits_if_needed t;
   ofit.pins <- 0;
   store_fit t id ofit;
@@ -297,7 +277,7 @@ let delete t id =
   let dest = if Block.has_stable bs then Block.Original_and_stable else Block.Original in
   Block.put_block ~dest bs ~pos:(id_frag id) (Bytes.make Block.fragment_bytes '\000');
   Block.free bs ~pos:(id_frag id) ~fragments:1;
-  Hashtbl.remove t.fits id;
+  Lru.remove t.fits id;
   Hashtbl.replace t.deleted id ())
 
 let get_attributes t id =
@@ -715,12 +695,12 @@ let replace_block t id ~block_index ~disk ~frag =
 
 let flush t =
   Cache.flush t.data_cache;
-  Hashtbl.iter (fun id ofit -> store_fit t id ofit) t.fits
+  Lru.iter (fun id ofit -> store_fit t id ofit) t.fits
 
 let drop_caches t =
   flush t;
   Cache.invalidate_all t.data_cache;
-  Hashtbl.reset t.fits;
+  Lru.reset t.fits;
   Array.iter
     (fun bs ->
       Block.sync bs;
@@ -729,5 +709,5 @@ let drop_caches t =
 
 let crash t =
   let lost = Cache.crash t.data_cache in
-  Hashtbl.reset t.fits;
+  Lru.reset t.fits;
   lost

@@ -1,4 +1,5 @@
 module Counter = Rhodos_util.Stats.Counter
+module Lru = Rhodos_util.Lru
 
 type system_name = { service : string; id : int }
 
@@ -180,52 +181,39 @@ let resolve t (aname : attributed_name) =
 module Cache = struct
   type ns = t
 
-  type slot = { mutable value : system_name; mutable last_use : int }
-
   type nonrec t = {
     capacity : int;
-    slots : (attributed_name, slot) Hashtbl.t;
-    mutable clock : int;
+    slots : (attributed_name, system_name) Lru.t;
     counters : Counter.t;
   }
 
   let create ~capacity =
     if capacity <= 0 then invalid_arg "Name_service.Cache.create";
-    { capacity; slots = Hashtbl.create capacity; clock = 0; counters = Counter.create () }
+    { capacity; slots = Lru.create capacity; counters = Counter.create () }
 
   let evict_if_needed c =
-    while Hashtbl.length c.slots > c.capacity do
-      let victim =
-        Hashtbl.fold
-          (fun k s acc ->
-            match acc with
-            | Some (_, best) when best.last_use <= s.last_use -> acc
-            | _ -> Some (k, s))
-          c.slots None
-      in
-      match victim with Some (k, _) -> Hashtbl.remove c.slots k | None -> ()
+    while Lru.length c.slots > c.capacity do
+      match Lru.lru c.slots with Some (k, _) -> Lru.remove c.slots k | None -> ()
     done
 
   let normalise aname = List.sort compare aname
 
   let resolve c ns aname =
     let key = normalise aname in
-    c.clock <- c.clock + 1;
-    match Hashtbl.find_opt c.slots key with
-    | Some slot ->
+    match Lru.find c.slots key with
+    | Some value ->
       Counter.incr c.counters "hits";
-      slot.last_use <- c.clock;
-      slot.value
+      value
     | None ->
       Counter.incr c.counters "misses";
       let value = resolve ns aname in
-      Hashtbl.replace c.slots key { value; last_use = c.clock };
+      Lru.replace c.slots key value;
       evict_if_needed c;
       value
 
-  let invalidate c aname = Hashtbl.remove c.slots (normalise aname)
+  let invalidate c aname = Lru.remove c.slots (normalise aname)
 
-  let clear c = Hashtbl.reset c.slots
+  let clear c = Lru.reset c.slots
 
   let stats c = c.counters
 end

@@ -269,6 +269,25 @@ let test_track_cache_hit () =
       check int "second read is a cache hit" (before_hits + 1)
         (Counter.get (Block.stats svc) "cache_hits"))
 
+(* Fill the track cache, touch the oldest track, read one more: the
+   second-oldest track is the one evicted. A track is 16 fragments. *)
+let test_track_cache_evicts_lru () =
+  with_service ~config:{ Block.default_config with track_cache_tracks = 2 }
+    (fun _ svc _ ->
+      let pos = Block.allocate svc ~fragments:48 in
+      Block.put_block svc ~pos (frag_payload 48);
+      Block.flush_block svc ~pos ~fragments:48;
+      let read track =
+        ignore (Block.get_block svc ~pos:(pos + (16 * track)) ~fragments:1)
+      in
+      let hits () = Counter.get (Block.stats svc) "cache_hits" in
+      List.iter read [ 0; 1; 0; 2 ];
+      let h0 = hits () in
+      read 0;
+      check int "touched track kept" (h0 + 1) (hits ());
+      read 1;
+      check int "second-oldest evicted" (h0 + 1) (hits ()))
+
 let test_prefetch_serves_track_neighbours () =
   with_service (fun sim svc disk ->
       (* Two fragments on the same track (a track is 32 KiB = 16 fragments). *)
@@ -655,6 +674,7 @@ let () =
           Alcotest.test_case "flush" `Quick test_flush_forces_disk_read;
           Alcotest.test_case "cache coherent with writes" `Quick test_cache_sees_writes;
           QCheck_alcotest.to_alcotest put_get_prop;
+          Alcotest.test_case "track cache evicts lru" `Quick test_track_cache_evicts_lru;
         ] );
       ( "inflight",
         [

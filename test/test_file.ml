@@ -456,6 +456,23 @@ let test_fit_cache_eviction () =
       check int "open files all cached" 16 (Fs.cached_fits fs);
       List.iter (fun id -> Fs.close_file fs id) ids)
 
+(* Fill the FIT cache, touch the oldest entry, create one more file:
+   the second-oldest FIT is the one evicted. *)
+let test_fit_cache_evicts_lru () =
+  with_fs
+    ~config:{ Fs.default_config with Fs.fit_cache_entries = 2 }
+    (fun _ fs ->
+      let a = Fs.create_file fs in
+      let b = Fs.create_file fs in
+      ignore (Fs.file_size fs a);
+      ignore (Fs.create_file fs);
+      let loads () = Counter.get (Fs.stats fs) "fit_loads" in
+      let l0 = loads () in
+      ignore (Fs.file_size fs a);
+      check int "touched FIT kept" l0 (loads ());
+      ignore (Fs.file_size fs b);
+      check int "second-oldest evicted" (l0 + 1) (loads ()))
+
 let test_nearly_stateless_service () =
   (* A brand-new service instance over the same disks sees the file:
      everything durable lives in FITs. *)
@@ -672,6 +689,7 @@ let () =
           Alcotest.test_case "FIT on stable storage" `Quick test_fit_written_to_stable;
           Alcotest.test_case "parallel multi-disk read" `Quick
             test_parallel_multi_disk_read_faster;
+          Alcotest.test_case "FIT cache evicts lru" `Quick test_fit_cache_evicts_lru;
         ] );
       ( "policies",
         [

@@ -204,6 +204,24 @@ let test_cache_capacity_bounded () =
     check sysname_t "correct" (sysname i) (Ns.Cache.resolve cache t [ ("path", path) ])
   done
 
+(* Fill the cache, touch the oldest name, resolve one more: the
+   second-oldest name is the one evicted. *)
+let test_cache_evicts_lru () =
+  let t = Ns.create () in
+  let cache = Ns.Cache.create ~capacity:2 in
+  let resolve i =
+    let path = Printf.sprintf "/f%d" i in
+    if not (Ns.exists t path) then Ns.bind t ~path ~kind:Ns.File (sysname i);
+    ignore (Ns.Cache.resolve cache t [ ("path", path) ])
+  in
+  List.iter resolve [ 1; 2; 1; 3 ];
+  let misses () = Counter.get (Ns.Cache.stats cache) "misses" in
+  let m0 = misses () in
+  resolve 1;
+  check int "touched name kept" m0 (misses ());
+  resolve 2;
+  check int "second-oldest evicted" (m0 + 1) (misses ())
+
 let deep_tree_prop =
   QCheck.Test.make ~name:"bind/resolve roundtrip at any depth" ~count:100
     QCheck.(pair (int_range 1 6) (int_range 0 1000))
@@ -248,5 +266,6 @@ let () =
           Alcotest.test_case "hits and invalidation" `Quick
             test_cache_hits_and_invalidation;
           Alcotest.test_case "capacity bounded" `Quick test_cache_capacity_bounded;
+          Alcotest.test_case "evicts lru" `Quick test_cache_evicts_lru;
         ] );
     ]

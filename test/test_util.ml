@@ -500,6 +500,105 @@ let test_text_table () =
     (Invalid_argument "Text_table.add_row: width mismatch") (fun () ->
       Text_table.add_row t [ "only-one" ])
 
+(* ------------------------------------------------------------------ *)
+(* Lru                                                                 *)
+(* ------------------------------------------------------------------ *)
+
+type lru_op =
+  | Find of int
+  | Peek of int
+  | Replace of int * int
+  | Remove of int
+  | Reset
+  | Oldest of int list  (* values the victim scan skips *)
+  | Sort of int list  (* keys to order *)
+
+let show_lru_op = function
+  | Find k -> Printf.sprintf "find %d" k
+  | Peek k -> Printf.sprintf "peek %d" k
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Reset -> "reset"
+  | Oldest vs -> "lru ~skip:[" ^ String.concat ";" (List.map string_of_int vs) ^ "]"
+  | Sort ks -> "sort [" ^ String.concat ";" (List.map string_of_int ks) ^ "]"
+
+let lru_ops =
+  let open QCheck.Gen in
+  let key = int_bound 7 and value = int_bound 9 in
+  let op =
+    frequency
+      [
+        (4, map (fun k -> Find k) key);
+        (2, map (fun k -> Peek k) key);
+        (4, map2 (fun k v -> Replace (k, v)) key value);
+        (1, map (fun k -> Remove k) key);
+        (1, return Reset);
+        (3, map (fun vs -> Oldest vs) (list_size (0 -- 4) value));
+        (2, map (fun ks -> Sort ks) (list_size (0 -- 5) key));
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat ", " (List.map show_lru_op ops))
+    (list_size (0 -- 60) op)
+
+(* The reference is the clock-and-scan every cache used to carry: a
+   per-entry stamp from a per-table clock, the victim found by a scan
+   for the smallest stamp among the entries not skipped. *)
+let lru_matches_model ops =
+  let t = Lru.create 4 in
+  let model = Hashtbl.create 4 and clock = ref 0 in
+  let stamp k v =
+    incr clock;
+    Hashtbl.replace model k (v, !clock)
+  in
+  let stamp_of k =
+    match Hashtbl.find_opt model k with Some (_, s) -> s | None -> max_int
+  in
+  let step op =
+    (match op with
+    | Find k ->
+      let want = Option.map fst (Hashtbl.find_opt model k) in
+      Option.iter (stamp k) want;
+      Lru.find t k = want
+    | Peek k -> Lru.peek t k = Option.map fst (Hashtbl.find_opt model k)
+    | Replace (k, v) ->
+      Lru.replace t k v;
+      stamp k v;
+      true
+    | Remove k ->
+      Lru.remove t k;
+      Hashtbl.remove model k;
+      true
+    | Reset ->
+      Lru.reset t;
+      Hashtbl.reset model;
+      true
+    | Oldest skipped ->
+      let want =
+        Hashtbl.fold
+          (fun k (v, s) acc ->
+            if List.mem v skipped then acc
+            else
+              match acc with
+              | Some (_, _, best) when best <= s -> acc
+              | _ -> Some (k, v, s))
+          model None
+      in
+      Lru.lru ~skip:(fun v -> List.mem v skipped) t
+      = Option.map (fun (k, v, _) -> (k, v)) want
+    | Sort ks ->
+      let pairs = List.map (fun k -> (k, -k)) ks in
+      Lru.sort_oldest_first t pairs
+      = List.stable_sort (fun (a, _) (b, _) -> compare (stamp_of a) (stamp_of b)) pairs)
+    && Lru.length t = Hashtbl.length model
+    && List.for_all (fun k -> Lru.mem t k = Hashtbl.mem model k) (List.init 8 Fun.id)
+  in
+  List.for_all step ops
+
+let lru_model_prop =
+  QCheck.Test.make ~name:"lru matches a clock-and-scan model" ~count:500 lru_ops
+    lru_matches_model
+
 let () =
   Alcotest.run "rhodos_util"
     [
@@ -555,4 +654,5 @@ let () =
           QCheck_alcotest.to_alcotest crc_reference_prop;
         ] );
       ("text_table", [ Alcotest.test_case "render" `Quick test_text_table ]);
+      ("lru", [ QCheck_alcotest.to_alcotest lru_model_prop ]);
     ]

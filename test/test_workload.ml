@@ -144,6 +144,46 @@ let test_bullet_rereads_pay_network_every_time () =
       check bool "server cache hit though" true
         (Rhodos_util.Stats.Counter.get (Bullet.server_cache_stats bullet) "hits" >= 1))
 
+let with_bullet ~ram_cache_files f =
+  run_in_sim (fun sim ->
+      let net = Net.create sim in
+      let server = Net.add_node net "bullet-server" in
+      let client = Net.add_node net "client" in
+      let disk = Disk.create sim (Disk.geometry_with_capacity (4 * 1024 * 1024)) in
+      let bs = Block.create ~disk () in
+      Block.format bs;
+      f client (Bullet.create ~net ~node:server ~block:bs ~ram_cache_files))
+
+(* Bullet files are immutable: a reader editing the bytes it got back
+   must not change what the next reader sees, on a hit or a miss. *)
+let test_bullet_reads_are_copies () =
+  with_bullet ~ram_cache_files:1 (fun client bullet ->
+      let a = Bullet.create_file bullet ~from:client (Bytes.of_string "immutable") in
+      let b = Bullet.create_file bullet ~from:client (Bytes.of_string "other") in
+      List.iter
+        (fun (id, want) ->
+          Bytes.fill (Bullet.read_file bullet ~from:client id) 0 (String.length want) 'X';
+          check Alcotest.string "second read unchanged" want
+            (Bytes.to_string (Bullet.read_file bullet ~from:client id)))
+        [ (b, "other") (* hit *); (a, "immutable") (* miss *) ])
+
+(* Fill the RAM cache, touch the oldest file, add one more: the
+   second-oldest is the one evicted. *)
+let test_bullet_evicts_lru () =
+  with_bullet ~ram_cache_files:2 (fun client bullet ->
+      let create () = Bullet.create_file bullet ~from:client (Bytes.of_string "f") in
+      let a = create () in
+      let b = create () in
+      ignore (Bullet.read_file bullet ~from:client a);
+      ignore (create ());
+      let stats = Bullet.server_cache_stats bullet in
+      let misses () = Rhodos_util.Stats.Counter.get stats "misses" in
+      let m0 = misses () in
+      ignore (Bullet.read_file bullet ~from:client a);
+      check int "touched file kept" m0 (misses ());
+      ignore (Bullet.read_file bullet ~from:client b);
+      check int "second-oldest evicted" (m0 + 1) (misses ()))
+
 let test_first_fit_counts_bits () =
   let a = Ffa.create ~fragments:1000 in
   let p1 = Ffa.allocate a ~fragments:10 in
@@ -188,5 +228,7 @@ let () =
             test_bullet_rereads_pay_network_every_time;
           Alcotest.test_case "first-fit bits" `Quick test_first_fit_counts_bits;
           Alcotest.test_case "first-fit no space" `Quick test_first_fit_no_space;
+          Alcotest.test_case "bullet immutable" `Quick test_bullet_reads_are_copies;
+          Alcotest.test_case "bullet evicts lru" `Quick test_bullet_evicts_lru;
         ] );
     ]
