@@ -118,9 +118,11 @@ let check_id t id =
   if id_disk id >= Array.length t.disks then raise (File_not_found id);
   if Hashtbl.mem t.deleted id then raise (File_not_found id)
 
-(* FITs are written through on every mutation (store_fit), so a cached
-   entry is always clean and eviction is just dropping it; it reloads
-   from disk on the next use. *)
+(* Every layout change is written through (store_fit), so eviction is
+   just dropping the entry; it reloads from disk on the next use. Only
+   the timestamps can be newer in memory than on disk, and an eviction
+   rolls them back. Open entries are never evicted, so a reloaded FIT
+   belongs to a closed file and starts with no opens. *)
 let evict_fits_if_needed t =
   let in_use ofit = ofit.pins > 0 || ofit.fit.Fit.ref_count > 0 in
   let continue = ref true in
@@ -145,6 +147,7 @@ let load_fit t id =
           | fit -> fit
           | exception Fit.Corrupt _ -> raise (File_not_found id)
         in
+        fit.Fit.ref_count <- 0;
         (* Pull overflow runs in from the indirect blocks. *)
         List.iter
           (fun (disk, frag) ->
@@ -166,9 +169,12 @@ let with_fit t id f =
   ofit.pins <- ofit.pins + 1;
   Fun.protect ~finally:(fun () -> ofit.pins <- ofit.pins - 1) (fun () -> f ofit)
 
-(* Persist a FIT: indirect blocks first (allocating/freeing as the
-   overflow grows or shrinks), then the FIT fragment itself — written
-   through to stable storage so the vital structure survives crashes. *)
+(* The layout write: called when size, runs, indirect blocks, service
+   type or locking level change, and by [flush]. Indirect blocks go
+   first (allocating/freeing as the overflow grows or shrinks), then
+   the FIT fragment itself, written through to stable storage so the
+   layout that locates the data survives crashes. The open count and
+   the timestamps ride along; on their own they are never stored. *)
 let store_fit t id ofit =
   Counter.incr t.counters "fit_stores";
   let fit = ofit.fit in
@@ -234,9 +240,8 @@ let create_file ?(service_type = Fit.Basic) ?(locking_level = Fit.Page_level)
   id
 
 let open_file t id =
-  with_fit t id (fun ofit ->
-      ofit.fit.Fit.ref_count <- ofit.fit.Fit.ref_count + 1;
-      store_fit t id ofit)
+  let fit = (load_fit t id).fit in
+  fit.Fit.ref_count <- fit.Fit.ref_count + 1
 
 let flush_file_blocks t fit =
   List.iter
@@ -250,13 +255,7 @@ let close_file t id =
   with_fit t id (fun ofit ->
       if ofit.fit.Fit.ref_count > 0 then
         ofit.fit.Fit.ref_count <- ofit.fit.Fit.ref_count - 1;
-      flush_file_blocks t ofit.fit;
-      store_fit t id ofit)
-
-let reset_ref_count t id =
-  with_fit t id (fun ofit ->
-      ofit.fit.Fit.ref_count <- 0;
-      store_fit t id ofit)
+      flush_file_blocks t ofit.fit)
 
 let delete t id =
   with_fit t id (fun ofit ->
@@ -580,9 +579,10 @@ let pwrite_impl t id ~off data =
       write_range t id ofit ~old_blocks ~range_off:old_size
         (Bytes.make (off - old_size) '\000');
     write_range t id ofit ~old_blocks ~range_off:off data;
-    if off + len > fit.Fit.size then fit.Fit.size <- off + len;
+    let grew = off + len > fit.Fit.size in
+    if grew then fit.Fit.size <- off + len;
     fit.Fit.last_write <- now t;
-    store_fit t id ofit)
+    if grew || ofit.runs_dirty then store_fit t id ofit)
 
 let pwrite t id ~off data =
   Trace.maybe t.tracer ~service:"file_service" ~op:"pwrite"

@@ -9,7 +9,7 @@
 
     - the {b file index table} is created dynamically, contiguous with
       the file's first data block ("eliminating the seek time to
-      retrieve the first data block"), and is always written through
+      retrieve the first data block"); layout changes are written through
       to stable storage when the disk service has a mirror pair;
     - every block descriptor carries the two-byte contiguity {b count},
       and reads/writes of physically contiguous runs are issued as one
@@ -26,7 +26,7 @@
 
     The service is "nearly stateless": everything durable lives in the
     FITs; a freshly created service over the same attached disks sees
-    the same files. Open/close maintain only the FIT reference count.
+    the same files. Open/close only count references, in memory.
 
     All operations must run inside a [Sim] process. *)
 
@@ -58,8 +58,8 @@ type config = {
   data_cache_blocks : int;     (** capacity of the service block cache *)
   fit_cache_entries : int;
       (** capacity of the FIT cache (the paper's fragment pool for
-          structural information); entries are written through, so
-          eviction is free *)
+          structural information); layout changes are written
+          through, so eviction is free *)
   exploit_contiguity : bool;
       (** use the FIT count field to transfer whole runs in one disk
           reference; [false] degrades to per-block transfers (the
@@ -101,11 +101,11 @@ val create_file :
     Defaults: [Basic], [Page_level], home disk 0. *)
 
 val open_file : t -> file_id -> unit
-(** Increment the reference count. @raise File_not_found. *)
+(** Increment the reference count (in memory only). @raise File_not_found. *)
 
 val close_file : t -> file_id -> unit
-(** Decrement the reference count and flush this file's dirty cached
-    blocks. *)
+(** Decrement the reference count (in memory only) and flush this
+    file's dirty cached blocks. *)
 
 val delete : t -> file_id -> unit
 (** Free all data blocks, indirect blocks and the FIT.
@@ -117,9 +117,9 @@ val pread : t -> file_id -> off:int -> len:int -> bytes
     disks are fetched in parallel. *)
 
 val pwrite : t -> file_id -> off:int -> bytes -> unit
-(** Write at [off], extending (and zero-filling any gap) as needed.
-    @raise Rhodos_block.Block_service.No_space if the disks are
-    full. *)
+(** Write at [off], extending (and zero-filling any gap) as needed;
+    the FIT is stored only if the file grows or gains blocks.
+    @raise Rhodos_block.Block_service.No_space if the disks are full. *)
 
 val get_attributes : t -> file_id -> Fit.t
 (** A snapshot copy of the file's index-table attributes and runs. *)
@@ -133,10 +133,6 @@ val truncate : t -> file_id -> int -> unit
 val set_service_type : t -> file_id -> Fit.service_type -> unit
 
 val set_locking_level : t -> file_id -> Fit.locking_level -> unit
-
-val reset_ref_count : t -> file_id -> unit
-(** Crash recovery: clear a stale reference count left by clients
-    that died with the file open. *)
 
 (** {1 Transaction-service hooks} *)
 
@@ -165,12 +161,12 @@ val flush : t -> unit
 
 val drop_caches : t -> unit
 (** Flush, then empty the data cache, the FIT cache and the disk
-    services' track caches — for cold-read experiments. *)
+    services' track caches (open counts too) — for cold-read runs. *)
 
 val crash : t -> int
-(** Lose all volatile state without writeback (dirty cached blocks
-    and in-memory FITs); returns the number of dirty data blocks
-    lost. FITs already written through survive on disk. *)
+(** Lose all volatile state without writeback (dirty cached blocks,
+    open counts, unstored timestamps); returns the number of dirty
+    data blocks lost. Every file's layout survives on disk. *)
 
 val stats : t -> Rhodos_util.Stats.Counter.t
 (** Counters: ["fit_loads"], ["fit_stores"], ["extent_reads"],

@@ -32,6 +32,9 @@ type t = {
   mutable last_read : float;
   mutable last_write : float;
   mutable ref_count : int;
+      (** [last_read], [last_write] and [ref_count] live in memory and
+          reach disk only with the next layout store or a flush; a FIT
+          read from disk starts with [ref_count = 0]. *)
   mutable service_type : service_type;
   mutable locking_level : locking_level;
   mutable runs : run list;       (** all runs, in file order *)

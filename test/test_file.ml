@@ -279,6 +279,51 @@ let test_open_close_refcount () =
         Alcotest.fail "expected File_not_found"
       with Fs.File_not_found _ -> ())
 
+(* Opening, reading and closing an existing file writes nothing, not
+   even to stable storage: the open count lives in memory. *)
+let test_open_close_writes_nothing () =
+  run_in_sim (fun sim ->
+      let disk name cap = Disk.create ~name sim (Disk.geometry_with_capacity cap) in
+      let main = disk "d0" (mib 8) in
+      let st_a = disk "st0a" (mib 16) and st_b = disk "st0b" (mib 16) in
+      let bs = Block.create ~disk:main ~stable:(st_a, st_b) () in
+      Block.format bs;
+      let fs = Fs.create ~disks:[| bs |] () in
+      let id = Fs.create_file fs in
+      Fs.pwrite fs id ~off:0 (pattern 5000);
+      Block.sync bs;
+      let writes () = List.map (fun d -> (Disk.stats d).Disk.writes) [ main; st_a; st_b ] in
+      let stores () = Counter.get (Fs.stats fs) "fit_stores" in
+      let w0 = writes () and s0 = stores () in
+      Fs.open_file fs id;
+      check int "open count" 1 (Fs.get_attributes fs id).Fit.ref_count;
+      (try
+         Fs.delete fs id;
+         Alcotest.fail "expected File_busy"
+       with Fs.File_busy _ -> ());
+      check bool "content" true (Bytes.equal (Fs.pread fs id ~off:0 ~len:5000) (pattern 5000));
+      Fs.close_file fs id;
+      check int "closed" 0 (Fs.get_attributes fs id).Fit.ref_count;
+      Sim.sleep sim 100.;
+      check (Alcotest.list int) "no disk writes" w0 (writes ());
+      check int "no FIT stores" s0 (stores ()))
+
+(* Overwriting allocated blocks stores no FIT; a write that grows the
+   file stores exactly one, with or without new blocks. *)
+let test_pwrite_stores_fit_on_growth () =
+  with_fs (fun _ fs ->
+      let id = Fs.create_file fs in
+      Fs.pwrite fs id ~off:0 (pattern 16384);
+      let stores () = Counter.get (Fs.stats fs) "fit_stores" in
+      let s0 = stores () in
+      Fs.pwrite fs id ~off:8192 (pattern ~seed:1 8192);
+      check int "whole-block overwrite" s0 (stores ());
+      Fs.pwrite fs id ~off:16384 (pattern ~seed:2 100);
+      check int "extending write" (s0 + 1) (stores ());
+      Fs.pwrite fs id ~off:16484 (pattern ~seed:3 100);
+      check int "extending write in the last block" (s0 + 2) (stores ());
+      check int "size" 16584 (Fs.file_size fs id))
+
 let test_delete_frees_space () =
   with_fs (fun _ fs ->
       let bs = Fs.block_service fs 0 in
@@ -472,6 +517,23 @@ let test_fit_cache_evicts_lru () =
       check int "touched FIT kept" l0 (loads ());
       ignore (Fs.file_size fs b);
       check int "second-oldest evicted" (l0 + 1) (loads ()))
+
+(* A FIT stored while its file was open carries the open count. Once
+   the file is closed and the entry evicted, the reload must not bring
+   the count back, or the file could never be deleted. *)
+let test_reloaded_fit_has_no_opens () =
+  with_fs
+    ~config:{ Fs.default_config with Fs.fit_cache_entries = 1 }
+    (fun _ fs ->
+      let id = Fs.create_file fs in
+      Fs.open_file fs id;
+      Fs.pwrite fs id ~off:0 (pattern 20000);
+      Fs.close_file fs id;
+      ignore (Fs.create_file fs);
+      let loads = Counter.get (Fs.stats fs) "fit_loads" in
+      check int "closed after reload" 0 (Fs.get_attributes fs id).Fit.ref_count;
+      check int "entry was evicted" (loads + 1) (Counter.get (Fs.stats fs) "fit_loads");
+      Fs.delete fs id)
 
 let test_nearly_stateless_service () =
   (* A brand-new service instance over the same disks sees the file:
@@ -669,6 +731,10 @@ let () =
           Alcotest.test_case "attributes" `Quick test_attributes;
           Alcotest.test_case "truncate" `Quick test_truncate_shrink_and_grow;
           QCheck_alcotest.to_alcotest file_roundtrip_prop;
+          Alcotest.test_case "open/close writes nothing" `Quick
+            test_open_close_writes_nothing;
+          Alcotest.test_case "pwrite stores FIT on growth" `Quick
+            test_pwrite_stores_fit_on_growth;
         ] );
       ( "contiguity",
         [
@@ -690,6 +756,8 @@ let () =
           Alcotest.test_case "parallel multi-disk read" `Quick
             test_parallel_multi_disk_read_faster;
           Alcotest.test_case "FIT cache evicts lru" `Quick test_fit_cache_evicts_lru;
+          Alcotest.test_case "reloaded FIT has no opens" `Quick
+            test_reloaded_fit_has_no_opens;
         ] );
       ( "policies",
         [
