@@ -276,31 +276,11 @@ let run () = ignore (run_reports ())
 (* ------------------------------------------------------------------ *)
 
 (* BENCH_simcore.json holds a single "P0" object written by our own
-   Json_out, so a line scan for ["key": number] pairs is a complete
-   parse of it. *)
+   Json_out. *)
 let parse_baseline path =
-  let ic = open_in path in
-  let kvs = ref [] in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       match String.index_opt line ':' with
-       | Some i when String.length line > 2 && line.[0] = '"' ->
-         let key = String.sub line 1 (i - 2) in
-         let v = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
-         let v =
-           if String.length v > 0 && v.[String.length v - 1] = ',' then
-             String.sub v 0 (String.length v - 1)
-           else v
-         in
-         (match float_of_string_opt v with
-         | Some f -> kvs := (key, f) :: !kvs
-         | None -> ())
-       | _ -> ()
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !kvs
+  List.filter_map
+    (fun ((_, key), v) -> Option.map (fun f -> (key, f)) (float_of_string_opt v))
+    (Json_out.read_entries path)
 
 (* events/sec must stay above [rate_floor] x baseline (wall-clock
    noisy, CI machines vary — but the timed-run methodology is min-of-N

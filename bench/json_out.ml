@@ -6,7 +6,8 @@
    its key numbers with `Json_out.metric` while it runs. `main.exe
    --json <name>` runs the tracked experiments and writes the collected
    metrics to BENCH_<name>.json; the committed BENCH_baseline.json is
-   the trajectory anchor the next PR diffs against.
+   the trajectory anchor, and `main.exe --baseline-check` fails when a
+   key other than the Gc deltas regenerates differently.
 
    Values are simulated-time measurements and counters, so the file is
    deterministic: regenerating it on an unchanged tree must be a
@@ -107,3 +108,63 @@ let with_gc id run =
     (float_of_int (s1.Gc.minor_collections - s0.Gc.minor_collections));
   metric id "gc_major_collections"
     (float_of_int (s1.Gc.major_collections - s0.Gc.major_collections))
+
+(* The committed BENCH_*.json files are this module's own output: one
+   ["key": value] pair per line, each object opened by an ["ID": {]
+   line. A line scan is therefore a complete parse. Returns
+   ((object, key), value text) pairs in file order. *)
+let entries_of_lines lines =
+  let obj = ref "" in
+  List.filter_map
+    (fun line ->
+      let line = String.trim line in
+      match String.index_opt line ':' with
+      | Some i when String.length line > 2 && line.[0] = '"' ->
+        let key = String.sub line 1 (i - 2) in
+        let v = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
+        if String.starts_with ~prefix:"{" v then begin
+          obj := key;
+          None
+        end
+        else
+          let v =
+            if String.ends_with ~suffix:"," v then String.sub v 0 (String.length v - 1)
+            else v
+          in
+          Some ((!obj, key), v)
+      | _ -> None)
+    lines
+
+let read_entries path =
+  entries_of_lines
+    (String.split_on_char '\n' (In_channel.with_open_text path In_channel.input_all))
+
+(* The paper-numbers gate: every key of the committed file at [path]
+   except the Gc deltas, which move with the compiled binary, must
+   regenerate with the same text from the experiments in [only], and
+   no new key may appear. Differences go to stderr. *)
+let check_baseline ~only path =
+  let tracked =
+    List.filter (fun ((_, k), _) -> not (String.starts_with ~prefix:"gc_" k))
+  in
+  let committed = tracked (read_entries path) in
+  let current = tracked (entries_of_lines (String.split_on_char '\n' (to_json ~only ()))) in
+  let show = Option.value ~default:"(none)" in
+  let changed =
+    List.filter_map
+      (fun (k, v) ->
+        match List.assoc_opt k current with
+        | Some v' when v' = v -> None
+        | v' -> Some (k, Some v, v'))
+      committed
+    @ List.filter_map
+        (fun (k, v') -> if List.mem_assoc k committed then None else Some (k, None, Some v'))
+        current
+  in
+  List.iter
+    (fun ((o, k), v, v') ->
+      Printf.eprintf "baseline: %s.%s %s -> %s\n" o k (show v) (show v'))
+    changed;
+  Printf.eprintf "baseline: %d of %d tracked keys differ from %s\n" (List.length changed)
+    (List.length committed) path;
+  changed = []

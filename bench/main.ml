@@ -8,7 +8,9 @@
      dune exec bench/main.exe -- --only micro # microbenchmarks only
      dune exec bench/main.exe -- --list       # list experiments
      dune exec bench/main.exe -- --json baseline
-       # run the tracked experiments, write BENCH_baseline.json *)
+       # run the tracked experiments, write BENCH_baseline.json
+     dune exec bench/main.exe -- --baseline-check BENCH_baseline.json
+       # rerun them; fail if a non-gc_* key differs from the file *)
 
 let experiments =
   [
@@ -46,6 +48,20 @@ let experiments =
    promote almost nothing. See DESIGN.md "Event-core memory layout". *)
 let () = Gc.set { (Gc.get ()) with Gc.minor_heap_size = 32 * 1024 * 1024 }
 
+(* Run every experiment that registered a JSON emitter (micro is
+   wall-clock, so it stays out of the deterministic record; P0 reports
+   host-time rates, so it lives in its own BENCH_simcore.json via
+   --perf-write), each with its Gc deltas appended; returns their ids. *)
+let run_tracked () =
+  List.filter_map
+    (fun (id, _, run) ->
+      if id <> "P0" && Json_out.registered id then begin
+        Json_out.with_gc id run;
+        Some id
+      end
+      else None)
+    experiments
+
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   match args with
@@ -58,23 +74,13 @@ let () =
       Printf.eprintf "unknown experiment %S (try --list)\n" id;
       exit 1)
   | "--json" :: rest ->
-    (* Run every experiment that registered a JSON emitter (micro is
-       wall-clock, so it stays out of the deterministic record; P0
-       reports host-time rates, so it lives in its own
-       BENCH_simcore.json via --perf-write) and write the collected
-       key metrics, each with its Gc deltas appended. *)
     let name = match rest with [ name ] -> name | _ -> "run" in
-    let ids =
-      List.filter_map
-        (fun (id, _, run) ->
-          if id <> "P0" && Json_out.registered id then begin
-            Json_out.with_gc id run;
-            Some id
-          end
-          else None)
-        experiments
-    in
+    let ids = run_tracked () in
     Printf.printf "\nwrote %s\n" (Json_out.write ~only:ids ~name ())
+  | [ "--baseline-check"; baseline ] ->
+    (* The @baseline alias: rerun the tracked experiments and compare
+       them with the committed BENCH_baseline.json. *)
+    if not (Json_out.check_baseline ~only:(run_tracked ()) baseline) then exit 1
   | [ "--perf-write" ] ->
     (* Measure the sim-core loads and (re)write the committed perf
        baseline the @perf alias gates against. *)
@@ -91,6 +97,6 @@ let () =
     List.iter (fun (_, _, run) -> run ()) experiments
   | _ ->
     Printf.eprintf
-      "usage: main.exe [--list | --only <id> | --json [name] | --perf-write \
-       | --perf-check <baseline>]\n";
+      "usage: main.exe [--list | --only <id> | --json [name] | --baseline-check \
+       <baseline> | --perf-write | --perf-check <baseline>]\n";
     exit 1

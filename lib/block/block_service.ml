@@ -301,13 +301,12 @@ let exact_read t ~sector ~count =
 
 (* The paper's disk-service caching: fetch what the request needs and
    "the rest of the data from the same track", all as one trip to the
-   disk. We read whole tracks in a single reference and cache them;
-   the requested fragments are cut out of the track buffer. While the
-   read runs it is registered in [t.inflight] for misses on the same
-   tracks to join. A track written meanwhile keeps the bytes of the
-   write, not the read's: its generation moved, so it is not cached. A
-   decayed sector elsewhere on the track must not fail the request, so
-   fall back to exactly the needed sectors. *)
+   disk. Tracks [first_track, last_track] are read whole in a single
+   reference and cached; the buffer comes back, or [None] when a
+   decayed sector failed the read. While the read runs it is
+   registered in [t.inflight] for misses on the same tracks to join. A
+   track written meanwhile keeps the bytes of the write, not the
+   read's: its generation moved, so it is not cached. *)
 let issue_track_read t ~sector ~count ~first_track ~last_track =
   let spt = sectors_per_track t in
   let sb = sector_bytes t in
@@ -335,58 +334,66 @@ let issue_track_read t ~sector ~count ~first_track ~last_track =
       match Disk.read t.disk ~sector:read_start ~count:read_count with
       | data -> fetched := Some data
       | exception Disk.Media_failure _ -> ());
-  match !fetched with
+  (match !fetched with
   | Some data ->
+    let wanted = min (sector + count) (read_start + read_count) - max sector read_start in
     Counter.incr t.counters "foreground_refs";
-    Counter.add t.counters "prefetch_sectors" (read_count - count);
+    Counter.add t.counters "prefetch_sectors" (read_count - wanted);
     List.iteri
       (fun i gen ->
         let tr = first_track + i in
         if gen_of t tr = gen then
           cache_insert t tr (Bytes.sub data (i * spt * sb) (spt * sb)))
-      gens;
-    Bytes.sub data ((sector - read_start) * sb) (count * sb)
-  | None -> exact_read t ~sector ~count
+      gens
+  | None -> ());
+  !fetched
 
-(* A miss whose tracks are each cached or in flight makes no disk
-   reference of its own. Cached tracks are copied first, since waiting
-   could let them be evicted; then each read in [waits] is awaited and
-   copied out of. If one of them failed or its issuer died, read
-   exactly the needed sectors, as its issuer does. *)
-let join_tracks t ~sector ~count ~first_track ~last_track waits =
-  Counter.incr t.counters "track_joins";
-  let out = Bytes.create (count * sector_bytes t) in
-  for tr = first_track to last_track do
-    match Lru.find t.tracks tr with
-    | Some src -> blit_track t ~src ~src_track:tr ~tr ~sector ~count out
-    | None -> ()
-  done;
-  let joined (tr, r) =
-    match Sim.Ivar.read r.buf with
-    | Some src ->
-      blit_track t ~src ~src_track:r.first_track ~tr ~sector ~count out;
-      true
-    | None -> false
-  in
-  if List.for_all joined waits then out else exact_read t ~sector ~count
-
+(* One read plan per miss. Each track of [sector, sector+count) is
+   cached, in flight, or missing. Cached tracks outside [lo, hi], the
+   smallest run holding every missing track, are copied at once:
+   waiting could let them be evicted, so every cache access comes
+   before the first call that may block. One track read then covers
+   [lo, hi]; when that is the whole request, its buffer is sliced with
+   no output buffer. Last, the reads in flight outside the run are
+   joined. If any read failed or its issuer died, read exactly the
+   needed sectors, as a failed issuer does. *)
 let read_tracks t ~sector ~count =
-  let spt = sectors_per_track t in
+  let spt = sectors_per_track t and sb = sector_bytes t in
   let first_track = sector / spt and last_track = (sector + count - 1) / spt in
   let inflight = Sim.Cell.get t.inflight in
-  (* The reads to wait on, or [None] if some track is neither cached
-     nor in flight. *)
-  let rec waits tr acc =
-    if tr > last_track then Some (List.rev acc)
-    else if Lru.mem t.tracks tr then waits (tr + 1) acc
-    else
-      match Hashtbl.find_opt inflight tr with
-      | Some r -> waits (tr + 1) ((tr, r) :: acc)
-      | None -> None
+  let missing tr = not (Lru.mem t.tracks tr || Hashtbl.mem inflight tr) in
+  let lo = ref first_track and hi = ref last_track in
+  while !lo <= last_track && not (missing !lo) do incr lo done;
+  while !hi >= !lo && not (missing !hi) do decr hi done;
+  let lo = !lo and hi = !hi in
+  let whole = lo = first_track && hi = last_track in
+  let out = if whole then Bytes.empty else Bytes.create (count * sb) in
+  let waits = ref [] in
+  for tr = first_track to last_track do
+    if tr < lo || tr > hi then
+      match Lru.find t.tracks tr with
+      | Some src -> blit_track t ~src ~src_track:tr ~tr ~sector ~count out
+      | None -> waits := (tr, Hashtbl.find inflight tr) :: !waits
+  done;
+  let run =
+    if lo > hi then None
+    else issue_track_read t ~sector ~count ~first_track:lo ~last_track:hi
   in
-  match waits first_track [] with
-  | Some ws -> join_tracks t ~sector ~count ~first_track ~last_track ws
-  | None -> issue_track_read t ~sector ~count ~first_track ~last_track
+  match run with
+  | Some data when whole -> Bytes.sub data ((sector - (lo * spt)) * sb) (count * sb)
+  | _ ->
+    let copied ~src_track first last = function
+      | Some src ->
+        for tr = first to last do
+          blit_track t ~src ~src_track ~tr ~sector ~count out
+        done;
+        true
+      | None -> false
+    in
+    let own = lo > hi || copied ~src_track:lo lo hi run in
+    if !waits <> [] then Counter.incr t.counters "track_joins";
+    let joined (tr, r) = copied ~src_track:r.first_track tr tr (Sim.Ivar.read r.buf) in
+    if own && List.for_all joined (List.rev !waits) then out else exact_read t ~sector ~count
 
 let get_block_impl ~source t ~pos ~fragments =
   check_run t ~pos ~fragments;

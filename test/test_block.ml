@@ -460,6 +460,78 @@ let test_killed_issuer_wakes_joiners () =
         joiners)
 
 (* ------------------------------------------------------------------ *)
+(* Read plans: a miss reads only the tracks it lacks                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Two whole uncached tracks, each block written with its own payload
+   (tag [30 + i]). Returns the first fragment of the first track; the
+   block at [base + 14] straddles the two. *)
+let uncached_tracks svc =
+  let a = Block.allocate svc ~fragments:48 in
+  let base = (a + 15) / 16 * 16 in
+  for i = 0 to 7 do
+    Block.put_block svc ~pos:(base + (i * 4)) (frag_payload ~tag:(30 + i) 4)
+  done;
+  Block.flush_block svc ~pos:base ~fragments:32;
+  base
+
+(* The four fragments at [pos] as the platter holds them. *)
+let platter disk pos = Disk.peek disk ~sector:(pos * 4) ~count:16
+
+let spt disk = (Disk.geometry disk).sectors_per_track
+
+let test_plan_cached_and_missing () =
+  with_service (fun _ svc disk ->
+      let base = uncached_tracks svc in
+      ignore (Block.get_block svc ~pos:base ~fragments:4) (* caches track 0 *);
+      Disk.reset_stats disk;
+      let got = Block.get_block svc ~pos:(base + 14) ~fragments:4 in
+      check int "one disk reference" 1 (Disk.stats disk).references;
+      check int "of one track's sectors" (spt disk) (Disk.stats disk).sectors_read;
+      check bool "bytes" true (Bytes.equal got (platter disk (base + 14))))
+
+let test_plan_inflight_and_missing () =
+  with_service (fun sim svc disk ->
+      let base = uncached_tracks svc in
+      Disk.reset_stats disk;
+      Block.reset_stats svc;
+      let first = start sim [ (fun () -> Block.get_block svc ~pos:base ~fragments:4) ] in
+      Sim.yield sim (* the read of track 0 is queued *);
+      let got = Block.get_block svc ~pos:(base + 14) ~fragments:4 in
+      check bool "first block" true
+        (List.for_all (fun iv -> Bytes.equal (Sim.Ivar.read iv) (platter disk base)) first);
+      check int "one join" 1 (Counter.get (Block.stats svc) "track_joins");
+      check int "each track read once" (2 * spt disk) (Disk.stats disk).sectors_read;
+      check bool "joined bytes" true (Bytes.equal got (platter disk (base + 14))))
+
+let test_plan_media_fault_reads_exact_sectors () =
+  (* A sector of track 1 outside the request has decayed: the read of
+     track 1 fails, and the request reads exactly its own sectors. *)
+  with_service (fun _ svc disk ->
+      let base = uncached_tracks svc in
+      ignore (Block.get_block svc ~pos:base ~fragments:4) (* caches track 0 *);
+      Disk.inject_media_fault disk ~sector:((base + 28) * 4) ~count:1;
+      Disk.reset_stats disk;
+      let got = Block.get_block svc ~pos:(base + 14) ~fragments:4 in
+      check int "failed track read + exact read" 2 (Disk.stats disk).references;
+      check bool "bytes" true (Bytes.equal got (platter disk (base + 14))))
+
+let test_plan_write_overtakes_partial_read () =
+  (* A write to track 1 queues behind the plan's read of track 1: that
+     read must not cache track 1, so the next read sees the write. *)
+  with_service (fun sim svc _ ->
+      let base = uncached_tracks svc in
+      ignore (Block.get_block svc ~pos:base ~fragments:4) (* caches track 0 *);
+      let reader = start sim [ (fun () -> Block.get_block svc ~pos:(base + 14) ~fragments:4) ] in
+      Sim.yield sim (* the read of track 1 is queued *);
+      Block.put_block svc ~pos:(base + 16) (frag_payload ~tag:99 4);
+      List.iter (fun iv -> ignore (Sim.Ivar.read iv)) reader;
+      let hits = Counter.get (Block.stats svc) "cache_hits" in
+      let back = Block.get_block svc ~pos:(base + 16) ~fragments:4 in
+      check int "track 1 was not cached" hits (Counter.get (Block.stats svc) "cache_hits");
+      check bool "read-back returns the write" true (Bytes.equal back (frag_payload ~tag:99 4)))
+
+(* ------------------------------------------------------------------ *)
 (* Stable storage destinations                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -688,6 +760,17 @@ let () =
             test_media_fault_sends_joiners_to_exact_reads;
           Alcotest.test_case "killed issuer wakes joiners" `Quick
             test_killed_issuer_wakes_joiners;
+        ] );
+      ( "read plan",
+        [
+          Alcotest.test_case "cached + missing: one track read" `Quick
+            test_plan_cached_and_missing;
+          Alcotest.test_case "in flight + missing: join and read" `Quick
+            test_plan_inflight_and_missing;
+          Alcotest.test_case "media fault: exact sectors" `Quick
+            test_plan_media_fault_reads_exact_sectors;
+          Alcotest.test_case "write overtakes partial read" `Quick
+            test_plan_write_overtakes_partial_read;
         ] );
       ( "stable",
         [

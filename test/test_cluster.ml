@@ -609,53 +609,79 @@ let test_e15_backend_digest_parity () =
   check int "event count" 166 n;
   check int "digest" 63007055 d
 
-(* The E15 scan shape: a cold 512 KiB sequential scan in 8 KiB reads.
-   Read-ahead keeps several single-block fetches of one track in flight
-   at once; they must share the track's disk reference, so the main
-   disk reads each track the file touches once, plus once more for each
-   block that straddles a track boundary (its two-track read cannot
-   join a one-track read). *)
+(* A cold 512 KiB sequential scan in 8 KiB reads, the E15 scan shape.
+   Returns the number of distinct tracks the file's blocks touch, how
+   many blocks straddle a track boundary, and the main disk's stats
+   for the scan alone. *)
+let cold_scan t =
+  let size = 512 * 1024 in
+  let c, d, payload = cold_read_setup t ~len:size in
+  let fs = Cluster.file_service t in
+  let file = Fs.id_of_int (File_agent.descriptor_file (Cluster.file_agent c) d) in
+  let disk = (Cluster.disks t).(0) in
+  let g = Rhodos_disk.Disk.geometry disk in
+  let sectors_per_frag = Rhodos_block.Block_service.fragment_bytes / g.sector_bytes in
+  let block_sectors = 8192 / g.sector_bytes in
+  let tracks = Hashtbl.create 32 and straddles = ref 0 in
+  for block_index = 0 to (size / 8192) - 1 do
+    match Fs.block_location fs file ~block_index with
+    | Some (_, frag) ->
+      let first = frag * sectors_per_frag / g.sectors_per_track in
+      let last =
+        ((frag * sectors_per_frag) + block_sectors - 1) / g.sectors_per_track
+      in
+      Hashtbl.replace tracks first ();
+      Hashtbl.replace tracks last ();
+      if last <> first then incr straddles
+    | None -> Alcotest.fail "unmapped block"
+  done;
+  (* Locating the blocks loaded the FIT through the track cache. *)
+  Array.iter
+    (fun bs ->
+      Rhodos_block.Block_service.flush_block bs ~pos:0
+        ~fragments:(Rhodos_block.Block_service.total_fragments bs))
+    (Cluster.block_services t);
+  Rhodos_disk.Disk.reset_stats disk;
+  ignore (Cluster.lseek c d (`Set 0));
+  let got = Buffer.create size in
+  for _ = 1 to size / 8192 do
+    Buffer.add_bytes got (Cluster.read c d 8192)
+  done;
+  check bool "data intact" true (Bytes.equal (Buffer.to_bytes got) payload);
+  (Hashtbl.length tracks, !straddles, Rhodos_disk.Disk.stats disk)
+
+(* Read-ahead keeps several single-block fetches of one track in
+   flight at once; they must share the track's disk reference, so the
+   main disk reads each track the file touches once, plus once more for
+   each block that straddles a track boundary (its miss may need a
+   track that no read covers yet). *)
 let test_cold_scan_reads_each_track_once () =
   Cluster.run (fun _sim t ->
-      let size = 512 * 1024 in
-      let c, d, payload = cold_read_setup t ~len:size in
-      let fs = Cluster.file_service t in
-      let file = Fs.id_of_int (File_agent.descriptor_file (Cluster.file_agent c) d) in
-      let disk = (Cluster.disks t).(0) in
-      let g = Rhodos_disk.Disk.geometry disk in
-      let sectors_per_frag = Rhodos_block.Block_service.fragment_bytes / g.sector_bytes in
-      let block_sectors = 8192 / g.sector_bytes in
-      let tracks = Hashtbl.create 32 and straddles = ref 0 in
-      for block_index = 0 to (size / 8192) - 1 do
-        match Fs.block_location fs file ~block_index with
-        | Some (_, frag) ->
-          let first = frag * sectors_per_frag / g.sectors_per_track in
-          let last =
-            ((frag * sectors_per_frag) + block_sectors - 1) / g.sectors_per_track
-          in
-          Hashtbl.replace tracks first ();
-          Hashtbl.replace tracks last ();
-          if last <> first then incr straddles
-        | None -> Alcotest.fail "unmapped block"
-      done;
-      (* Locating the blocks loaded the FIT through the track cache. *)
-      Array.iter
-        (fun bs ->
-          Rhodos_block.Block_service.flush_block bs ~pos:0
-            ~fragments:(Rhodos_block.Block_service.total_fragments bs))
-        (Cluster.block_services t);
-      Rhodos_disk.Disk.reset_stats disk;
-      ignore (Cluster.lseek c d (`Set 0));
-      let got = Buffer.create size in
-      for _ = 1 to size / 8192 do
-        Buffer.add_bytes got (Cluster.read c d 8192)
-      done;
-      check bool "data intact" true (Bytes.equal (Buffer.to_bytes got) payload);
-      let bound = Hashtbl.length tracks + !straddles in
-      let reads = (Rhodos_disk.Disk.stats disk).reads in
-      if reads > bound then
+      let tracks, straddles, stats = cold_scan t in
+      let bound = tracks + straddles in
+      if stats.reads > bound then
         Alcotest.failf "%d main-disk reads; bound %d (%d tracks + %d straddling blocks)"
-          reads bound (Hashtbl.length tracks) !straddles)
+          stats.reads bound tracks straddles)
+
+(* A 2 KiB file laid out first moves the scanned file off track
+   alignment, so some of its blocks straddle two tracks. A straddling
+   block's miss must read only the tracks that are neither cached nor
+   in flight: the disk then reads no more sectors than the tracks the
+   file touches hold. *)
+let test_straddling_scan_reads_only_missing_tracks () =
+  Cluster.run (fun _sim t ->
+      let c = Cluster.add_client t ~name:"spacer" in
+      let d = Cluster.create_file c "/spacer" in
+      Cluster.pwrite c d ~off:0 ~data:(Bytes.make 2048 's');
+      Cluster.close c d;
+      File_agent.flush (Cluster.file_agent c);
+      let tracks, straddles, stats = cold_scan t in
+      if straddles = 0 then Alcotest.fail "precondition: no block straddles a track";
+      let spt = (Rhodos_disk.Disk.geometry (Cluster.disks t).(0)).sectors_per_track in
+      let budget = tracks * spt in
+      if stats.sectors_read > budget then
+        Alcotest.failf "%d sectors read; budget %d (%d tracks of %d sectors)"
+          stats.sectors_read budget tracks spt)
 
 let () =
   Alcotest.run "rhodos_cluster"
@@ -679,6 +705,8 @@ let () =
             test_streamed_read_survives_message_loss;
           Alcotest.test_case "cold scan reads each track once" `Quick
             test_cold_scan_reads_each_track_once;
+          Alcotest.test_case "straddling scan reads only missing tracks" `Quick
+            test_straddling_scan_reads_only_missing_tracks;
         ] );
       ( "transactions",
         [
