@@ -60,7 +60,7 @@ let make_fs ?(ndisks = 1) ?(capacity = mib 32) ?(with_stable = false) ?config
   Fs.create ?config ~disks ()
 
 let no_cache_block_config =
-  { Block.default_config with Block.track_cache_tracks = 0; prefetch = false }
+  { Block.default_config with Block.track_cache_tracks = 0 }
 
 let total_disk_refs fs =
   let refs = ref 0 in

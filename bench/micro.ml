@@ -27,11 +27,7 @@ let prepared_block_service () =
         let bs =
           Block.create
             ~config:
-              {
-                Block.bitmap_write_through = false;
-                track_cache_tracks = 0;
-                prefetch = false;
-              }
+              { Block.bitmap_write_through = false; track_cache_tracks = 0 }
             ~disk ()
         in
         Block.format bs;

@@ -1,24 +1,25 @@
-(* Repo lint driver.
+(* Repo lint driver. Both modes parse with the compiler frontend and
+   report an unparseable file as a [parse-failure] finding.
 
-   [rhodos_lint DIR...] — token-based text lint over every .ml under
+   [rhodos_lint DIR...] — the per-file lint rules over every .ml under
    the given directories (default: lib). Directories named "bench"
    get the Bench profile. Wired to the @lint alias on the tier-1
    runtest path.
 
    [rhodos_lint static [--json] [--baseline FILE] [--write-baseline
-   FILE] [--self-test DIR] [DIR...]] — the AST-based whole-program
-   analysis (call graph, may-block fixpoint, lock-order graph,
-   wire-protocol coverage, AST ports of the token rules; text-engine
-   fallback for unparseable files). Exit 0 when clean against the
-   baseline (if any), 1 on new findings, 2 on usage/IO errors. Wired
-   to the @staticcheck alias, part of @ci. *)
+   FILE] [--self-test DIR] [DIR...]] — the whole-program analysis
+   (call graph, may-block fixpoint, lock-order graph, wire-protocol
+   coverage, exception flow, races, and three of the per-file rules).
+   Exit 0 when clean against the baseline (if any), 1 on new findings,
+   2 on usage/IO errors. Wired to the @staticcheck alias, part of
+   @ci. *)
 
-module Lint = Rhodos_analysis.Lint
 module Static = Rhodos_static.Static
 module Finding = Rhodos_static.Finding
+module Ast_rules = Rhodos_static.Ast_rules
 
 let profile_of dir =
-  if Filename.basename dir = "bench" then Lint.Bench else Lint.Library
+  if Filename.basename dir = "bench" then Ast_rules.Bench else Ast_rules.Library
 
 let require_dir d =
   if not (Sys.file_exists d && Sys.is_directory d) then begin
@@ -125,11 +126,6 @@ let run_static args =
            fresh)
     else begin
       List.iter (fun f -> Format.printf "%a@." Finding.pp f) fresh;
-      List.iter
-        (fun (p, e) ->
-          Format.eprintf "staticcheck: parse failure (text fallback): %s: %s@."
-            p e)
-        report.Static.parse_failures;
       (* A readable added/removed diff against the committed baseline:
          the sweep deviating must say exactly how. *)
       if fresh <> [] || stale <> [] then begin
@@ -178,11 +174,11 @@ let run_static args =
 let run_text dirs =
   let dirs = match dirs with [] -> [ "lib" ] | ds -> ds in
   List.iter require_dir dirs;
-  let violations =
-    List.concat_map (fun d -> Lint.lint_dir ~profile:(profile_of d) d) dirs
+  let findings =
+    List.concat_map (fun d -> Static.lint_dir ~profile:(profile_of d) d) dirs
   in
-  List.iter (fun v -> Format.printf "%a@." Lint.pp_violation v) violations;
-  match violations with
+  List.iter (fun f -> Format.printf "%a@." Finding.pp f) findings;
+  match findings with
   | [] -> Format.printf "lint: %s clean@." (String.concat " " dirs)
   | vs ->
     Format.eprintf "lint: %d violation(s)@." (List.length vs);

@@ -25,8 +25,8 @@ type t = {
 }
 
 val build : Source.file list -> t
-(** Unparseable files contribute no nodes (the driver text-lints them
-    instead). *)
+(** Unparseable files contribute no nodes (the driver reports them as
+    [parse-failure]). *)
 
 val node : t -> string -> node option
 

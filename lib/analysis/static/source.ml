@@ -3,7 +3,7 @@ type file = {
   module_name : string;
   src : string;
   ast : Parsetree.structure option;
-  parse_error : string option;
+  parse_error : (int * string) option;
   suppressions : (int * string) list;
 }
 
@@ -58,7 +58,12 @@ let parse_string ~filename src =
   Lexing.set_filename lexbuf filename;
   match Parse.implementation lexbuf with
   | ast -> Ok ast
-  | exception e -> Error (Printexc.to_string e)
+  | exception e -> (
+    match Location.error_of_exn e with
+    | Some (`Ok { Location.main = { loc; txt }; _ }) ->
+      Error (loc.loc_start.pos_lnum, Format.asprintf "%t" txt)
+    | Some `Already_displayed | None ->
+      Error (lexbuf.lex_curr_p.pos_lnum, Printexc.to_string e))
 
 let of_string ~path src =
   let ast, parse_error =

@@ -2,16 +2,17 @@
     compiler's own frontend ([compiler-libs]), and extract
     [static-ok] suppression comments.
 
-    A file that fails to parse keeps [ast = None]; the driver falls
-    back to the token-based text lint for it, so a syntax error never
-    hides a file from analysis entirely. *)
+    A file that fails to parse keeps [ast = None] and its error; the
+    driver reports it as a [parse-failure] finding, so a syntax error
+    never hides a file from analysis. *)
 
 type file = {
   path : string;
   module_name : string;  (** capitalised basename, the root module *)
   src : string;
   ast : Parsetree.structure option;  (** [None] when unparseable *)
-  parse_error : string option;
+  parse_error : (int * string) option;
+      (** the syntax error's line and message when unparseable *)
   suppressions : (int * string) list;
       (** [(line, rule)] from [(* static-ok: <rule> <reason> *)] *)
 }
@@ -24,7 +25,7 @@ val suppressed : (int * string) list -> line:int -> rule:string -> bool
 (** A suppression on line L covers findings on L and L+1. *)
 
 val parse_string :
-  filename:string -> string -> (Parsetree.structure, string) result
+  filename:string -> string -> (Parsetree.structure, int * string) result
 
 val of_string : path:string -> string -> file
 (** Build a {!file} from in-memory source (tests use this). *)

@@ -1,9 +1,8 @@
-(* Driver for the AST-based whole-program analysis: load sources,
-   build the call graph, run the passes, apply suppressions, and
-   compare against a committed baseline. Pure — printing and exit
-   codes live in bin/rhodos_lint. *)
-
-module Lint = Rhodos_analysis.Lint
+(* Driver for both lint entry points. [analyze]: load sources, build
+   the call graph, run the passes, apply suppressions, and compare
+   against a committed baseline. [lint_dir]: the per-file rules of a
+   profile plus the missing-mli check. Pure — printing and exit codes
+   live in bin/rhodos_lint. *)
 
 type report = {
   findings : Finding.t list;
@@ -13,10 +12,6 @@ type report = {
   timings : (string * float) list;
   race_locations : Racepass.location list;
 }
-
-let finding_of_violation (v : Lint.violation) =
-  Finding.v ~rule:v.Lint.rule ~file:v.Lint.file ~line:v.Lint.line
-    ~slug:"text-fallback" v.Lint.message
 
 (* Every rule a pass reports. Only a [static-ok] marker naming one of
    these can be stale: a doc comment that shows the syntax as
@@ -28,7 +23,7 @@ let pass_rules =
     "leak-on-raise"; "ivar-unfilled-on-raise"; "escaping-raise-into-dispatch";
     "static-race"; "unsynchronized-cell-write"; "unmonitored-shared-state";
   ]
-  @ Ast_rules.migrated_rules
+  @ Ast_rules.static_rules
 
 (* A marker that suppressed nothing means the code it excused is gone,
    or a pass has lost sight of it; either way the marker must go. *)
@@ -53,6 +48,23 @@ let stale_suppressions files dropped =
         f.Source.suppressions)
     files
 
+(* One suppression reader for both entry points: (kept, dropped). *)
+let partition_suppressed files findings =
+  let suppressions_for path =
+    match
+      List.find_opt (fun (f : Source.file) -> f.Source.path = path) files
+    with
+    | Some f -> f.Source.suppressions
+    | None -> []
+  in
+  List.partition
+    (fun (f : Finding.t) ->
+      not
+        (Source.suppressed
+           (suppressions_for f.Finding.file)
+           ~line:f.Finding.line ~rule:f.Finding.rule))
+    findings
+
 (* [clock] defaults to a constant so the library stays free of host
    clocks (the host-clock-hygiene rule); the CLI passes [Sys.time] to
    get real per-pass wall-time in [--json]. *)
@@ -72,39 +84,15 @@ let analyze_files ?(clock = fun () -> 0.) files =
     timed "exnflow" (fun () -> Exnflow.run graph lock)
   in
   let race = timed "racepass" (fun () -> Racepass.run graph mb lock) in
-  let ast = timed "ast-rules" (fun () -> Ast_rules.run files) in
-  (* Files the compiler frontend rejects still get the token engine:
-     a syntax error must not hide a file from analysis. *)
-  let fallback =
-    List.concat_map
-      (fun (f : Source.file) ->
-        match f.Source.ast with
-        | Some _ -> []
-        | None ->
-          List.map finding_of_violation
-            (Lint.lint_source ~file:f.Source.path f.Source.src))
-      files
-  in
-  let all =
-    Finding.sort
-      (lock.Lockpass.findings @ proto @ exn_findings
-      @ race.Racepass.findings @ ast @ fallback)
-  in
-  let suppressions_for path =
-    match
-      List.find_opt (fun (f : Source.file) -> f.Source.path = path) files
-    with
-    | Some f -> f.Source.suppressions
-    | None -> []
+  let ast =
+    timed "ast-rules" (fun () ->
+        Ast_rules.run ~rules:Ast_rules.static_rules files)
   in
   let kept, dropped =
-    List.partition
-      (fun (f : Finding.t) ->
-        not
-          (Source.suppressed
-             (suppressions_for f.Finding.file)
-             ~line:f.Finding.line ~rule:f.Finding.rule))
-      all
+    partition_suppressed files
+      (Finding.sort
+         (lock.Lockpass.findings @ proto @ exn_findings
+         @ race.Racepass.findings @ ast))
   in
   {
     findings = Finding.sort (kept @ stale_suppressions files dropped);
@@ -112,7 +100,9 @@ let analyze_files ?(clock = fun () -> 0.) files =
     parse_failures =
       List.filter_map
         (fun (f : Source.file) ->
-          Option.map (fun e -> (f.Source.path, e)) f.Source.parse_error)
+          Option.map
+            (fun (line, e) -> (Printf.sprintf "%s:%d" f.Source.path line, e))
+            f.Source.parse_error)
         files;
     files;
     timings = List.rev !timings;
@@ -121,6 +111,36 @@ let analyze_files ?(clock = fun () -> 0.) files =
 
 let analyze ?clock ~dirs () =
   analyze_files ?clock (List.concat_map Source.load_dir dirs)
+
+(* ------------------------------------------------------------------ *)
+(* Per-file lint ([rhodos_lint DIR])                                   *)
+(* ------------------------------------------------------------------ *)
+
+let lint_files ?(profile = Ast_rules.Library) files =
+  fst
+    (partition_suppressed files
+       (Ast_rules.run ~rules:(Ast_rules.profile_rules profile) files))
+
+let lint_source ?profile ~file src =
+  lint_files ?profile [ Source.of_string ~path:file src ]
+
+(* The one rule that reads the file system, not the parse tree. *)
+let missing_mli (f : Source.file) =
+  if Sys.file_exists (f.Source.path ^ "i") then []
+  else
+    [
+      Finding.v ~rule:"missing-mli" ~file:f.Source.path ~line:1
+        ~slug:"missing-mli" "library module has no .mli interface";
+    ]
+
+let lint_dir ?(profile = Ast_rules.Library) dir =
+  let files = Source.load_dir dir in
+  Finding.sort
+    (lint_files ~profile files
+    @
+    match profile with
+    | Library -> List.concat_map missing_mli files
+    | Bench -> [])
 
 let against_baseline report ~baseline =
   let keys = List.map Finding.key report.findings in

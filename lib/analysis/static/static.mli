@@ -1,16 +1,24 @@
-(** Driver for the AST-based static analysis: load, parse, build the
-    call graph, run the passes ({!Mayblock} + {!Lockpass},
-    {!Protocol}, {!Exnflow}, {!Racepass}, {!Ast_rules}, token-engine
-    fallback for unparseable sources), apply [static-ok]
-    suppressions, report each marker for a pass rule that suppressed
-    nothing as [stale-suppression], and diff against the committed
-    baseline. Pure —
-    printing and exit codes belong to [bin/rhodos_lint]. *)
+(** Driver for both lint entry points, over one finding type and one
+    suppression reader ([static-ok: <rule> <reason>] on the finding's
+    line or the line above).
+
+    {!analyze} ([rhodos_lint static]): load, parse, build the call
+    graph, run the passes ({!Mayblock} + {!Lockpass}, {!Protocol},
+    {!Exnflow}, {!Racepass}, {!Ast_rules.static_rules}), report each
+    unparseable source as [parse-failure], apply suppressions, report
+    each marker for a pass rule that suppressed nothing as
+    [stale-suppression], and diff against the committed baseline.
+
+    {!lint_dir} ([rhodos_lint DIR]): the per-file rules of a profile
+    ({!Ast_rules}), suppressions applied, plus [missing-mli] for the
+    Library profile.
+
+    Pure — printing and exit codes belong to [bin/rhodos_lint]. *)
 
 type report = {
   findings : Finding.t list;  (** after suppressions, sorted *)
   suppressed : int;
-  parse_failures : (string * string) list;  (** path, error *)
+  parse_failures : (string * string) list;  (** path:line, error *)
   files : Source.file list;
   timings : (string * float) list;
       (** per-pass wall-time (seconds) in run order; all zero unless
@@ -26,6 +34,19 @@ val analyze_files : ?clock:(unit -> float) -> Source.file list -> report
     default constant clock keeps the library free of host time. *)
 
 val analyze : ?clock:(unit -> float) -> dirs:string list -> unit -> report
+
+val lint_files :
+  ?profile:Ast_rules.profile -> Source.file list -> Finding.t list
+(** The profile's per-file rules (default [Library]), sorted, with
+    suppressions applied. *)
+
+val lint_source :
+  ?profile:Ast_rules.profile -> file:string -> string -> Finding.t list
+(** {!lint_files} over one in-memory source. *)
+
+val lint_dir : ?profile:Ast_rules.profile -> string -> Finding.t list
+(** {!lint_files} over every [.ml] under a directory; the [Library]
+    profile adds [missing-mli] for each with no [.mli] beside it. *)
 
 val against_baseline :
   report -> baseline:string list -> Finding.t list * string list

@@ -19,14 +19,9 @@ type dest = Original | Stable_only | Original_and_stable
 type wait = Wait_stable | Return_early
 type source = Main | Stable
 
-type config = {
-  track_cache_tracks : int;
-  prefetch : bool;
-  bitmap_write_through : bool;
-}
+type config = { track_cache_tracks : int; bitmap_write_through : bool }
 
-let default_config =
-  { track_cache_tracks = 32; prefetch = true; bitmap_write_through = true }
+let default_config = { track_cache_tracks = 32; bitmap_write_through = true }
 
 (* The 64x64 free-extent array of the paper: row [r] caches free
    extents of exactly [r+1] fragments; the last row also accepts
@@ -236,27 +231,6 @@ let blit_track t ~src ~src_track ~tr ~sector ~count out =
   Bytes.blit src ((lo - (src_track * spt)) * sb) out ((lo - sector) * sb)
     ((hi - lo) * sb)
 
-(* Serve [sector, sector+count) from cached tracks; None on any gap. *)
-let cache_read t ~sector ~count =
-  if t.config.track_cache_tracks = 0 then None
-  else begin
-    let spt = sectors_per_track t in
-    let first_track = sector / spt and last_track = (sector + count - 1) / spt in
-    let rec all_present i =
-      i > last_track || (Lru.mem t.tracks i && all_present (i + 1))
-    in
-    if not (all_present first_track) then None
-    else begin
-      let out = Bytes.create (count * sector_bytes t) in
-      for tr = first_track to last_track do
-        match Lru.find t.tracks tr with
-        | Some src -> blit_track t ~src ~src_track:tr ~tr ~sector ~count out
-        | None -> ()
-      done;
-      Some out
-    end
-  end
-
 (* Overlay freshly written data onto any cached track it touches. A
    track read already in flight may predate the write: bumping the
    generation stops it from caching its bytes, and dropping its
@@ -348,20 +322,25 @@ let issue_track_read t ~sector ~count ~first_track ~last_track =
   | None -> ());
   !fetched
 
-(* One read plan per miss. Each track of [sector, sector+count) is
-   cached, in flight, or missing. Cached tracks outside [lo, hi], the
-   smallest run holding every missing track, are copied at once:
-   waiting could let them be evicted, so every cache access comes
-   before the first call that may block. One track read then covers
-   [lo, hi]; when that is the whole request, its buffer is sliced with
-   no output buffer. Last, the reads in flight outside the run are
-   joined. If any read failed or its issuer died, read exactly the
-   needed sectors, as a failed issuer does. *)
+(* One read plan per request. Each track of [sector, sector+count) is
+   cached, in flight, or missing; the request is a hit when every track
+   is cached. Cached tracks outside [lo, hi], the smallest run holding
+   every missing track, are copied at once: waiting could let them be
+   evicted, so every cache access comes before the first call that may
+   block. One track read then covers [lo, hi]; when that is the whole
+   request, its buffer is sliced with no output buffer. Last, the reads
+   in flight outside the run are joined. If any read failed or its
+   issuer died, read exactly the needed sectors, as a failed issuer
+   does. *)
 let read_tracks t ~sector ~count =
   let spt = sectors_per_track t and sb = sector_bytes t in
   let first_track = sector / spt and last_track = (sector + count - 1) / spt in
-  let inflight = Sim.Cell.get t.inflight in
-  let missing tr = not (Lru.mem t.tracks tr || Hashtbl.mem inflight tr) in
+  (* Read only once some track proves uncached, so a hit emits no
+     monitor event for the in-flight table. *)
+  let inflight = lazy (Sim.Cell.get t.inflight) in
+  let missing tr =
+    not (Lru.mem t.tracks tr || Hashtbl.mem (Lazy.force inflight) tr)
+  in
   let lo = ref first_track and hi = ref last_track in
   while !lo <= last_track && not (missing !lo) do incr lo done;
   while !hi >= !lo && not (missing !hi) do decr hi done;
@@ -373,13 +352,16 @@ let read_tracks t ~sector ~count =
     if tr < lo || tr > hi then
       match Lru.find t.tracks tr with
       | Some src -> blit_track t ~src ~src_track:tr ~tr ~sector ~count out
-      | None -> waits := (tr, Hashtbl.find inflight tr) :: !waits
+      | None -> waits := (tr, Hashtbl.find (Lazy.force inflight) tr) :: !waits
   done;
+  let hit = lo > hi && !waits = [] in
+  Counter.incr t.counters (if hit then "cache_hits" else "cache_misses");
   let run =
     if lo > hi then None
     else issue_track_read t ~sector ~count ~first_track:lo ~last_track:hi
   in
   match run with
+  | _ when hit -> out
   | Some data when whole -> Bytes.sub data ((sector - (lo * spt)) * sb) (count * sb)
   | _ ->
     let copied ~src_track first last = function
@@ -409,15 +391,11 @@ let get_block_impl ~source t ~pos ~fragments =
   | Main ->
     let sector = pos * t.sectors_per_fragment in
     let count = fragments * t.sectors_per_fragment in
-    (match cache_read t ~sector ~count with
-    | Some data ->
-      Counter.incr t.counters "cache_hits";
-      data
-    | None ->
+    if t.config.track_cache_tracks = 0 then begin
       Counter.incr t.counters "cache_misses";
-      if t.config.prefetch && t.config.track_cache_tracks > 0 then
-        read_tracks t ~sector ~count
-      else exact_read t ~sector ~count)
+      exact_read t ~sector ~count
+    end
+    else read_tracks t ~sector ~count
 
 let get_block ?(source = Main) t ~pos ~fragments =
   Trace.maybe t.tracer ~service:"block_service" ~op:"get_block"

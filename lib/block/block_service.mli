@@ -61,11 +61,11 @@ type wait = Wait_stable | Return_early
 type source = Main | Stable
 
 type config = {
-  track_cache_tracks : int;  (** capacity of the track cache; 0 disables *)
-  prefetch : bool;
-      (** on a miss, read the whole track(s) in the same disk
-          reference and cache them — the paper's "caches the rest of
-          the data from the same track" *)
+  track_cache_tracks : int;
+      (** capacity of the track cache; 0 disables it. When on, a miss
+          reads the whole track(s) in the same disk reference and
+          caches them — the paper's "caches the rest of the data from
+          the same track" *)
   bitmap_write_through : bool;
       (** persist the bitmap to stable storage on every allocate/free
           (otherwise only on [sync]) *)

@@ -1,11 +1,11 @@
-(* Differential fixture for the migrated token rules. The two true
-   positives below must be caught by the AST engine (and by the text
-   engine). [table] is a module-level Hashtbl but no concurrency root
-   ever reaches it, so the race pass (which superseded the blanket
-   global-mutable-state rule) stays rightly silent. The baits at the
-   bottom are historical token-engine weak spots: a multi-line
-   [let ... in] local binding (not module state) and an identifier
-   that merely contains "sort" (must not absolve the fold). *)
+(* Differential fixture for the per-file rules both lint entry points
+   run. The two true positives below must be caught by both.
+   [table] is a module-level Hashtbl but no concurrency root ever
+   reaches it, so the race pass (which stands in for the blanket
+   global-mutable-state rule in this sweep) stays rightly silent. The
+   baits at the bottom are the retired token engine's weak spots: a
+   multi-line [let ... in] local binding (not module state) and an
+   identifier that merely contains "sort" (must not absolve the fold). *)
 (* expect: hashtbl-iter-order no-unseeded-random *)
 
 let table = Hashtbl.create 16

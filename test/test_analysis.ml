@@ -3,7 +3,7 @@
    Table 1 model checker, the determinism sanitizer, the bounded
    model checker (controlled scheduling, schedule replay, crash-point
    sweeps, the lost-update negative control), the Sim audit hooks and
-   the repo lint pass. *)
+   the repo lint's per-file rules. *)
 
 open Alcotest
 module Sim = Rhodos_sim.Sim
@@ -15,7 +15,9 @@ module Scenarios = Rhodos_analysis.Scenarios
 module Table_check = Rhodos_analysis.Table_check
 module Determinism = Rhodos_analysis.Determinism
 module Explore = Rhodos_analysis.Explore
-module Lint = Rhodos_analysis.Lint
+module Static = Rhodos_static.Static
+module Ast_rules = Rhodos_static.Ast_rules
+module Finding = Rhodos_static.Finding
 module Vclock = Rhodos_analysis.Vclock
 module Sanitizer = Rhodos_analysis.Sanitizer
 module Cache = Rhodos_cache.Buffer_cache
@@ -468,75 +470,78 @@ let test_lifo_tie_break () =
     (Pq.pop q)
 
 (* ------------------------------------------------------------------ *)
-(* Lint engine                                                         *)
+(* Repo lint: per-file rules                                           *)
 (* ------------------------------------------------------------------ *)
 
-let rules vs = List.map (fun v -> v.Lint.rule) vs
+let rules vs = List.map (fun v -> v.Finding.rule) vs
 
 let test_lint_catch_all () =
   check (list string) "try with _ flagged" [ "no-catch-all" ]
-    (rules (Lint.lint_source ~file:"t.ml" "let f x = try g x with _ -> 0"));
+    (rules (Static.lint_source ~file:"t.ml" "let f x = try g x with _ -> 0"));
   check (list string) "multiline try with | _ flagged" [ "no-catch-all" ]
     (rules
-       (Lint.lint_source ~file:"t.ml" "let f x =\n  try\n    g x\n  with\n  | _ -> 0"));
+       (Static.lint_source ~file:"t.ml" "let f x =\n  try\n    g x\n  with\n  | _ -> 0"));
   check int "line number points at the with" 4
     (match
-       Lint.lint_source ~file:"t.ml" "let f x =\n  try\n    g x\n  with\n  | _ -> 0"
+       Static.lint_source ~file:"t.ml" "let f x =\n  try\n    g x\n  with\n  | _ -> 0"
      with
-    | [ v ] -> v.Lint.line
+    | [ v ] -> v.Finding.line
     | _ -> -1);
   check (list string) "wildcard with guard flagged" [ "no-catch-all" ]
     (rules
-       (Lint.lint_source ~file:"t.ml" "let f x = try g x with _ when p x -> 0"))
+       (Static.lint_source ~file:"t.ml" "let f x = try g x with _ when p x -> 0"))
 
 let test_lint_catch_all_negatives () =
   check (list string) "match wildcard allowed" []
-    (rules (Lint.lint_source ~file:"t.ml" "let f x = match x with _ -> 0"));
+    (rules (Static.lint_source ~file:"t.ml" "let f x = match x with _ -> 0"));
   check (list string) "record update allowed" []
-    (rules (Lint.lint_source ~file:"t.ml" "let f g = { g with a = 1 }"));
+    (rules (Static.lint_source ~file:"t.ml" "let f g = { g with a = 1 }"));
   check (list string) "named handler allowed" []
     (rules
-       (Lint.lint_source ~file:"t.ml" "let f x = try g x with Not_found -> 0"));
+       (Static.lint_source ~file:"t.ml" "let f x = try g x with Not_found -> 0"));
   check (list string) "catch-all in comment allowed" []
-    (rules (Lint.lint_source ~file:"t.ml" "(* try f with _ -> 0 *) let x = 1"));
+    (rules (Static.lint_source ~file:"t.ml" "(* try f with _ -> 0 *) let x = 1"));
   check (list string) "nested match inside try allowed" []
     (rules
-       (Lint.lint_source ~file:"t.ml"
+       (Static.lint_source ~file:"t.ml"
           "let f x = try (match x with _ -> 1) with Failure _ -> 0"))
 
 let test_lint_forbidden () =
-  (* a host clock trips both the general rule and the hygiene rule *)
-  check (list string) "Unix. flagged" [ "no-wall-clock"; "host-clock-hygiene" ]
-    (rules (Lint.lint_source ~file:"t.ml" "let t = Unix.gettimeofday ()"));
+  (* a host clock trips both the general rule and the hygiene rule;
+     findings on one line come in rule order *)
+  check (list string) "Unix. flagged" [ "host-clock-hygiene"; "no-wall-clock" ]
+    (rules (Static.lint_source ~file:"t.ml" "let t = Unix.gettimeofday ()"));
   check (list string) "Random.self_init flagged" [ "no-wall-clock" ]
-    (rules (Lint.lint_source ~file:"t.ml" "let () = Random.self_init ()"));
+    (rules (Static.lint_source ~file:"t.ml" "let () = Random.self_init ()"));
+  check (list string) "unseeded Random.int flagged" [ "no-unseeded-random" ]
+    (rules (Static.lint_source ~file:"t.ml" "let roll () = Random.int 6"));
   check (list string) "Sys.time flagged"
-    [ "no-wall-clock"; "host-clock-hygiene" ]
-    (rules (Lint.lint_source ~file:"t.ml" "let t = Sys.time ()"));
+    [ "host-clock-hygiene"; "no-wall-clock" ]
+    (rules (Static.lint_source ~file:"t.ml" "let t = Sys.time ()"));
   check (list string) "in a string literal, allowed" []
-    (rules (Lint.lint_source ~file:"t.ml" "let s = \"Unix.stat\""));
+    (rules (Static.lint_source ~file:"t.ml" "let s = \"Unix.stat\""));
   check (list string) "in a comment, allowed" []
-    (rules (Lint.lint_source ~file:"t.ml" "(* Unix.stat *) let x = 1"));
+    (rules (Static.lint_source ~file:"t.ml" "(* Unix.stat *) let x = 1"));
   check (list string) "prefix of another ident, allowed" []
-    (rules (Lint.lint_source ~file:"t.ml" "let t = My_unix.now ()"))
+    (rules (Static.lint_source ~file:"t.ml" "let t = My_unix.now ()"))
 
 let test_lint_host_clock () =
   check (list string) "monotonic clock outside the profiler flagged"
     [ "host-clock-hygiene" ]
     (rules
-       (Lint.lint_source ~file:"t.ml" "let t = Monotonic_clock.now ()"));
+       (Static.lint_source ~file:"t.ml" "let t = Monotonic_clock.now ()"));
   check (list string) "Unix.times flagged"
-    [ "no-wall-clock"; "host-clock-hygiene" ]
-    (rules (Lint.lint_source ~file:"t.ml" "let t = Unix.times ()"));
+    [ "host-clock-hygiene"; "no-wall-clock" ]
+    (rules (Static.lint_source ~file:"t.ml" "let t = Unix.times ()"));
   check (list string) "the profiler module is the sanctioned reader" []
     (rules
-       (Lint.lint_source ~file:"lib/obs/profiler.ml"
+       (Static.lint_source ~file:"lib/obs/profiler.ml"
           "let now_ns () = Int64.to_int (Monotonic_clock.now ())"));
   check (list string) "in a comment, allowed" []
-    (rules (Lint.lint_source ~file:"t.ml" "(* Monotonic_clock.now *) let x = 1"));
+    (rules (Static.lint_source ~file:"t.ml" "(* Monotonic_clock.now *) let x = 1"));
   check (list string) "bench profile may time itself" []
     (rules
-       (Lint.lint_source ~profile:Lint.Bench ~file:"micro.ml"
+       (Static.lint_source ~profile:Ast_rules.Bench ~file:"micro.ml"
           "let run () = ()\nlet t = Monotonic_clock.now ()"))
 
 let test_lint_hot_path () =
@@ -544,15 +549,15 @@ let test_lint_hot_path () =
   check (list string) "allocating pop in Sim.step flagged"
     [ "hot-path-alloc" ]
     (rules
-       (Lint.lint_source ~file:"lib/sim/sim.ml"
+       (Static.lint_source ~file:"lib/sim/sim.ml"
           "let step t =\n  match Prio_queue.pop t.events with\n  | None -> false\n  | Some _ -> true"));
   check (list string) "ready scan in Sim.run flagged" [ "hot-path-alloc" ]
     (rules
-       (Lint.lint_source ~file:"lib/sim/sim.ml"
+       (Static.lint_source ~file:"lib/sim/sim.ml"
           "let run t =\n  ignore (Prio_queue.ready t.events)"));
   check (list string) "allocation-free accessors allowed" []
     (rules
-       (Lint.lint_source ~file:"lib/sim/sim.ml"
+       (Static.lint_source ~file:"lib/sim/sim.ml"
           "let step t =\n\
           \  if Prio_queue.is_empty t.events then false\n\
           \  else begin\n\
@@ -562,59 +567,64 @@ let test_lint_hot_path () =
           \  end"));
   check (list string) "other let-regions are free to use the full API" []
     (rules
-       (Lint.lint_source ~file:"lib/sim/sim.ml"
+       (Static.lint_source ~file:"lib/sim/sim.ml"
           "let controlled_step t =\n  ignore (Prio_queue.ready t.events)"));
   check (list string) "static-ok escape hatch honoured" []
     (rules
-       (Lint.lint_source ~file:"lib/sim/sim.ml"
+       (Static.lint_source ~file:"lib/sim/sim.ml"
           "let run t =\n\
-          \  (* static-ok: drained once at shutdown *)\n\
-          \  ignore (Prio_queue.drain t.events) (* static-ok: shutdown *)"));
+          \  (* static-ok: hot-path-alloc drained once at shutdown *)\n\
+          \  ignore (Prio_queue.drain t.events)"));
+  check (list string) "a marker for another rule does not exempt"
+    [ "hot-path-alloc" ]
+    (rules
+       (Static.lint_source ~file:"lib/sim/sim.ml"
+          "let run t =\n  ignore (Prio_queue.drain t.events) (* static-ok: shutdown *)"));
   check (list string) "rule is scoped to sim.ml" []
     (rules
-       (Lint.lint_source ~file:"lib/analysis/explore.ml"
+       (Static.lint_source ~file:"lib/analysis/explore.ml"
           "let run t = ignore (Prio_queue.ready t.events)"));
   check int "line number points at the offending token" 2
     (match
-       Lint.lint_source ~file:"lib/sim/sim.ml"
+       Static.lint_source ~file:"lib/sim/sim.ml"
          "let dispatch t =\n  ignore (Prio_queue.peek t.events)"
      with
-    | [ v ] -> v.Lint.line
+    | [ v ] -> v.Finding.line
     | _ -> -1)
 
 let test_lint_pairing () =
   check (list string) "acquire without release flagged" [ "paired-release" ]
-    (rules (Lint.lint_source ~file:"t.ml" "let f s = Semaphore.acquire s"));
+    (rules (Static.lint_source ~file:"t.ml" "let f s = Semaphore.acquire s"));
   check (list string) "acquire with release allowed" []
     (rules
-       (Lint.lint_source ~file:"t.ml"
+       (Static.lint_source ~file:"t.ml"
           "let f s = Semaphore.acquire s; g (); Semaphore.release s"))
 
 let test_lint_bench_profile () =
   check (list string) "unregistered experiment flagged" [ "bench-emitter" ]
-    (rules (Lint.lint_source ~profile:Lint.Bench ~file:"exp_e99.ml" "let run () = ()"));
+    (rules (Static.lint_source ~profile:Ast_rules.Bench ~file:"exp_e99.ml" "let run () = ()"));
   check (list string) "registered experiment allowed" []
     (rules
-       (Lint.lint_source ~profile:Lint.Bench ~file:"exp_e99.ml"
+       (Static.lint_source ~profile:Ast_rules.Bench ~file:"exp_e99.ml"
           "let () = Json_out.register \"E99\"\nlet run () = ()"));
   check (list string) "non-experiment bench module exempt" []
-    (rules (Lint.lint_source ~profile:Lint.Bench ~file:"micro.ml" "let run () = ()"));
+    (rules (Static.lint_source ~profile:Ast_rules.Bench ~file:"micro.ml" "let run () = ()"));
   check (list string) "bench profile may print tables" []
     (rules
-       (Lint.lint_source ~profile:Lint.Bench ~file:"common.ml"
+       (Static.lint_source ~profile:Ast_rules.Bench ~file:"common.ml"
           "let note fmt = Printf.printf fmt"));
   check (list string) "library profile ignores experiment naming" []
-    (rules (Lint.lint_source ~file:"exp_e99.ml" "let run () = ()"))
+    (rules (Static.lint_source ~file:"exp_e99.ml" "let run () = ()"))
 
 let test_lint_repo_clean () =
   (* The tree under test is copied into _build, so ../lib is the
      library source seen by the build. *)
   let dir = Filename.concat Filename.parent_dir_name "lib" in
   if Sys.file_exists dir && Sys.is_directory dir then begin
-    let vs = Lint.lint_dir dir in
+    let vs = Static.lint_dir dir in
     List.iter
-      (fun v -> Printf.printf "%s:%d: %s %s\n" v.Lint.file v.Lint.line
-          v.Lint.rule v.Lint.message)
+      (fun v -> Printf.printf "%s:%d: %s %s\n" v.Finding.file v.Finding.line
+          v.Finding.rule v.Finding.message)
       vs;
     check int "lib/ lints clean" 0 (List.length vs)
   end
@@ -622,41 +632,80 @@ let test_lint_repo_clean () =
 let test_lint_global_state () =
   check (list string) "module-level Hashtbl flagged" [ "global-mutable-state" ]
     (rules
-       (Lint.lint_source ~file:"t.ml"
+       (Static.lint_source ~file:"t.ml"
           "let sources : (string, int) Hashtbl.t = Hashtbl.create 8"));
   check (list string) "module-level ref flagged" [ "global-mutable-state" ]
-    (rules (Lint.lint_source ~file:"t.ml" "let hits = ref 0"));
+    (rules (Static.lint_source ~file:"t.ml" "let hits = ref 0"));
   check (list string) "creator function allowed" []
-    (rules (Lint.lint_source ~file:"t.ml" "let create () = Hashtbl.create 8"));
+    (rules (Static.lint_source ~file:"t.ml" "let create () = Hashtbl.create 8"));
   check (list string) "parameterized binding allowed" []
-    (rules (Lint.lint_source ~file:"t.ml" "let clone (t : t) = ref t.v"));
+    (rules (Static.lint_source ~file:"t.ml" "let clone (t : t) = ref t.v"));
   check (list string) "nested binding allowed" []
     (rules
-       (Lint.lint_source ~file:"t.ml"
+       (Static.lint_source ~file:"t.ml"
           "let f x =\n    let q = Queue.create () in\n    ignore q; x"));
   check (list string) "no file is allowlisted anymore"
     [ "global-mutable-state" ]
-    (rules (Lint.lint_source ~file:"logging.ml" "let sources = Hashtbl.create 8"))
+    (rules (Static.lint_source ~file:"logging.ml" "let sources = Hashtbl.create 8"))
 
 let test_lint_raw_cell () =
   check (list string) "raw Hashtbl op on a migrated field flagged"
     [ "raw-shared-cell" ]
     (rules
-       (Lint.lint_source ~file:"file_agent.ml"
+       (Static.lint_source ~file:"file_agent.ml"
           "let forget t k = Hashtbl.remove t.inflight k"));
   check (list string) "raw field assignment flagged" [ "raw-shared-cell" ]
     (rules
-       (Lint.lint_source ~file:"buffer_cache.ml" "let reset t v = t.buffers <- v"));
+       (Static.lint_source ~file:"buffer_cache.ml" "let reset t v = t.buffers <- v"));
   check (list string) "cell accessors allowed" []
     (rules
-       (Lint.lint_source ~file:"file_agent.ml"
+       (Static.lint_source ~file:"file_agent.ml"
           "let pending t = Cell.get t.inflight"));
   check (list string) "same pattern in an uninstrumented file allowed" []
     (rules
-       (Lint.lint_source ~file:"other.ml"
+       (Static.lint_source ~file:"other.ml"
           "let forget t k = Hashtbl.remove t.inflight k"));
   check (list string) "unrelated fields unconstrained" []
-    (rules (Lint.lint_source ~file:"file_agent.ml" "let bump t v = t.stats <- v"))
+    (rules (Static.lint_source ~file:"file_agent.ml" "let bump t v = t.stats <- v"));
+  check (list string) "raw Hashtbl op on the block service's inflight"
+    [ "raw-shared-cell" ]
+    (rules
+       (Static.lint_source ~file:"block_service.ml"
+          "let forget t k = Hashtbl.remove t.inflight k"));
+  check (list string) "raw reset of the agent's name cache"
+    [ "raw-shared-cell" ]
+    (rules
+       (Static.lint_source ~file:"file_agent.ml"
+          "let drop t = Hashtbl.reset t.name_cache"))
+
+let test_lint_direct_print () =
+  let src = "let say s = Printf.printf \"%s\" s" in
+  check (list string) "Printf.printf flagged" [ "no-direct-print" ]
+    (rules (Static.lint_source ~file:"t.ml" src));
+  check (list string) "logging.ml is the sanctioned sink" []
+    (rules (Static.lint_source ~file:"logging.ml" src))
+
+let with_temp_dir f =
+  let dir = Filename.temp_dir "rhodos_lint" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let write_file path src =
+  Out_channel.with_open_bin path (fun oc -> output_string oc src)
+
+let test_lint_missing_mli () =
+  with_temp_dir (fun dir ->
+      write_file (Filename.concat dir "a.ml") "let x = 1\n";
+      check (list string) "a.ml with no a.mli flagged" [ "missing-mli" ]
+        (rules (Static.lint_dir dir));
+      check (list string) "bench modules need none" []
+        (rules (Static.lint_dir ~profile:Ast_rules.Bench dir));
+      write_file (Filename.concat dir "a.mli") "val x : int\n";
+      check (list string) "with its interface, clean" []
+        (rules (Static.lint_dir dir)))
 
 (* ------------------------------------------------------------------ *)
 (* Race and protocol sanitizers                                        *)
@@ -955,6 +1004,8 @@ let () =
           test_case "bench profile" `Quick test_lint_bench_profile;
           test_case "global mutable state" `Quick test_lint_global_state;
           test_case "raw shared cell" `Quick test_lint_raw_cell;
+          test_case "direct print" `Quick test_lint_direct_print;
+          test_case "missing mli" `Quick test_lint_missing_mli;
           test_case "repo lib/ is clean" `Quick test_lint_repo_clean;
         ] );
       ( "race sanitizer",

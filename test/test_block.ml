@@ -248,7 +248,7 @@ let test_put_get_roundtrip () =
 
 let test_contiguous_read_one_reference () =
   with_service
-    ~config:{ Block.default_config with track_cache_tracks = 0; prefetch = false }
+    ~config:{ Block.default_config with track_cache_tracks = 0 }
     (fun _ svc disk ->
       let pos = Block.allocate svc ~fragments:8 in
       Block.put_block svc ~pos (frag_payload 8);
@@ -666,7 +666,6 @@ let allocator_churn_prop =
         ~config:
           {
             Rhodos_block.Block_service.track_cache_tracks = 0;
-            prefetch = false;
             bitmap_write_through = false;
           }
         (fun _ svc _ ->

@@ -414,7 +414,7 @@ let test_contiguity_ablation () =
   let refs exploit =
     with_fs
       ~block_config:
-        { Block.default_config with Block.track_cache_tracks = 0; prefetch = false }
+        { Block.default_config with Block.track_cache_tracks = 0 }
       ~config:{ cold_config with Fs.exploit_contiguity = exploit }
       (fun _ fs ->
         let id = Fs.create_file fs in

@@ -2,8 +2,9 @@
    construction and name canonicalisation, the may-block fixpoint,
    the lock pass (held-state scan + lock-order cycles), wire-protocol
    coverage, suppressions and baselines — all on inline programs —
-   plus the token-engine regression fixes and the AST-vs-token
-   differential over lib/ and the committed fixtures. *)
+   plus the old token engine's weak spots, parse failures, and the
+   differential between the two lint entry points over lib/ and the
+   committed fixtures. *)
 
 module Source = Rhodos_static.Source
 module Callgraph = Rhodos_static.Callgraph
@@ -12,7 +13,6 @@ module Lockpass = Rhodos_static.Lockpass
 module Finding = Rhodos_static.Finding
 module Static = Rhodos_static.Static
 module Ast_rules = Rhodos_static.Ast_rules
-module Lint = Rhodos_analysis.Lint
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -357,13 +357,15 @@ let test_baseline_round_trip () =
   check bool "unknown key is stale" true (stale = [ "bogus|key|x|y" ])
 
 (* ------------------------------------------------------------------ *)
-(* Token-engine regression fixes                                       *)
+(* The retired token engine's weak spots                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The per-file lint once ran on a token scan that misread these; the
+   parse tree must not. *)
 let token_rules src =
   List.map
-    (fun (v : Lint.violation) -> v.Lint.rule)
-    (Lint.lint_source ~file:"x.ml" src)
+    (fun (f : Finding.t) -> f.Finding.rule)
+    (Static.lint_source ~file:"x.ml" src)
 
 let test_multiline_let_in_not_global () =
   let src =
@@ -388,35 +390,72 @@ let test_sort_needs_token_boundary () =
        "let keys t = List.sort compare (Hashtbl.fold (fun k _ a -> k :: a) t [])\n")
 
 (* ------------------------------------------------------------------ *)
-(* Differential: AST findings cover the token engine's true positives  *)
+(* Differential: both entry points agree on the rules they share       *)
 (* ------------------------------------------------------------------ *)
 
+(* [rhodos_lint DIR] and [rhodos_lint static] run one implementation of
+   the shared rules through one suppression reader, so over the same
+   files they must report the same (rule, file, line) set. *)
 let differential dir =
   let files = Source.load_dir dir in
-  let report = Static.analyze_files files in
-  List.iter
-    (fun (f : Source.file) ->
-      match f.Source.ast with
-      | None -> () (* token engine is the only engine there *)
-      | Some _ ->
-        List.iter
-          (fun (v : Lint.violation) ->
-            if List.mem v.Lint.rule Ast_rules.migrated_rules then
-              check bool
-                (Printf.sprintf "AST engine covers %s at %s:%d" v.Lint.rule
-                   v.Lint.file v.Lint.line)
-                true
-                (List.exists
-                   (fun (x : Finding.t) ->
-                     x.Finding.rule = v.Lint.rule
-                     && x.Finding.file = v.Lint.file
-                     && x.Finding.line = v.Lint.line)
-                   report.Static.findings))
-          (Lint.lint_source ~file:f.Source.path f.Source.src))
-    files
+  let shared (fs : Finding.t list) =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (f : Finding.t) ->
+           if List.mem f.Finding.rule ("parse-failure" :: Ast_rules.static_rules)
+           then Some (f.Finding.rule, f.Finding.file, f.Finding.line)
+           else None)
+         fs)
+  in
+  let triple = Alcotest.(list (triple string string int)) in
+  check triple
+    (Printf.sprintf "shared-rule findings over %s" dir)
+    (shared (Static.analyze_files files).Static.findings)
+    (shared (Static.lint_files files))
 
 let test_differential_lib () = differential "../lib"
 let test_differential_fixtures () = differential "fixtures/static"
+
+(* A syntax error is itself a finding, in both entry points, at the
+   error's line; nothing else reads the file. The probe lives in a temp
+   dir so the pinned fixture report does not move. *)
+let test_parse_failure () =
+  let dir = Filename.temp_dir "rhodos_static" "" in
+  let file name src =
+    let path = Filename.concat dir name in
+    Out_channel.with_open_bin path (fun oc -> output_string oc src);
+    path
+  in
+  let paths =
+    [
+      file "bad.ml" "let ok = 1\n\nlet x = in 2\nlet y = 3\n";
+      file "bad.mli" "";
+    ]
+  in
+  let out = Filename.concat dir "out.txt" in
+  let lint args =
+    let code =
+      Sys.command
+        (Filename.quote_command "../bin/rhodos_lint.exe" ~stdout:out
+           (args @ [ dir ]))
+    in
+    let stdout = In_channel.with_open_bin out In_channel.input_all in
+    (code, List.filter (( <> ) "") (String.split_on_char '\n' stdout))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Sys.remove (out :: paths);
+      Sys.rmdir dir)
+    (fun () ->
+      List.iter
+        (fun (name, args) ->
+          let code, findings = lint args in
+          check int (name ^ " exits 1") 1 code;
+          check (Alcotest.list Alcotest.string)
+            (name ^ " reports one parse failure at the error's line")
+            [ Filename.concat dir "bad.ml:3: [parse-failure] Syntax error" ]
+            findings)
+        [ ("rhodos_lint DIR", []); ("rhodos_lint static DIR", [ "static" ]) ])
 
 let test_fixture_self_test () =
   let ok, lines = Static.self_test ~dir:"fixtures/static" in
@@ -1171,6 +1210,8 @@ let () =
             test_baseline_round_trip;
           Alcotest.test_case "fixture self-test" `Quick test_fixture_self_test;
           Alcotest.test_case "fixture golden JSON" `Quick test_fixture_golden;
+          Alcotest.test_case "parse failure is a finding" `Quick
+            test_parse_failure;
         ] );
       ( "token-engine",
         [
