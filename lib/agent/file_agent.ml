@@ -295,11 +295,16 @@ let open_redirect t ~path ~slot =
 (* Cached data path: coalesced, pipelined, single-flight fetches        *)
 (* ------------------------------------------------------------------ *)
 
-let pad_block fetched =
-  if Bytes.length fetched = block_size then fetched
+(* Block [k] of a fetched reply, as the block the cache will own. A
+   reply is a fresh buffer no one else holds, so a reply that is
+   exactly one block is that block; any other reply is sliced (and a
+   short tail zero-padded) in one copy. *)
+let block_of_reply data k =
+  let boff = k * block_size in
+  if boff = 0 && Bytes.length data = block_size then data
   else begin
     let b = Bytes.make block_size '\000' in
-    Bytes.blit fetched 0 b 0 (Bytes.length fetched);
+    Bytes.blit data boff b 0 (min block_size (Bytes.length data - boff));
     b
   end
 
@@ -343,9 +348,7 @@ let run_fetch t file ivars c0 c1 =
         let bi = (off / block_size) + k in
         match List.assoc_opt bi ivars with
         | Some iv when not (Sim.Ivar.is_filled iv) ->
-          let boff = k * block_size in
-          let avail = min block_size (Bytes.length data - boff) in
-          complete_block t iv file bi (pad_block (Bytes.sub data boff avail))
+          complete_block t iv file bi (block_of_reply data k)
         | Some _ | None -> ()
       done
     end
@@ -366,7 +369,7 @@ let run_fetch t file ivars c0 c1 =
                 ~len:block_size
             in
             if not (Sim.Ivar.is_filled iv) then
-              complete_block t iv file bi (pad_block data)
+              complete_block t iv file bi (block_of_reply data 0)
           end)
         ivars
     | Some _ | None ->
@@ -484,10 +487,17 @@ let issue_read_ahead t file ~b1 ~ra ~size =
     done
   end
 
+(* Block [bi]'s share of the byte range [off, off+len) starts at file
+   offset [share_start] and ends before [share_stop]. *)
+let share_start ~off bi = max off (bi * block_size)
+let share_stop ~off ~len bi = min (off + len) ((bi + 1) * block_size)
+
 (* The read path: classify every needed block (cached / in flight /
    missing), issue one coalesced fetch per missing run, kick off
    read-ahead, then assemble — waiting only on the cells this read
-   needs. Independent runs fetch concurrently under the window. *)
+   needs. Independent runs fetch concurrently under the window. A
+   cached block is copied into [out] as it is classified, before
+   anything can block, so the user's buffer is its only copy. *)
 let pread_core t file ~off ~len ~ra =
   Counter.incr t.counters "reads";
   let size = !(size_ref t file) in
@@ -500,16 +510,20 @@ let pread_core t file ~off ~len ~ra =
   else begin
     let b0 = off / block_size and b1 = (off + len - 1) / block_size in
     let n = b1 - b0 + 1 in
+    let out = Bytes.create len in
     let slots = Array.make n `Miss in
     for i = 0 to n - 1 do
       let bi = b0 + i in
       note_prefetch_hit t file bi;
-      match Cache.find t.cache (file, bi) with
-      | Some data -> slots.(i) <- `Have data
-      | None -> (
+      let s = share_start ~off bi in
+      if
+        Cache.read_into t.cache (file, bi) ~off:(s - (bi * block_size))
+          ~len:(share_stop ~off ~len bi - s) out ~dst_off:(s - off)
+      then slots.(i) <- `Have
+      else
         match Hashtbl.find_opt (tbl t.inflight) (file, bi) with
         | Some iv -> slots.(i) <- `Wait iv
-        | None -> ())
+        | None -> ()
     done;
     let i = ref 0 in
     while !i < n do
@@ -528,19 +542,15 @@ let pread_core t file ~off ~len ~ra =
       | _ -> incr i
     done;
     issue_read_ahead t file ~b1 ~ra ~size;
-    let out = Bytes.create len in
     for i = 0 to n - 1 do
-      let bi = b0 + i in
-      let data =
-        match slots.(i) with
-        | `Have data -> data
-        | `Wait iv -> await iv
-        | `Miss -> assert false
-      in
-      let file_start = bi * block_size in
-      let s = max off file_start
-      and e = min (off + len) (file_start + block_size) in
-      Bytes.blit data (s - file_start) out (s - off) (e - s)
+      match slots.(i) with
+      | `Have -> ()
+      | `Wait iv ->
+        let bi = b0 + i in
+        let s = share_start ~off bi in
+        Bytes.blit (await iv) (s - (bi * block_size)) out (s - off)
+          (share_stop ~off ~len bi - s)
+      | `Miss -> assert false
     done;
     out
   end
@@ -565,17 +575,20 @@ let pread_desc t s ~off ~len =
 
 (* Fetch a single block through the same single-flight machinery (used
    by partial-block writes that must read-modify-write). Consuming a
-   read-ahead block as the RMW base counts as a prefetch hit. *)
+   read-ahead block as the RMW base counts as a prefetch hit. The block
+   is the caller's to edit: [Cache.find] already copies, and a fetched
+   block is shared with the cache and the fetch's other waiters, so
+   it is copied here. *)
 let load_block t file bi =
   let data =
     match Cache.find t.cache (file, bi) with
     | Some data -> data
     | None -> (
       match Hashtbl.find_opt (tbl t.inflight) (file, bi) with
-      | Some iv -> await iv
+      | Some iv -> Bytes.copy (await iv)
       | None -> (
         match issue_fetch t file bi bi ~prefetch:false with
-        | [ (_, iv) ] -> await iv
+        | [ (_, iv) ] -> Bytes.copy (await iv)
         | _ -> assert false))
   in
   note_prefetch_hit t file bi;
@@ -608,7 +621,7 @@ let pwrite_file_impl t file ~off ~data =
             (* Partial block: start from the old content when the
                block already has bytes inside the file. *)
             let base =
-              if file_start < old_size then Bytes.copy (load_block t file bi)
+              if file_start < old_size then load_block t file bi
               else Bytes.make block_size '\000'
             in
             Bytes.blit data (s - off) base (s - file_start) (e - s);

@@ -21,6 +21,9 @@ type fs_conn = {
   close_file : int -> unit;
   delete_file : int -> unit;
   pread : int -> off:int -> len:int -> bytes;
+      (** The result is a fresh buffer owned by the caller: no one else
+          holds or edits it, so the file agent caches a one-block
+          reply as it is. *)
   pread_stream :
     (int -> off:int -> len:int -> on_chunk:(off:int -> bytes -> unit) -> unit)
     option;

@@ -280,7 +280,17 @@ let exact_read t ~sector ~count =
    decayed sector failed the read. While the read runs it is
    registered in [t.inflight] for misses on the same tracks to join. A
    track written meanwhile keeps the bytes of the write, not the
-   read's: its generation moved, so it is not cached. *)
+   read's: its generation moved, so it is not cached.
+
+   A one-track read's buffer becomes the cached track as it is, with no
+   copy; a multi-track read copies each track out. Sharing is safe for
+   three reasons. [Disk.read] returns a fresh buffer no one else holds.
+   [read_tracks] copies out of it before anything can block, and every
+   [get_block] result is a fresh buffer, never the cached track. And
+   the only in-place edit of a cached track is [cache_update_on_write]'s
+   overlay: a reader that joined the read and wakes after a later write
+   copies the written bytes, which is the track's content at the moment
+   it copies, just what a cached-track hit returns then. *)
 let issue_track_read t ~sector ~count ~first_track ~last_track =
   let spt = sectors_per_track t in
   let sb = sector_bytes t in
@@ -317,7 +327,9 @@ let issue_track_read t ~sector ~count ~first_track ~last_track =
       (fun i gen ->
         let tr = first_track + i in
         if gen_of t tr = gen then
-          cache_insert t tr (Bytes.sub data (i * spt * sb) (spt * sb)))
+          cache_insert t tr
+            (if first_track = last_track then data
+             else Bytes.sub data (i * spt * sb) (spt * sb)))
       gens
   | None -> ());
   !fetched

@@ -148,7 +148,9 @@ val free_block : t -> pos:int -> blocks:int -> unit
 
 val get_block : ?source:source -> t -> pos:int -> fragments:int -> bytes
 (** Read contiguous fragments in one disk reference (or from the
-    track cache). [source = Stable] reads the stable copy. *)
+    track cache). [source = Stable] reads the stable copy. The result
+    is a fresh buffer owned by the caller, never a cached track: the
+    caller may keep or edit it. *)
 
 val put_block : ?dest:dest -> ?wait:wait -> t -> pos:int -> bytes -> unit
 (** Write contiguous fragments (length must be a positive multiple of

@@ -163,6 +163,19 @@ let find t k =
     Counter.incr t.counters "misses";
     None
 
+(* [find] without the intermediate copy: a hit's range goes straight
+   into the caller's buffer, so the pool's own buffer still never
+   leaves the pool. *)
+let read_into t k ~off ~len dst ~dst_off =
+  match Lru.find (bufs t) k with
+  | Some b ->
+    Counter.incr t.counters "hits";
+    Bytes.blit b.data off dst dst_off len;
+    true
+  | None ->
+    Counter.incr t.counters "misses";
+    false
+
 let mem t k = Lru.mem (bufs t) k
 
 (* [false] = nothing evictable (every candidate is mid-flush); the

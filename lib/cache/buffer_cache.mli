@@ -72,6 +72,17 @@ val find : 'k t -> 'k -> bytes option
 (** Cache lookup; hits refresh LRU recency and are counted. Returns a
     copy of the buffer: mutating it cannot corrupt the pool. *)
 
+val read_into : 'k t -> 'k -> off:int -> len:int -> bytes -> dst_off:int -> bool
+(** [read_into t k ~off ~len dst ~dst_off] is [find] for a caller that
+    only wants bytes [off, off+len) of the buffer: on a hit they are
+    blitted into [dst] at [dst_off] and the result is [true]; on a miss
+    [dst] is untouched and the result is [false]. Hits and misses are
+    counted and recency refreshed exactly as by [find], and the pool's
+    buffer is never exposed, so editing [dst] cannot reach the pool.
+    The caller's buffer is then the only copy.
+    @raise Invalid_argument if the range is outside the buffer or
+    [dst]. *)
+
 val mem : 'k t -> 'k -> bool
 (** Pure membership probe: no copy, no LRU touch, no hit/miss
     counting (used by read-ahead to skip already-cached blocks). *)

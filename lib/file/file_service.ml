@@ -432,6 +432,11 @@ let extents_of fit ~b0 ~b1 ~max_run =
 (* pread                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Block [bi]'s share of the byte range [off, off+len) starts at file
+   offset [share_start] and ends before [share_stop]. *)
+let share_start ~off bi = max off (bi * block_size)
+let share_stop ~off ~len bi = min (off + len) ((bi + 1) * block_size)
+
 let pread_impl t id ~off ~len =
   if off < 0 || len < 0 then invalid_arg "pread: negative offset or length";
   with_fit t id (fun ofit ->
@@ -442,12 +447,12 @@ let pread_impl t id ~off ~len =
     let out = Bytes.create len in
     let b0 = off / block_size and b1 = (off + len - 1) / block_size in
     let max_run = if t.config.exploit_contiguity then max_int else 1 in
-    (* Copy the intersection of block [bi] (whose content is [data] at
-       [data_off]) with the requested byte range into [out]. *)
-    let blit_block ~bi ~data ~data_off =
-      let file_start = bi * block_size in
-      let s = max off file_start and e = min (off + len) (file_start + block_size) in
-      Bytes.blit data (data_off + s - file_start) out (s - off) (e - s)
+    (* Copy block [bi]'s share of the range from [data], the block's
+       content, into [out]. *)
+    let blit_block ~bi data =
+      let s = share_start ~off bi in
+      Bytes.blit data (s - (bi * block_size)) out (s - off)
+        (share_stop ~off ~len bi - s)
     in
     let jobs = ref [] in
     List.iter
@@ -463,9 +468,14 @@ let pread_impl t id ~off ~len =
                 Block.get_block t.disks.(disk) ~pos:gap_frag ~fragments:(gap_len * fpb)
               in
               for k = 0 to gap_len - 1 do
-                let block = Bytes.sub data (k * block_size) block_size in
+                (* [get_block]'s result is fresh: a one-block result
+                   becomes the cached block as it is. *)
+                let block =
+                  if gap_len = 1 then data
+                  else Bytes.sub data (k * block_size) block_size
+                in
                 Cache.insert_clean t.data_cache (disk, gap_frag + (k * fpb)) block;
-                blit_block ~bi:(gap_start + k) ~data:block ~data_off:0
+                blit_block ~bi:(gap_start + k) block
               done
             in
             jobs := job :: !jobs
@@ -474,13 +484,18 @@ let pread_impl t id ~off ~len =
         let gap_start = ref first_block and gap_len = ref 0 in
         for k = 0 to nblocks - 1 do
           let bi = first_block + k in
-          match Cache.find t.data_cache (disk, frag + (k * fpb)) with
-          | Some data ->
+          let s = share_start ~off bi in
+          (* A hit is copied into [out] now, before any job can block. *)
+          if
+            Cache.read_into t.data_cache (disk, frag + (k * fpb))
+              ~off:(s - (bi * block_size)) ~len:(share_stop ~off ~len bi - s)
+              out ~dst_off:(s - off)
+          then begin
             flush_gap !gap_start !gap_len;
             gap_start := bi + 1;
-            gap_len := 0;
-            blit_block ~bi ~data ~data_off:0
-          | None -> incr gap_len
+            gap_len := 0
+          end
+          else incr gap_len
         done;
         flush_gap !gap_start !gap_len)
       (extents_of fit ~b0 ~b1 ~max_run);
@@ -518,7 +533,7 @@ let block_content t fit ~old_blocks ~bi ~range_off ~data ~data_off =
         | None -> Bytes.make block_size '\000'
         | Some r -> (
           match Cache.find t.data_cache (r.Fit.disk, r.Fit.frag) with
-          | Some cached -> Bytes.copy cached
+          | Some cached -> cached
           | None ->
             Counter.incr t.counters "extent_reads";
             let b = Block.get_block t.disks.(r.Fit.disk) ~pos:r.Fit.frag ~fragments:fpb in
@@ -546,7 +561,13 @@ let write_range t _id ofit ~old_blocks ~range_off data =
         in
         match t.config.data_policy with
         | Write_through ->
-          let buf = Bytes.concat Bytes.empty contents in
+          (* Every block of [contents] is fresh and is cached only after
+             the write returns, so a one-block extent goes out as is. *)
+          let buf =
+            match contents with
+            | [ block ] -> block
+            | _ -> Bytes.concat Bytes.empty contents
+          in
           let job () =
             Counter.incr t.counters "extent_writes";
             Block.put_block t.disks.(disk) ~pos:frag buf;

@@ -114,7 +114,8 @@ val delete : t -> file_id -> unit
 val pread : t -> file_id -> off:int -> len:int -> bytes
 (** Read up to [len] bytes at [off]; short at end-of-file. Contiguous
     runs are fetched in single disk references; extents on different
-    disks are fetched in parallel. *)
+    disks are fetched in parallel. The result is a fresh buffer owned
+    by the caller, never a block of the data cache. *)
 
 val pwrite : t -> file_id -> off:int -> bytes -> unit
 (** Write at [off], extending (and zero-filling any gap) as needed;

@@ -267,6 +267,90 @@ let test_fa_write_survives_inflight_prefetch () =
            (Fs.pread fs (Fs.id_of_int file) ~off:(4 * 8192) ~len:8192)
            fresh))
 
+let test_fa_reads_return_private_bytes () =
+  (* A read's result is the caller's alone, however the blocks were
+     served: a cold one-block reply becomes the cached block, a cache
+     hit is copied straight into the result, and a multi-block stream
+     delivers one chunk per block. Editing a result must leave the
+     next read unchanged. *)
+  run_in_sim (fun sim ->
+      let fs, _, conn, _ = make_world sim in
+      let stream id ~off ~len ~on_chunk =
+        let pos = ref off in
+        while !pos < off + len do
+          let n = min 8192 (off + len - !pos) in
+          on_chunk ~off:!pos (Fs.pread fs (Fs.id_of_int id) ~off:!pos ~len:n);
+          pos := !pos + n
+        done
+      in
+      let fa = Fa.create ~sim ~conn:{ conn with Conn.pread_stream = Some stream } () in
+      let content = Bytes.init (6 * 8192) (fun i -> Char.chr (i mod 251)) in
+      let d = Fa.create_file fa ~path:"/own" in
+      Fa.write fa d content;
+      Fa.flush fa;
+      Fs.drop_caches fs;
+      Fa.invalidate_file fa ~file:(Fa.descriptor_file fa d);
+      let read_and_scribble what ~off ~len =
+        let got = Fa.pread fa d ~off ~len in
+        check bool what true (Bytes.equal got (Bytes.sub content off len));
+        Bytes.fill got 0 len 'X'
+      in
+      let remote () = Counter.get (Fa.stats fa) "remote_reads" in
+      let r = remote () in
+      read_and_scribble "cold one block" ~off:(5 * 8192) ~len:8192;
+      check int "one plain fetch" (r + 1) (remote ());
+      read_and_scribble "the same block, warm" ~off:(5 * 8192) ~len:8192;
+      read_and_scribble "the same block, warm again" ~off:(5 * 8192) ~len:8192;
+      read_and_scribble "cold blocks 1-3, streamed" ~off:8192 ~len:(3 * 8192);
+      check int "one stream" (r + 2) (remote ());
+      read_and_scribble "blocks 1-3 warm, unaligned" ~off:8200 ~len:((3 * 8192) - 16);
+      read_and_scribble "blocks 1-3 warm" ~off:8192 ~len:(3 * 8192);
+      check int "warm reads fetch nothing" (r + 2) (remote ()))
+
+let test_fa_rmw_base_is_private () =
+  (* A partial write's read-modify-write base may come from a fetch that
+     other readers wait on too, and the fetched block is also the
+     cached one: the writer must edit a copy, so every reader of that
+     fetch gets the fetched bytes. Covers the writer issuing the fetch
+     and the writer joining a reader's fetch. *)
+  let scenario ~writer_first =
+    with_agent (fun sim fs _ fa ->
+        let old = Bytes.make 8192 'o' in
+        let d = Fa.create_file fa ~path:"/rmw" in
+        Fa.write fa d old;
+        Fa.flush fa;
+        Fs.drop_caches fs;
+        Fa.invalidate_file fa ~file:(Fa.descriptor_file fa d);
+        (* Reloading the attributes cached the block's track: drop it, so
+           the fetch costs disk time for the others to join. *)
+        let bs = Fs.block_service fs 0 in
+        Block.flush_block bs ~pos:0 ~fragments:(Block.total_fragments bs);
+        let reads = ref [] and finished = ref 0 in
+        let spawn f = ignore (Sim.spawn sim (fun () -> f (); incr finished)) in
+        let reader () =
+          spawn (fun () -> reads := Fa.pread fa d ~off:0 ~len:8192 :: !reads)
+        in
+        let writer () = spawn (fun () -> Fa.pwrite fa d ~off:100 ~data:(Bytes.make 4 'W')) in
+        (* Each process registers on the block's fetch before the next
+           starts. *)
+        List.iter
+          (fun start -> start (); Sim.sleep sim 0.01)
+          (if writer_first then [ writer; reader ] else [ reader; writer; reader ]);
+        let procs = if writer_first then 2 else 3 in
+        while !finished < procs do
+          Sim.sleep sim 1.
+        done;
+        List.iter
+          (fun got -> check bool "the reader got the fetched bytes" true (Bytes.equal got old))
+          !reads;
+        let expected = Bytes.copy old in
+        Bytes.blit_string "WWWW" 0 expected 100 4;
+        check bool "the write landed" true
+          (Bytes.equal (Fa.pread fa d ~off:0 ~len:8192) expected))
+  in
+  scenario ~writer_first:true;
+  scenario ~writer_first:false
+
 let test_fa_failed_prefetch_no_phantom_hit () =
   (* Regression: a prefetch that failed used to leave its reservation
      in the read-ahead table, so the later demand read of the block
@@ -572,6 +656,10 @@ let () =
             test_fa_flush_coalesces_dirty_runs;
           Alcotest.test_case "flush trims partial tail" `Quick
             test_fa_flush_trims_partial_tail;
+          Alcotest.test_case "reads return private bytes" `Quick
+            test_fa_reads_return_private_bytes;
+          Alcotest.test_case "read-modify-write base is private" `Quick
+            test_fa_rmw_base_is_private;
         ] );
       ( "device agent",
         [

@@ -459,6 +459,65 @@ let test_killed_issuer_wakes_joiners () =
             (Sim.Ivar.read iv = Ok (frag_payload ~tag:(11 + i) 4)))
         joiners)
 
+let test_one_track_read_result_is_private () =
+  (* A one-track read's buffer becomes the cached track with no copy;
+     what get_block returns must still be a fresh buffer, for a slice
+     of the track and for the whole track alike. *)
+  with_service (fun _ svc disk ->
+      let base = uncached_track svc in
+      let whole = Block.get_block svc ~pos:base ~fragments:16 in
+      check bool "whole track" true
+        (Bytes.equal whole (Disk.peek disk ~sector:(base * 4) ~count:64));
+      Bytes.fill whole 0 (Bytes.length whole) 'X';
+      let hits = Counter.get (Block.stats svc) "cache_hits" in
+      let slice = Block.get_block svc ~pos:(base + 4) ~fragments:4 in
+      check int "served from the track cache" (hits + 1)
+        (Counter.get (Block.stats svc) "cache_hits");
+      check bool "the cached track is intact" true
+        (Bytes.equal slice (frag_payload ~tag:11 4));
+      Bytes.fill slice 0 (Bytes.length slice) 'X';
+      Block.flush_block svc ~pos:base ~fragments:16;
+      let slice = Block.get_block svc ~pos:(base + 8) ~fragments:4 in
+      check bool "a one-block slice of a one-track read" true
+        (Bytes.equal slice (frag_payload ~tag:12 4));
+      Bytes.fill slice 0 (Bytes.length slice) 'X';
+      check bool "the track it came from is intact" true
+        (Bytes.equal
+           (Block.get_block svc ~pos:base ~fragments:16)
+           (Disk.peek disk ~sector:(base * 4) ~count:64)))
+
+let test_write_before_joiner_wakes () =
+  (* The issuer of a one-track read caches the read's own buffer and,
+     before a joiner on the same track has woken, writes the joiner's
+     block: the write overlays the cached track in place. The joiner
+     copies its block when it wakes, so it must see all of the old
+     bytes or all of the new ones, and the track cache keeps the
+     write. *)
+  with_service (fun sim svc _ ->
+      let base = uncached_track svc in
+      let fresh = frag_payload ~tag:99 4 in
+      let issuer =
+        start sim
+          [
+            (fun () ->
+              ignore (Block.get_block svc ~pos:base ~fragments:4);
+              Block.put_block svc ~pos:(base + 4) fresh);
+          ]
+      in
+      Sim.yield sim (* the issuer queues its track read *);
+      let joiner = start sim [ (fun () -> Block.get_block svc ~pos:(base + 4) ~fragments:4) ] in
+      Sim.yield sim (* the joiner waits on it *);
+      check int "one join" 1 (Counter.get (Block.stats svc) "track_joins");
+      List.iter Sim.Ivar.read issuer;
+      let got = Sim.Ivar.read (List.hd joiner) in
+      check bool "all old or all new bytes" true
+        (Bytes.equal got (frag_payload ~tag:11 4) || Bytes.equal got fresh);
+      let hits = Counter.get (Block.stats svc) "cache_hits" in
+      check bool "the cached track holds the write" true
+        (Bytes.equal (Block.get_block svc ~pos:(base + 4) ~fragments:4) fresh);
+      check int "from the track cache" (hits + 1)
+        (Counter.get (Block.stats svc) "cache_hits"))
+
 (* ------------------------------------------------------------------ *)
 (* Read plans: a miss reads only the tracks it lacks                    *)
 (* ------------------------------------------------------------------ *)
@@ -759,6 +818,10 @@ let () =
             test_media_fault_sends_joiners_to_exact_reads;
           Alcotest.test_case "killed issuer wakes joiners" `Quick
             test_killed_issuer_wakes_joiners;
+          Alcotest.test_case "one-track read result is private" `Quick
+            test_one_track_read_result_is_private;
+          Alcotest.test_case "write before a joiner wakes" `Quick
+            test_write_before_joiner_wakes;
         ] );
       ( "read plan",
         [

@@ -164,6 +164,31 @@ let test_find_returns_copy () =
       check (Alcotest.option Alcotest.bytes) "cache unscathed" (Some (data 1))
         (Cache.find c 1))
 
+let test_read_into_copies_range () =
+  (* [read_into] is [find] with the copy going straight into the
+     caller's buffer: exactly the asked range lands at the asked spot,
+     hits and misses count as [find]'s do, recency is refreshed, and
+     the destination is the caller's alone. *)
+  run_in_sim (fun sim ->
+      let c, _, _ = make_cache ~capacity:2 ~policy:Cache.Write_through sim in
+      Cache.insert_clean c 1 (Bytes.of_string "abcdefgh");
+      let dst = Bytes.make 8 'Z' in
+      check bool "miss" false (Cache.read_into c 9 ~off:0 ~len:8 dst ~dst_off:0);
+      check Alcotest.string "a miss leaves dst alone" "ZZZZZZZZ" (Bytes.to_string dst);
+      check bool "hit" true (Cache.read_into c 1 ~off:2 ~len:3 dst ~dst_off:4);
+      check Alcotest.string "only the range is copied" "ZZZZcdeZ" (Bytes.to_string dst);
+      let s = Cache.stats c in
+      check int "one hit" 1 (Counter.get s "hits");
+      check int "one miss" 1 (Counter.get s "misses");
+      Bytes.fill dst 0 8 'X';
+      check (Alcotest.option Alcotest.bytes) "dst edits never reach the pool"
+        (Some (Bytes.of_string "abcdefgh")) (Cache.find c 1);
+      Cache.insert_clean c 2 (data 2);
+      ignore (Cache.read_into c 1 ~off:0 ~len:1 dst ~dst_off:0);
+      Cache.insert_clean c 3 (data 3);
+      check bool "a hit refreshes recency" true (Cache.mem c 1);
+      check bool "so the other buffer is the victim" false (Cache.mem c 2))
+
 let test_batch_flush_oldest_first () =
   run_in_sim (fun sim ->
       let batches = ref [] in
@@ -390,6 +415,8 @@ let () =
           Alcotest.test_case "write updates" `Quick test_write_updates_existing;
           Alcotest.test_case "flush oldest first" `Quick test_flush_order_oldest_first;
           Alcotest.test_case "find returns a copy" `Quick test_find_returns_copy;
+          Alcotest.test_case "read_into copies the range" `Quick
+            test_read_into_copies_range;
           Alcotest.test_case "batch flush oldest first" `Quick
             test_batch_flush_oldest_first;
           Alcotest.test_case "flush_keys subset" `Quick test_flush_keys_subset;

@@ -192,6 +192,30 @@ let test_partial_reads () =
       check int "short read at EOF" 10 (Bytes.length tail);
       check int "read past EOF empty" 0 (Bytes.length (Fs.pread fs id ~off:30000 ~len:5)))
 
+let test_pread_returns_private_bytes () =
+  (* A pread result is the caller's alone. A cold one-block read's
+     get_block result becomes the cached block and a data-cache hit is
+     copied straight into the result, so editing a result reaches
+     neither the data cache nor the next read. *)
+  with_fs (fun _ fs ->
+      let id = Fs.create_file fs in
+      let data = pattern (3 * 8192) in
+      Fs.pwrite fs id ~off:0 data;
+      Fs.drop_caches fs;
+      let hits () = Counter.get (Fs.cache_stats fs) "hits" in
+      let read_and_scribble what ~off ~len =
+        let got = Fs.pread fs id ~off ~len in
+        check bool what true (Bytes.equal got (Bytes.sub data off len));
+        Bytes.fill got 0 len 'X'
+      in
+      read_and_scribble "cold one block" ~off:8192 ~len:8192;
+      let h = hits () in
+      read_and_scribble "the same block from the data cache" ~off:8192 ~len:8192;
+      check int "served from the data cache" (h + 1) (hits ());
+      read_and_scribble "cold blocks around a cached one" ~off:0 ~len:(3 * 8192);
+      read_and_scribble "every block cached, unaligned" ~off:100 ~len:((3 * 8192) - 200);
+      read_and_scribble "every block cached, again" ~off:0 ~len:(3 * 8192))
+
 let test_overwrite () =
   with_fs (fun _ fs ->
       let id = Fs.create_file fs in
@@ -735,6 +759,8 @@ let () =
             test_open_close_writes_nothing;
           Alcotest.test_case "pwrite stores FIT on growth" `Quick
             test_pwrite_stores_fit_on_growth;
+          Alcotest.test_case "pread returns private bytes" `Quick
+            test_pread_returns_private_bytes;
         ] );
       ( "contiguity",
         [
