@@ -1,6 +1,6 @@
 (* P0 — the sim-core self-benchmark behind the @perf gate.
 
-   Two loads, plus a read-path allocation count:
+   Two loads, plus a read-path allocation count and a recovery time:
 
    - the E15 shape: a cold 512 KiB sequential scan in 8 KiB
      application reads through the whole cluster stack — the
@@ -10,6 +10,11 @@
    - 10k-process churn: 5000 mailbox ping-pong pairs on a bare Sim,
      interleaving sends, receives, yields and timers — the scheduler
      hot path with nothing else attached;
+
+   - recovery: one [Cluster.recover_server] on [Cluster.default_config]
+     after a few files and a committed transaction, in simulated ms.
+     It is deterministic, so a change that rescans stable pages
+     recovery does not need shows up exactly;
 
    - the read path: one remote client on [Cluster.default_config]
      scans a 1 MiB file in 8 KiB reads, cold and then warm, and counts
@@ -145,6 +150,28 @@ let read_path_load () =
       done;
       (words_allocated () -. w0)
       /. float_of_int (read_path_passes * read_path_reads_per_pass))
+
+(* ------------------------------------------------------------------ *)
+(* Recovery: simulated ms of one server recovery.                      *)
+
+let recover_files = 4
+
+let recover_load () =
+  Cluster.run (fun sim t ->
+      let ws = Cluster.add_client t ~name:"ws" in
+      for i = 1 to recover_files do
+        let d = Cluster.create_file ws (Printf.sprintf "/f%d" i) in
+        Cluster.write ws d (pattern (kib 16));
+        Cluster.close ws d
+      done;
+      Cluster.with_transaction ws (fun ta td ->
+          let fd = Rhodos_agent.Transaction_agent.topen ta td ~path:"/f1" in
+          Rhodos_agent.Transaction_agent.tpwrite ta td fd ~off:0
+            ~data:(Bytes.of_string "committed"));
+      ignore (Cluster.crash_server t);
+      let t0 = Sim.now sim in
+      ignore (Cluster.recover_server t);
+      Sim.now sim -. t0)
 
 (* ------------------------------------------------------------------ *)
 (* 10k processes of pure scheduler churn on a bare Sim.                *)
@@ -303,11 +330,16 @@ let run_reports () =
   note "read path (1 MiB scan in 8 KiB reads, cold then warm, all words): \
         %.1f words/read"
     read_path;
+  let recover_ms = recover_load () in
+  note "recovery (one recover_server after %d files and a transaction): \
+        %.1f simulated ms"
+    recover_files recover_ms;
   let metrics =
     load_metrics "e15" e15 @ load_metrics "churn" churn
     @ [ ("txn_commit_per_sec", txn.commits_per_sec);
         ("txn_commit_words_per_txn", txn.words_per_txn);
-        ("read_path_words_per_read", read_path) ]
+        ("read_path_words_per_read", read_path);
+        ("recover_sim_ms", recover_ms) ]
     @ qb
   in
   List.iter (fun (k, v) -> Json_out.metric "P0" k v) metrics;
@@ -332,10 +364,11 @@ let parse_baseline path =
    words/event must stay below [alloc_ceiling] x baseline + a small
    absolute slack (deterministic for a given binary, so a tight bound
    holds). The read path's count is exact and one 8 KiB copy is about
-   a third of it, so it gets [read_path_ceiling]. *)
+   a third of it, so it gets [exact_ceiling]; so does the recovery
+   time, which is simulated and repeats exactly. *)
 let rate_floor = 0.6
 let alloc_ceiling = 1.25
-let read_path_ceiling = 1.05
+let exact_ceiling = 1.05
 let alloc_slack_words = 16.
 
 let check ~baseline () =
@@ -372,18 +405,19 @@ let check ~baseline () =
         let bound = rate_floor *. b in
         (current >= bound, bound))
   in
-  let alloc ?(ceiling = alloc_ceiling) name =
+  let upper ?(ceiling = alloc_ceiling) ?(slack = alloc_slack_words) name =
     gate name ~against:(fun current b ->
-        let bound = (ceiling *. b) +. alloc_slack_words in
+        let bound = (ceiling *. b) +. slack in
         (current <= bound, bound))
   in
   rate "e15_events_per_sec";
-  alloc "e15_words_per_event";
+  upper "e15_words_per_event";
   rate "churn_events_per_sec";
-  alloc "churn_words_per_event";
+  upper "churn_words_per_event";
   rate "txn_commit_per_sec";
-  alloc "txn_commit_words_per_txn";
-  alloc ~ceiling:read_path_ceiling "read_path_words_per_read";
+  upper "txn_commit_words_per_txn";
+  upper ~ceiling:exact_ceiling "read_path_words_per_read";
+  upper ~ceiling:exact_ceiling ~slack:0. "recover_sim_ms";
   List.iter (fun (sname, _) -> rate (qbench_key sname)) qbench_sizes;
   if !ok then note "perf: gate passed (floor %.2fx rate, ceiling %.2fx allocs)"
       rate_floor alloc_ceiling

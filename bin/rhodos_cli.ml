@@ -138,8 +138,10 @@ let execute sim t c line =
     let lost = Cluster.crash_server t in
     Printf.printf "server crashed; %d dirty cached blocks lost\n" lost
   | [ "recover-server" ] ->
+    let t0 = Sim.now sim in
     let report = Cluster.recover_server t in
-    Printf.printf "server recovered; %d txns redone, %d discarded\n"
+    Printf.printf "server recovered in %.1f simulated ms; %d txns redone, %d discarded\n"
+      (Sim.now sim -. t0)
       (List.length report.Txn.redone_transactions)
       (List.length report.Txn.discarded_transactions)
   | [ "time" ] -> Printf.printf "simulated time: %.2f ms\n" (Sim.now sim)

@@ -614,13 +614,16 @@ let free_block t ~pos ~blocks = free t ~pos ~fragments:(blocks * fragments_per_b
 (* Format / attach / sync                                              *)
 (* ------------------------------------------------------------------ *)
 
-let encode_superblock t =
+(* Superblock fields, little-endian: magic(4) version(4)
+   total_fragments(8) bitmap_start(8) bitmap_fragments(8) boots(8). *)
+let encode_superblock t ~boots =
   let b = Bytes.make fragment_bytes '\000' in
   Bytes.set_int32_le b 0 superblock_magic;
   Bytes.set_int32_le b 4 1l (* version *);
   Bytes.set_int64_le b 8 (Int64.of_int t.total_fragments);
   Bytes.set_int64_le b 16 (Int64.of_int t.bitmap_start);
   Bytes.set_int64_le b 24 (Int64.of_int t.bitmap_fragments);
+  Bytes.set_int64_le b 32 boots;
   b
 
 let format t =
@@ -632,24 +635,62 @@ let format t =
   rebuild_extent_array t;
   Lru.reset t.tracks;
   let dest = if t.stable = None then Original else Original_and_stable in
-  put_block ~dest ~wait:Wait_stable t ~pos:0 (encode_superblock t);
+  put_block ~dest ~wait:Wait_stable t ~pos:0 (encode_superblock t ~boots:0L);
   persist_bitmap_all t
 
+(* The maximal allocated runs at or above [data_start], in order. *)
+let allocated_runs t =
+  let runs = ref [] and next = ref t.data_start in
+  Bitset.iter_clear_runs t.bitmap (fun ~pos ~len ->
+      if pos > !next then runs := (!next, pos - !next) :: !runs;
+      next := max !next (pos + len));
+  if t.total_fragments > !next then
+    runs := (!next, t.total_fragments - !next) :: !runs;
+  List.rev !runs
+
+(* Prefer the stable copy of a metadata fragment, fall back to main. *)
+let read_metadata t frag =
+  match t.stable with
+  | Some s -> (
+    match Stable.read s ~page:frag with
+    | page -> page
+    | exception Stable.Unrecoverable_page _ ->
+      get_block ~source:Main t ~pos:frag ~fragments:1)
+  | None -> get_block ~source:Main t ~pos:frag ~fragments:1
+
+(* Stable-storage recovery repairs only the pages that hold live
+   structure: the metadata region [0, data_start) (superblock and
+   bitmap) and the fragments the recovered bitmap marks allocated.
+   That is every page a later read can reach:
+
+   - every stable write lands on a fragment that is already allocated
+     in the durable bitmap: [allocate] persists the bitmap before the
+     caller stores anything (e.g. [create_file]'s FIT), [delete]
+     erases the FIT before it frees the fragment, and the metadata
+     region and the intentions-list region are never freed;
+   - a free fragment's stable copies are dead: reusing it rewrites
+     both copies before anything reads them.
+
+   Skipping free pages means [recover_range] no longer sees every
+   sequence number on disk. A reused fragment's torn write (new
+   primary, stale mirror from an earlier life with a higher sequence
+   number) would then recover to the stale copy. So the superblock
+   carries a boot count: each attach increments it, raises the stable
+   store's sequence floor to [boots lsl 40] (above every number an
+   earlier life issued) before its first stable write, and rewrites
+   the superblock carefully (main and both mirrors).
+
+   With [bitmap_write_through = false] the durable bitmap lags the
+   in-memory one until [sync], so a page allocated and written since
+   the last sync is not scanned. Those allocations are lost at a
+   crash anyway: the recovered bitmap has them free. *)
 let attach t =
-  (* Stable storage first: repair torn/decayed mirrors so subsequent
-     metadata reads see consistent pages. *)
-  (match t.stable with Some s -> ignore (Stable.recover s) | None -> ());
+  (match t.stable with
+  | Some s -> ignore (Stable.recover_range s ~first:0 ~count:t.data_start)
+  | None -> ());
   t.formatted <- true;
   Lru.reset t.tracks;
-  let sb =
-    match t.stable with
-    | Some s -> (
-      match Stable.read s ~page:0 with
-      | page -> page
-      | exception Stable.Unrecoverable_page _ ->
-        get_block ~source:Main t ~pos:0 ~fragments:1)
-    | None -> get_block ~source:Main t ~pos:0 ~fragments:1
-  in
+  let sb = read_metadata t 0 in
   if Bytes.get_int32_le sb 0 <> superblock_magic then begin
     t.formatted <- false;
     raise (Not_formatted t.name)
@@ -659,19 +700,17 @@ let attach t =
     t.formatted <- false;
     raise (Not_formatted (t.name ^ ": geometry mismatch"))
   end;
+  (match t.stable with
+  | Some s ->
+    let boots = Int64.succ (Bytes.get_int64_le sb 32) in
+    Stable.raise_seq_floor s (Int64.shift_left boots 40);
+    put_block ~dest:Original_and_stable ~wait:Wait_stable t ~pos:0
+      (encode_superblock t ~boots)
+  | None -> ());
   (* Restore the bitmap: prefer the stable copy, fall back to main. *)
   let raw = Bytes.create (t.bitmap_fragments * fragment_bytes) in
   for bf = 0 to t.bitmap_fragments - 1 do
-    let frag = t.bitmap_start + bf in
-    let chunk =
-      match t.stable with
-      | Some s -> (
-        match Stable.read s ~page:frag with
-        | page -> page
-        | exception Stable.Unrecoverable_page _ ->
-          get_block ~source:Main t ~pos:frag ~fragments:1)
-      | None -> get_block ~source:Main t ~pos:frag ~fragments:1
-    in
+    let chunk = read_metadata t (t.bitmap_start + bf) in
     Bytes.blit chunk 0 raw (bf * fragment_bytes) fragment_bytes
   done;
   t.bitmap <- Bitset.of_bytes t.total_fragments raw;
@@ -679,7 +718,13 @@ let attach t =
   rebuild_extent_array t;
   L.info (fun m ->
       m "%s: attached (%d/%d fragments free)" t.name (free_fragments t)
-        t.total_fragments)
+        t.total_fragments);
+  match t.stable with
+  | Some s ->
+    List.iter
+      (fun (first, count) -> ignore (Stable.recover_range s ~first ~count))
+      (allocated_runs t)
+  | None -> ()
 
 let sync t =
   check_formatted t;

@@ -94,10 +94,24 @@ val format : t -> unit
     the metadata region marked allocated, extent array. *)
 
 val attach : t -> unit
-(** Re-open a formatted disk after a crash: read the superblock,
-    restore the bitmap (stable copy preferred, main copy as fallback),
-    run stable-storage recovery, rebuild the extent array by scanning
-    the bitmap.
+(** Re-open a formatted disk after a crash: repair the stable copies of
+    the metadata region, read the superblock, restore the bitmap
+    (stable copy preferred, main copy as fallback), rebuild the extent
+    array by scanning the bitmap, then repair the stable copies of
+    every fragment the bitmap marks allocated. Free fragments are not
+    scanned: their stable copies are dead, since every stable write
+    lands on an allocated fragment and reuse rewrites both copies.
+
+    With stable storage, the superblock carries a boot count (0 after
+    [format]). [attach] increments it, raises the stable store's
+    sequence floor above every number an earlier boot issued, and
+    writes the superblock back to main storage and both mirrors; so a
+    torn write to a reused fragment still outranks that fragment's
+    stale copies from an earlier life.
+
+    With [bitmap_write_through = false] the durable bitmap is the one
+    of the last [sync]: fragments allocated since then are not
+    scanned, and a crash loses those allocations anyway.
     @raise Not_formatted if the disk has no valid superblock. *)
 
 val name : t -> string

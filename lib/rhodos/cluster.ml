@@ -595,8 +595,10 @@ let build_server ~cfg ~sim ~net ~tracer sidx =
   let stable_disks =
     if cfg.with_stable then
       Array.init cfg.ndisks (fun i ->
-          ( Disk.create ~name:(Printf.sprintf "st%d-%da" sidx i) sim stable_geometry,
-            Disk.create ~name:(Printf.sprintf "st%d-%db" sidx i) sim stable_geometry ))
+          ( Disk.create ~name:(Printf.sprintf "st%d-%da" sidx i) ~tracer sim
+              stable_geometry,
+            Disk.create ~name:(Printf.sprintf "st%d-%db" sidx i) ~tracer sim
+              stable_geometry ))
     else [||]
   in
   let bss = build_block_services ~cfg ~sidx ~tracer ~disks ~stable_disks in

@@ -89,6 +89,8 @@ let fresh_seq t =
   t.next_seq <- Int64.add seq 1L;
   seq
 
+let raise_seq_floor t floor = if floor > t.next_seq then t.next_seq <- floor
+
 let write t ~page payload =
   check_page t page;
   if Bytes.length payload <> t.page_bytes then
@@ -150,23 +152,45 @@ let read_copies_chunk t (r : replica) ~first_page ~count =
         | raw -> (decode_copy t raw ~off:0, false)
         | exception (Disk.Media_failure _ | Disk.Disk_failed _) -> (None, true))
 
-let recover t =
+(* The two replicas sit on independent disks, so each chunk's mirror
+   read runs in a spawned process while the caller reads the primary:
+   a chunk costs the slower of the two reads, not their sum. The
+   reader hands its result back through an ivar, filled on every path,
+   so only the caller writes the scan arrays. *)
+let read_chunk_pair t ~first_page ~count =
+  let sim = Disk.sim t.mirror.disk in
+  let mirror = Sim.Ivar.create sim in
+  let fill = Sim.Ivar.fill mirror in
+  ignore
+    (Sim.spawn ~name:"stable-mirror-scan" sim (fun () ->
+         match read_copies_chunk t t.mirror ~first_page ~count with
+         | copies -> fill (Ok copies)
+         | exception e ->
+           fill (Error e);
+           raise e));
+  let primary = read_copies_chunk t t.primary ~first_page ~count in
+  match Sim.Ivar.read mirror with
+  | Ok mirror -> (primary, mirror)
+  | Error e -> raise e
+
+let recover_range t ~first ~count =
+  if first < 0 || count < 0 || first + count > t.npages then
+    invalid_arg "Stable_store.recover_range: range out of bounds";
   let repairs = ref [] in
   let max_seq = ref 0L in
   let note = function
     | Some (seq, _) -> if seq > !max_seq then max_seq := seq
     | None -> ()
   in
-  let primaries = Array.make t.npages (None, false)
-  and mirrors = Array.make t.npages (None, false) in
-  let rec scan first =
-    if first < t.npages then begin
-      let count = min scan_chunk_pages (t.npages - first) in
-      Array.blit (read_copies_chunk t t.primary ~first_page:first ~count) 0 primaries
-        first count;
-      Array.blit (read_copies_chunk t t.mirror ~first_page:first ~count) 0 mirrors
-        first count;
-      scan (first + count)
+  let primaries = Array.make count (None, false)
+  and mirrors = Array.make count (None, false) in
+  let rec scan i =
+    if i < count then begin
+      let n = min scan_chunk_pages (count - i) in
+      let p, m = read_chunk_pair t ~first_page:(first + i) ~count:n in
+      Array.blit p 0 primaries i n;
+      Array.blit m 0 mirrors i n;
+      scan (i + n)
     end
   in
   scan 0;
@@ -178,8 +202,9 @@ let recover t =
     | () -> repairs := (page, outcome) :: !repairs
     | exception Disk.Disk_failed _ -> ()
   in
-  for page = 0 to t.npages - 1 do
-    let p, p_faulty = primaries.(page) and m, m_faulty = mirrors.(page) in
+  for i = 0 to count - 1 do
+    let page = first + i in
+    let p, p_faulty = primaries.(i) and m, m_faulty = mirrors.(i) in
     note p;
     note m;
     match (p, m) with
@@ -197,10 +222,14 @@ let recover t =
       try_repair t.primary page ~seq:ms mp Repaired_primary
     | Some _, Some _ -> ()
   done;
-  (* Future writes must not reuse sequence numbers present on disk,
-     or "newer copy wins" would break after a re-attach. *)
-  if Int64.add !max_seq 1L > t.next_seq then t.next_seq <- Int64.add !max_seq 1L;
-  { pages_scanned = t.npages; repairs = List.rev !repairs }
+  (* Future writes must not reuse sequence numbers present in the
+     scanned pages, or "newer copy wins" would break after a
+     re-attach. Pages outside the range are the caller's concern: see
+     [raise_seq_floor]. *)
+  raise_seq_floor t (Int64.add !max_seq 1L);
+  { pages_scanned = count; repairs = List.rev !repairs }
+
+let recover t = recover_range t ~first:0 ~count:t.npages
 
 let start_scrubber ~interval_ms t =
   let repairs = ref 0 in

@@ -15,8 +15,12 @@
       checksummed once; both replicas get the same bytes.
     - [read] tries the primary; on media failure or checksum mismatch
       it falls back to the mirror.
-    - [recover] scans every page pair and repairs decayed or torn
-      copies so that both mirrors agree afterwards.
+    - [recover_range] scans the page pairs of a range and repairs
+      decayed or torn copies so that both mirrors agree afterwards;
+      the two replicas are read at the same time. A caller that knows
+      which pages hold live data scans only those, and sets the
+      sequence-number floor itself ([raise_seq_floor]). [recover] is
+      the full scan, which the scrubber runs.
 
     All operations cost simulated disk time and must run inside a
     [Sim] process. *)
@@ -69,9 +73,27 @@ type recovery_report = {
   repairs : (int * page_repair) list;  (** page index, action *)
 }
 
+val recover_range : t -> first:int -> count:int -> recovery_report
+(** Scan and repair pages [first, first+count). The range is read in
+    chunks of 64 pages; each chunk's primary and mirror copies are
+    read concurrently (the mirror in a spawned process), so a chunk
+    costs one replica's read time. Repairs run after the whole range
+    is read, in page order. Sequence numbers issued afterwards are
+    above every one seen in the range. Never raises on a bad page:
+    unrecoverable pages are reported as [Lost].
+    @raise Invalid_argument if the range is not inside the store. *)
+
 val recover : t -> recovery_report
-(** Scan and repair all pages. Never raises: unrecoverable pages are
-    reported as [Lost]. *)
+(** [recover_range ~first:0 ~count:(npages t)]: scan and repair every
+    page. *)
+
+val raise_seq_floor : t -> int64 -> unit
+(** Make every sequence number issued from now on at least the given
+    floor (never lowers it). A caller that scans only part of the
+    store cannot learn the highest sequence number on disk, so a stale
+    copy in an unscanned page could outrank a later write to it; a
+    floor above every sequence number of earlier lives (e.g. a boot
+    count shifted left) restores "newer copy wins". *)
 
 val start_scrubber : interval_ms:float -> t -> Rhodos_sim.Sim.pid * (unit -> int)
 (** Background media scrubbing: run [recover] every [interval_ms] so

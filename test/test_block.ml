@@ -680,11 +680,14 @@ let test_attach_unformatted_disk_raises () =
         Alcotest.fail "expected Not_formatted"
       with Block.Not_formatted _ -> ())
 
+let make_stable_pair sim =
+  let disk = Disk.create ~name:"main" sim (Disk.geometry_with_capacity (mib 4)) in
+  let g = Disk.geometry_with_capacity (mib 8) in
+  (disk, (Disk.create ~name:"st0" sim g, Disk.create ~name:"st1" sim g))
+
 let test_attach_uses_stable_when_main_bitmap_decays () =
   run_in_sim (fun sim ->
-      let disk = Disk.create ~name:"main" sim (Disk.geometry_with_capacity (mib 4)) in
-      let g = Disk.geometry_with_capacity (mib 8) in
-      let st = (Disk.create ~name:"st0" sim g, Disk.create ~name:"st1" sim g) in
+      let disk, st = make_stable_pair sim in
       let svc = Block.create ~disk ~stable:st () in
       Block.format svc;
       let a = Block.allocate svc ~fragments:3 in
@@ -695,6 +698,101 @@ let test_attach_uses_stable_when_main_bitmap_decays () =
       Block.attach svc2;
       check bool "bitmap restored from stable" false
         (Block.is_free svc2 ~pos:a ~fragments:3))
+
+(* Each stable copy of a fragment is 5 sectors (header + 4 payload),
+   laid out from sector 0 of both stable disks. *)
+let stable_spp = 5
+
+let stable_sectors page = (page * stable_spp, stable_spp)
+
+(* Write [data] to fragment [pos] and both its stable copies, then put
+   the mirror copy back as it was: a crash between the two careful
+   writes. *)
+let torn_write ~mirror svc ~pos data =
+  let sector, count = stable_sectors pos in
+  let old = Disk.peek mirror ~sector ~count in
+  Block.put_block svc ~dest:Block.Original_and_stable ~pos data;
+  Disk.poke mirror ~sector old
+
+let test_attach_repairs_live_pages () =
+  run_in_sim (fun sim ->
+      let disk, ((st0, st1) as st) = make_stable_pair sim in
+      let svc = Block.create ~disk ~stable:st () in
+      Block.format svc;
+      let fit = Block.allocate svc ~fragments:1 in
+      Block.put_block svc ~dest:Block.Original_and_stable ~pos:fit (frag_payload ~tag:1 1);
+      torn_write ~mirror:st1 svc ~pos:fit (frag_payload ~tag:2 1);
+      (* Decay the bitmap's (fragment 1) mirror copy. *)
+      let sector, count = stable_sectors 1 in
+      Disk.inject_media_fault st1 ~sector ~count;
+      let svc2 = Block.create ~disk ~stable:st () in
+      Block.attach svc2;
+      (* The mirror alone now holds the current FIT and the bitmap. *)
+      Disk.fail_unit st0;
+      check bool "torn FIT page repaired to the newer copy" true
+        (Bytes.equal (frag_payload ~tag:2 1)
+           (Block.get_block ~source:Block.Stable svc2 ~pos:fit ~fragments:1));
+      check bool "decayed bitmap page repaired" true
+        (Bytes.equal
+           (Block.get_block svc2 ~pos:1 ~fragments:1)
+           (Block.get_block ~source:Block.Stable svc2 ~pos:1 ~fragments:1)))
+
+let test_attach_skips_free_fragments () =
+  run_in_sim (fun sim ->
+      let disk, ((st0, st1) as st) = make_stable_pair sim in
+      let svc = Block.create ~disk ~stable:st () in
+      Block.format svc;
+      let runs =
+        List.map (fun n -> (Block.allocate svc ~fragments:n, n)) [ 1; 5; 3; 4 ]
+      in
+      List.iter
+        (fun (pos, n) ->
+          Block.put_block svc ~dest:Block.Original_and_stable ~pos (frag_payload ~tag:pos n))
+        runs;
+      (* A freed run keeps its stable copies on disk: attach must not
+         read them. *)
+      let pos, n = List.nth runs 1 in
+      Block.free svc ~pos ~fragments:n;
+      let svc2 = Block.create ~disk ~stable:st () in
+      Disk.reset_stats st0;
+      Disk.reset_stats st1;
+      Block.attach svc2;
+      let live = Block.total_fragments svc2 - Block.free_fragments svc2 in
+      check int "mirror reads exactly the live pages" (live * stable_spp)
+        (Disk.stats st1).sectors_read;
+      (* The primary also serves the superblock and bitmap reads. *)
+      check int "primary reads the live pages and the metadata once more"
+        ((live + Block.metadata_fragments svc2) * stable_spp)
+        (Disk.stats st0).sectors_read)
+
+let test_attach_epoch_newer_primary_wins () =
+  (* With the bitmap written back only on [sync], a page can be
+     written many times and freed with no durable trace: its stable
+     copies outrank every sequence number the next attach sees. The
+     boot epoch must still make a later write to the reused page the
+     newer copy. *)
+  run_in_sim (fun sim ->
+      let disk, ((_, st1) as st) = make_stable_pair sim in
+      let config = { Block.default_config with Block.bitmap_write_through = false } in
+      let svc = Block.create ~config ~disk ~stable:st () in
+      Block.format svc;
+      let pos = Block.allocate svc ~fragments:1 in
+      for i = 1 to 30 do
+        Block.put_block svc ~dest:Block.Original_and_stable ~pos (frag_payload ~tag:i 1)
+      done;
+      Block.free svc ~pos ~fragments:1;
+      let svc2 = Block.create ~config ~disk ~stable:st () in
+      Block.attach svc2;
+      check int "the same fragment is reused" pos (Block.allocate svc2 ~fragments:1);
+      Block.sync svc2;
+      torn_write ~mirror:st1 svc2 ~pos (frag_payload ~tag:99 1);
+      let svc3 = Block.create ~config ~disk ~stable:st () in
+      Block.attach svc3;
+      check bool "newer primary wins" true
+        (Bytes.equal (frag_payload ~tag:99 1)
+           (Block.get_block ~source:Block.Stable svc3 ~pos ~fragments:1));
+      check int "two boots recorded" 2
+        (Int64.to_int (Bytes.get_int64_le (Disk.peek disk ~sector:0 ~count:4) 32)))
 
 (* ------------------------------------------------------------------ *)
 (* Counters                                                            *)
@@ -851,6 +949,12 @@ let () =
             test_attach_unformatted_disk_raises;
           Alcotest.test_case "attach prefers stable bitmap" `Quick
             test_attach_uses_stable_when_main_bitmap_decays;
+          Alcotest.test_case "attach repairs live pages" `Quick
+            test_attach_repairs_live_pages;
+          Alcotest.test_case "attach skips free fragments" `Quick
+            test_attach_skips_free_fragments;
+          Alcotest.test_case "attach epoch: newer primary wins" `Quick
+            test_attach_epoch_newer_primary_wins;
         ] );
       ("counters", [ Alcotest.test_case "move and reset" `Quick test_counters_move ]);
     ]

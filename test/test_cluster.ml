@@ -327,6 +327,45 @@ let test_crash_after_mixed_writes () =
         true
         (Rhodos_file.Fsck.is_clean report))
 
+(* A second crash right after recovery: the first attach has bumped
+   the boot epoch and scanned only live pages, and the second must find
+   everything the first left. *)
+let test_crash_twice_in_a_row () =
+  Cluster.run (fun _sim t ->
+      let c = Cluster.add_client t ~name:"ws" in
+      let acked =
+        List.init 5 (fun i ->
+            let path = Printf.sprintf "/twice%d" i in
+            let data = Bytes.make (3000 * (i + 1)) (Char.chr (97 + i)) in
+            let d = Cluster.create_file c path in
+            Cluster.write c d data;
+            File_agent.flush (Cluster.file_agent c);
+            Cluster.close c d;
+            (path, data))
+      in
+      Cluster.delete c "/twice2";
+      let acked = List.filter (fun (path, _) -> path <> "/twice2") acked in
+      Cluster.with_transaction c (fun ta td ->
+          let fd = Transaction_agent.tcreate ta td ~path:"/twice-tx" in
+          Transaction_agent.twrite ta td fd (Bytes.of_string "tx-data"));
+      let acked = ("/twice-tx", Bytes.of_string "tx-data") :: acked in
+      ignore (Cluster.crash_server t);
+      ignore (Cluster.recover_server t);
+      ignore (Cluster.crash_server t);
+      ignore (Cluster.recover_server t);
+      let report = Cluster.fsck t in
+      check bool
+        (Format.asprintf "books balance: %a" Rhodos_file.Fsck.pp_report report)
+        true
+        (Rhodos_file.Fsck.is_clean report);
+      List.iter
+        (fun (path, data) ->
+          let d = Cluster.open_file c path in
+          check bool (path ^ " reads back") true
+            (Bytes.equal data (Cluster.read c d (Bytes.length data + 1)));
+          Cluster.close c d)
+        acked)
+
 let test_colocated_mode () =
   Cluster.run
     ~config:{ Cluster.default_config with Cluster.remote = false }
@@ -727,6 +766,7 @@ let () =
           QCheck_alcotest.to_alcotest crash_anytime_conservation_prop;
           Alcotest.test_case "crash after mixed writes" `Quick
             test_crash_after_mixed_writes;
+          Alcotest.test_case "crash twice in a row" `Quick test_crash_twice_in_a_row;
         ] );
       ( "multiple servers",
         [

@@ -168,6 +168,102 @@ let test_seq_monotonic_across_recover () =
       ignore (Stable.recover s);
       check bool "latest content" true (Bytes.equal (payload 2) (Stable.read s ~page:0)))
 
+(* A page's copy is 5 sectors: a header, then 4 of payload. *)
+let spp = 5
+
+let test_recover_range_reads_only_its_range () =
+  with_store ~npages:200 (fun _ d0 d1 s ->
+      List.iter (fun p -> Stable.write s ~page:p (payload p)) [ 5; 72; 150 ];
+      Disk.reset_stats d0;
+      Disk.reset_stats d1;
+      let report = Stable.recover_range s ~first:70 ~count:10 in
+      check int "pages scanned" 10 report.pages_scanned;
+      check int "primary sectors read" (10 * spp) (Disk.stats d0).sectors_read;
+      check int "mirror sectors read" (10 * spp) (Disk.stats d1).sectors_read)
+
+let test_recover_range_repairs_and_raises_seq () =
+  with_store ~npages:200 (fun _ d0 d1 s ->
+      Stable.write s ~page:72 (payload 1);
+      Stable.write_torn s ~page:72 (payload 2);
+      Stable.write s ~page:75 (payload 3);
+      Disk.inject_media_fault d1 ~sector:(75 * spp) ~count:spp;
+      (* A torn page outside the range is left for another scan. *)
+      Stable.write s ~page:10 (payload 4);
+      Stable.write_torn s ~page:10 (payload 5);
+      let report = Stable.recover_range s ~first:70 ~count:10 in
+      check bool "torn and decayed pages repaired, nothing else" true
+        (report.repairs = [ (72, Stable.Repaired_mirror); (75, Stable.Repaired_mirror) ]);
+      Disk.fail_unit d0;
+      check bool "torn page's mirror is current" true
+        (Bytes.equal (payload 2) (Stable.read s ~page:72));
+      check bool "decayed mirror rewritten" true
+        (Bytes.equal (payload 3) (Stable.read s ~page:75));
+      Disk.revive_unit d0;
+      (* Page 78 outranks every sequence number a fresh store would
+         issue; scanning it must lift the fresh store above it. *)
+      for i = 1 to 20 do
+        Stable.write s ~page:78 (payload i)
+      done;
+      let fresh =
+        Stable.create ~primary:d0 ~primary_sector:0 ~mirror:d1 ~mirror_sector:0
+          ~page_bytes ~npages:200
+      in
+      ignore (Stable.recover_range fresh ~first:78 ~count:1);
+      Stable.write_torn fresh ~page:78 (payload 99);
+      ignore (Stable.recover_range fresh ~first:78 ~count:1);
+      check bool "newer write wins after a range scan" true
+        (Bytes.equal (payload 99) (Stable.read fresh ~page:78)))
+
+let test_recover_range_overlaps_replicas () =
+  (* The two replicas are on independent disks: the scan takes about
+     one replica's read time, not the sum of both. *)
+  with_store ~npages:512 (fun sim d0 d1 s ->
+      Stable.write s ~page:300 (payload 1);
+      Disk.reset_stats d0;
+      Disk.reset_stats d1;
+      let t0 = Sim.now sim in
+      ignore (Stable.recover_range s ~first:0 ~count:512);
+      let elapsed = Sim.now sim -. t0 in
+      let busy = (Disk.stats d0).busy_ms +. (Disk.stats d1).busy_ms in
+      check bool
+        (Printf.sprintf "elapsed %.1f ms <= 0.6 x busy %.1f ms" elapsed busy)
+        true
+        (elapsed <= 0.6 *. busy))
+
+let test_scrubber_repairs_outside_range () =
+  (* A range scan leaves page 6 alone; the scrubber's full scan still
+     repairs its decay. *)
+  let sim = Sim.create () in
+  let d0 = Disk.create ~name:"primary" sim Disk.default_geometry in
+  let d1 = Disk.create ~name:"mirror" sim Disk.default_geometry in
+  let store =
+    Stable.create ~primary:d0 ~primary_sector:0 ~mirror:d1 ~mirror_sector:0
+      ~page_bytes ~npages:8
+  in
+  let range_repairs = ref [] and repairs_fn = ref (fun () -> 0) and scrubber = ref None in
+  let _ =
+    Sim.spawn sim (fun () ->
+        Stable.write store ~page:1 (payload 1);
+        Stable.write store ~page:6 (payload 6);
+        Disk.inject_media_fault d0 ~sector:(6 * spp) ~count:spp;
+        range_repairs := (Stable.recover_range store ~first:0 ~count:4).repairs;
+        let pid, repairs = Stable.start_scrubber ~interval_ms:100. store in
+        scrubber := Some pid;
+        repairs_fn := repairs)
+  in
+  Sim.run ~until:500. sim;
+  (match !scrubber with Some pid -> Sim.kill sim pid | None -> ());
+  check bool "range scan skipped page 6" true (!range_repairs = []);
+  check bool "scrubber repaired page 6" true (!repairs_fn () >= 1);
+  let verified = ref false in
+  let _ =
+    Sim.spawn sim (fun () ->
+        Disk.fail_unit d1;
+        verified := Bytes.equal (payload 6) (Stable.read store ~page:6))
+  in
+  Sim.run ~until:600. sim;
+  check bool "primary standalone after scrub" true !verified
+
 let test_costs_disk_time () =
   with_store (fun sim _ _ s ->
       let t0 = Sim.now sim in
@@ -230,5 +326,13 @@ let () =
           Alcotest.test_case "lost page" `Quick test_recover_reports_lost_page;
           Alcotest.test_case "seq monotonic" `Quick test_seq_monotonic_across_recover;
           Alcotest.test_case "background scrubber" `Quick test_scrubber_repairs_decay;
+          Alcotest.test_case "range reads only its pages" `Quick
+            test_recover_range_reads_only_its_range;
+          Alcotest.test_case "range repairs and raises seq" `Quick
+            test_recover_range_repairs_and_raises_seq;
+          Alcotest.test_case "range overlaps replicas" `Quick
+            test_recover_range_overlaps_replicas;
+          Alcotest.test_case "scrubber repairs outside ranges" `Quick
+            test_scrubber_repairs_outside_range;
         ] );
     ]
