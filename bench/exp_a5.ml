@@ -1,14 +1,17 @@
 (* A5 — ablation: what the race/protocol sanitizer costs on the hot
-   workloads. Two claims: (1) disabled is free — with no sanitizer
-   attached every instrumentation touch point is a single [None]
-   match, so the E0/E15 shapes dispatch the same events to the same
-   digest in the same simulated time as a never-instrumented run
-   would; (2) enabled is behaviour-neutral — attaching the sanitizer
-   (vector clocks, lockset tracking, protocol monitors) changes
-   neither digest, dispatch count nor simulated time, only host-side
-   bookkeeping, so it can ride along under exploration at no cost to
-   replayability. The overhead that remains is host work per recorded
-   access, reported here as deterministic access/dispatch counts. *)
+   workloads. Two claims: (1) disabled is free — with nobody
+   subscribed to the world's observation stream every emission site
+   is a single match on the empty subscriber list, so the E0/E15
+   shapes dispatch the same events to the same digest in the same
+   simulated time as a never-instrumented run would; (2) enabled is
+   behaviour-neutral — subscribing the sanitizer (vector clocks, the
+   held-lock bookkeeping its race reports print, protocol monitors)
+   changes neither digest, dispatch count nor simulated time, only
+   host-side bookkeeping, so it can ride along under exploration at
+   no cost to replayability. The overhead that remains is host work
+   per recorded access, reported here as deterministic access/dispatch
+   counts; "monitor events" counts the simulator-primitive events the
+   sanitizer processed (dispatch, lock and cache events excluded). *)
 
 open Common
 module Fa = Rhodos_agent.File_agent
@@ -125,7 +128,7 @@ let run () =
   print_table table;
   note
     "digest, event count and simulated time are identical with the\n\
-     sanitizer off and on: disabled instrumentation is one None match\n\
-     per touch point, and enabled emission never schedules events. The\n\
-     residual cost is host-side only, proportional to the monitor\n\
-     events per dispatched simulator event above."
+     sanitizer off and on: disabled instrumentation is one match on an\n\
+     empty subscriber list per touch point, and enabled emission never\n\
+     schedules events. The residual cost is host-side only, proportional\n\
+     to the monitor events per dispatched simulator event above."

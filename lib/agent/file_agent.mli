@@ -140,7 +140,7 @@ val cache_stats : t -> Rhodos_util.Stats.Counter.t
 
 val buffer_pool : t -> (int * int) Rhodos_cache.Buffer_cache.t
 (** The agent's block pool, keyed by (file, block index) — exposed so
-    the sanitizer can attach the cache protocol monitor
-    ([Buffer_cache.set_monitor]). *)
+    the sanitizer can attach its cache protocol monitor
+    ([Sanitizer.attach_cache]). *)
 
 val name_cache_stats : t -> Rhodos_util.Stats.Counter.t

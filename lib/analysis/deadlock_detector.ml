@@ -1,3 +1,4 @@
+module Sim = Rhodos_sim.Sim
 module Lm = Rhodos_txn.Lock_manager
 module Counter = Rhodos_util.Stats.Counter
 
@@ -5,7 +6,6 @@ type t = {
   lm : Lm.t;
   counters : Counter.t;
   mutable last_cycle : int list option;
-  mutable token : Rhodos_obs.Event_bus.token option;
 }
 
 let classify_suspect t txn =
@@ -17,25 +17,20 @@ let classify_suspect t txn =
     Counter.incr t.counters "true_deadlocks"
   | None -> Counter.incr t.counters "false_aborts"
 
-let attach lm =
-  let t = { lm; counters = Counter.create (); last_cycle = None; token = None } in
-  let token =
-    Lm.subscribe lm (function
-      | Lm.Ev_blocked _ -> Counter.incr t.counters "blocks_observed"
-      | Lm.Ev_granted _ -> Counter.incr t.counters "grants_observed"
-      | Lm.Ev_cancelled _ -> Counter.incr t.counters "cancels_observed"
-      | Lm.Ev_released _ -> ()
-      | Lm.Ev_suspected { txn } -> classify_suspect t txn)
-  in
-  t.token <- Some token;
-  t
+let on_event t = function
+  | Lm.Lock_event { lm; ev } when lm == t.lm -> (
+    match ev with
+    | Lm.Ev_blocked _ -> Counter.incr t.counters "blocks_observed"
+    | Lm.Ev_granted _ -> Counter.incr t.counters "grants_observed"
+    | Lm.Ev_cancelled _ -> Counter.incr t.counters "cancels_observed"
+    | Lm.Ev_released _ -> ()
+    | Lm.Ev_suspected { txn } -> classify_suspect t txn)
+  | _ -> ()
 
-let detach t =
-  match t.token with
-  | Some token ->
-    Lm.unsubscribe t.lm token;
-    t.token <- None
-  | None -> ()
+let attach lm =
+  let t = { lm; counters = Counter.create (); last_cycle = None } in
+  ignore (Sim.subscribe (Lm.sim lm) (on_event t));
+  t
 
 let stats t = t.counters
 

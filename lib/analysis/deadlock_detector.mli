@@ -12,14 +12,11 @@
 type t
 
 val attach : Rhodos_txn.Lock_manager.t -> t
-(** Subscribe the detector to the lock manager's event bus. Other
-    subscribers (e.g. a request tracer) are unaffected — the detector
-    holds its own unsubscribe token. The lock manager's behaviour is
-    unchanged: the detector only observes. *)
-
-val detach : t -> unit
-(** Unsubscribe this detector (idempotent); other subscribers keep
-    receiving events. *)
+(** Subscribe the detector, for the world's lifetime, to the
+    observation stream of the lock manager's world, following that
+    manager's events only (other managers on the world are ignored).
+    Other subscribers (e.g. a sanitizer) are unaffected. The lock
+    manager's behaviour is unchanged: the detector only observes. *)
 
 val snapshot : t -> Waits_for.t
 (** The current waits-for graph. *)

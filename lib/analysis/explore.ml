@@ -14,12 +14,11 @@ type run = {
   audit : Sim.audit;
   choices : (int * int) list;
   schedule : int list;
-  trace : (float * string) list;
 }
 
-let exec ?until ?(tie = Rhodos_util.Prio_queue.Fifo) ?scheduler
-    ?(record = false) ~setup ~observe () =
-  let sim = Sim.create ~tie_break:tie ~track:true ?scheduler ~record () in
+let exec ?until ?(tie = Rhodos_util.Prio_queue.Fifo) ?scheduler ~setup
+    ~observe () =
+  let sim = Sim.create ~tie_break:tie ~track:true ?scheduler () in
   setup sim;
   Sim.run ?until sim;
   let choices = Sim.choices sim in
@@ -30,8 +29,17 @@ let exec ?until ?(tie = Rhodos_util.Prio_queue.Fifo) ?scheduler
     audit = Sim.audit sim;
     choices;
     schedule = List.map snd choices;
-    trace = Sim.dispatch_log sim;
   }
+
+let record_dispatches sim =
+  let log = ref [] in
+  ignore
+    (Sim.subscribe sim (function
+      | Sim.M_dispatch { at; proc = -1; _ } -> log := (at, "top") :: !log
+      | Sim.M_dispatch { at; proc; name } ->
+        log := (at, Printf.sprintf "%s#%d" name proc) :: !log
+      | _ -> ()));
+  fun () -> List.rev !log
 
 (* ------------------------------------------------------------------ *)
 (* Systematic enumeration by deviation                                 *)
@@ -130,11 +138,14 @@ let default_bounds =
   { max_depth = 12; max_runs = 4000; random_walks = 64; walk_seed = 0x5eed }
 
 (* One controlled execution of a scenario: build the world, run under
-   [scheduler], evaluate its invariants plus the built-in leak check. *)
+   [scheduler], evaluate its invariants plus the built-in leak check.
+   [record] also collects the dispatch log and spans for [replay]. *)
 let run_scenario_strat ~record ~scheduler sc =
   let world = ref None in
   let collected = ref None in
+  let dispatches = ref (fun () -> []) in
   let setup sim =
+    if record then dispatches := record_dispatches sim;
     let w = sc.sc_setup sim in
     if record then begin
       match w.tracer with
@@ -144,7 +155,7 @@ let run_scenario_strat ~record ~scheduler sc =
     world := Some w
   in
   let observe _sim = match !world with Some w -> w.observe () | None -> "" in
-  let r = exec ?until:sc.sc_until ~scheduler ~record ~setup ~observe () in
+  let r = exec ?until:sc.sc_until ~scheduler ~setup ~observe () in
   let w = match !world with Some w -> w | None -> assert false in
   let spans =
     match !collected with
@@ -178,11 +189,11 @@ let run_scenario_strat ~record ~scheduler sc =
           (Sanitizer.violations sz)
     | None -> violations
   in
-  (r, violations, spans)
+  (r, violations, (!dispatches (), spans))
 
-let run_schedule ?(record = false) sc schedule =
+let run_schedule sc schedule =
   let r, violations, _ =
-    run_scenario_strat ~record ~scheduler:(Schedule.of_list schedule) sc
+    run_scenario_strat ~record:false ~scheduler:(Schedule.of_list schedule) sc
   in
   (r, violations)
 
@@ -341,7 +352,7 @@ let schedule_of_string str =
            | Some _ | None ->
              failwith (Printf.sprintf "bad schedule entry %S" tok))
 
-let render_interleaving r spans =
+let render_interleaving r (trace, spans) =
   let buf = Buffer.create 512 in
   Printf.bprintf buf "schedule [%s], %d choice points, %d events\n"
     (schedule_to_string r.schedule)
@@ -353,7 +364,7 @@ let render_interleaving r spans =
   Buffer.add_string buf "dispatch trace:\n";
   List.iter
     (fun (t, who) -> Printf.bprintf buf "  %10.3f ms  %s\n" t who)
-    r.trace;
+    trace;
   (match spans with
   | Some (_ :: _ as sp) ->
     Buffer.add_string buf "span tree:\n";
@@ -362,10 +373,10 @@ let render_interleaving r spans =
   Buffer.contents buf
 
 let replay sc schedule =
-  let r, violations, spans =
+  let r, violations, recorded =
     run_scenario_strat ~record:true ~scheduler:(Schedule.of_list schedule) sc
   in
-  (r, violations, render_interleaving r spans)
+  (r, violations, render_interleaving r recorded)
 
 (* ------------------------------------------------------------------ *)
 (* Crash-point sweep                                                   *)

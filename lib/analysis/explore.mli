@@ -41,15 +41,12 @@ type run = {
   choices : (int * int) list;
       (** (n_ready, chosen) per choice point; empty when uncontrolled *)
   schedule : int list;  (** the [chosen] components of [choices] *)
-  trace : (float * string) list;
-      (** dispatch log, only when [record] *)
 }
 
 val exec :
   ?until:float ->
   ?tie:Rhodos_util.Prio_queue.tie ->
   ?scheduler:Rhodos_sim.Schedule.strategy ->
-  ?record:bool ->
   setup:(Sim.t -> unit) ->
   observe:(Sim.t -> string) ->
   unit ->
@@ -57,6 +54,11 @@ val exec :
 (** Build a fresh tracked world with [setup], run it (to [until] if
     given), and capture digest, audit, recorded choices and the
     [observe] result. *)
+
+val record_dispatches : Sim.t -> unit -> (float * string) list
+(** Subscribe a dispatch log — [(time, "name#id" or "top")] per
+    dispatch — to the world's stream; the returned function reads it,
+    oldest first. {!replay} prints it as the interleaving trace. *)
 
 val enumerate_schedules :
   ?until:float ->
@@ -137,7 +139,7 @@ type report = {
 
 (** {2 Exploration} *)
 
-val run_schedule : ?record:bool -> scenario -> int list -> run * (string * string) list
+val run_schedule : scenario -> int list -> run * (string * string) list
 (** Execute the scenario under one schedule; returns the run and its
     invariant violations as [(invariant, detail)] pairs. *)
 

@@ -17,17 +17,9 @@ type access = {
 
 type violation = { v_kind : string; v_detail : string; v_time : float }
 
-(* Eraser's per-cell state machine: no narrowing (and no reports)
-   while a single process owns the cell; the candidate lockset starts
-   at the first access by a second process and only an empty set in
-   the write-shared state can fire. *)
-type eraser = Virgin | Exclusive of int | Shared | Shared_modified
-
 type cell_state = {
   mutable last_write : access option;
   mutable reads_since : access list;  (* reads since [last_write] *)
-  mutable er_state : eraser;
-  mutable er_lockset : string list option;  (* None until second proc *)
 }
 
 type t = {
@@ -45,10 +37,13 @@ type t = {
   txn_locks : (int, (Lm.item * Lm.mode) list) Hashtbl.t;
   released_txns : (int, unit) Hashtbl.t;  (* txns past their shrink point *)
   reported : (string, unit) Hashtbl.t;  (* (object, kind) dedup keys *)
-  mutable detachers : (unit -> unit) list;
+  mutable token : Rhodos_util.Event_bus.token option;
+  mutable filters : (Sim.mon_event -> unit) list;
+      (* one per attached lock manager / cache, each ignoring the
+         events of every other instance *)
   mutable viols : violation list;  (* newest first *)
   mutable accs : access list;  (* newest first *)
-  mutable n_events : int;  (* monitor events processed (A5's work proxy) *)
+  mutable n_events : int;  (* primitive events processed (A5's work proxy) *)
 }
 
 let clock_of t p =
@@ -81,8 +76,8 @@ let report t ~dedup kind detail =
   end
 
 (* Items held at an access: union over the transactions bound to the
-   process. Sorted so intersection and reports are stable. *)
-let lockset_of t p =
+   process. Sorted so reports are stable. *)
+let held_items t p =
   Hashtbl.fold
     (fun txn proc acc ->
       if proc <> p then acc
@@ -95,8 +90,6 @@ let lockset_of t p =
         | None -> acc)
     t.txn_proc []
   |> List.sort_uniq compare
-
-let inter a b = List.filter (fun x -> List.mem x b) a
 
 let describe_access a =
   Printf.sprintf "%s by %s at t=%.3f clock %s locks [%s]%s"
@@ -112,10 +105,7 @@ let cell_state_of t cell =
   match Hashtbl.find_opt t.cells cell with
   | Some st -> st
   | None ->
-    let st =
-      { last_write = None; reads_since = []; er_state = Virgin;
-        er_lockset = None }
-    in
+    let st = { last_write = None; reads_since = [] } in
     Hashtbl.replace t.cells cell st;
     st
 
@@ -130,7 +120,7 @@ let on_data_access t ~proc ~cell ~write =
       acc_cell_name = cell_name t cell;
       acc_write = write;
       acc_clock = clock_of t proc;
-      acc_locks = lockset_of t proc;
+      acc_locks = held_items t proc;
       acc_span =
         (match t.tracer with
         | Some tr -> (
@@ -164,62 +154,37 @@ let on_data_access t ~proc ~cell ~write =
       (Printf.sprintf "%s: %s is concurrent with %s" acc.acc_cell_name
          (describe_access prev) (describe_access acc))
   | None -> ());
-  (* Lockset pass: narrow the candidate set from the second process
-     on; fire on an empty set once write-shared, but only when the
-     triggering pair is also unordered (a lock-free ownership handoff
-     over a mailbox is not a report). *)
-  (match st.er_state with
-  | Virgin -> st.er_state <- Exclusive proc
-  | Exclusive p when p = proc -> ()
-  | Exclusive _ ->
-    st.er_state <- (if write then Shared_modified else Shared);
-    st.er_lockset <- Some acc.acc_locks
-  | Shared ->
-    st.er_lockset <-
-      Some (inter (Option.value ~default:[] st.er_lockset) acc.acc_locks);
-    if write then st.er_state <- Shared_modified
-  | Shared_modified ->
-    st.er_lockset <-
-      Some (inter (Option.value ~default:[] st.er_lockset) acc.acc_locks));
-  (match (st.er_state, st.er_lockset, racy) with
-  | Shared_modified, Some [], Some prev ->
-    report t
-      ~dedup:(Printf.sprintf "cell:%d" cell)
-      "lockset"
-      (Printf.sprintf
-         "%s is write-shared with an empty candidate lockset: %s then %s"
-         acc.acc_cell_name (describe_access prev) (describe_access acc))
-  | _ -> ());
   if write then begin
     st.last_write <- Some acc;
     st.reads_since <- []
   end
   else st.reads_since <- acc :: st.reads_since
 
-let handle t (ev : Sim.mon_event) =
-  t.n_events <- t.n_events + 1;
+(* The simulator-primitive events: vector-clock edges and Data-cell
+   accesses. *)
+let primitive t (ev : Sim.mon_event) =
   match ev with
-  | M_spawn { parent; child; name } ->
+  | Sim.M_spawn { parent; child; name } ->
     Hashtbl.replace t.proc_names child name;
     tick t parent;
     join t child (clock_of t parent);
     tick t child
-  | M_wake { by; target } ->
+  | Sim.M_wake { by; target } ->
     if by >= 0 then begin
       tick t by;
       join t target (clock_of t by)
     end
-  | M_send { proc; mailbox; msg } ->
+  | Sim.M_send { proc; mailbox; msg } ->
     tick t proc;
     Hashtbl.replace t.msgs (mailbox, msg) (clock_of t proc)
-  | M_recv { proc; mailbox; msg } ->
+  | Sim.M_recv { proc; mailbox; msg } ->
     tick t proc;
     (match Hashtbl.find_opt t.msgs (mailbox, msg) with
     | Some c ->
       join t proc c;
       Hashtbl.remove t.msgs (mailbox, msg)
     | None -> ())
-  | M_ivar_fill { proc; ivar; double } ->
+  | Sim.M_ivar_fill { proc; ivar; double } ->
     if double then
       report t
         ~dedup:(Printf.sprintf "ivar:%d" ivar)
@@ -231,32 +196,33 @@ let handle t (ev : Sim.mon_event) =
       Option.value ~default:Vclock.empty (Hashtbl.find_opt t.ivars ivar)
     in
     Hashtbl.replace t.ivars ivar (Vclock.merge prev (clock_of t proc))
-  | M_ivar_read { proc; ivar } ->
+  | Sim.M_ivar_read { proc; ivar } ->
     tick t proc;
     (match Hashtbl.find_opt t.ivars ivar with
     | Some c -> join t proc c
     | None -> ())
-  | M_sem_acquire { proc; sem } ->
+  | Sim.M_sem_acquire { proc; sem } ->
     tick t proc;
     (match Hashtbl.find_opt t.sems sem with
     | Some c -> join t proc c
     | None -> ())
-  | M_sem_release { proc; sem } ->
+  | Sim.M_sem_release { proc; sem } ->
     tick t proc;
     let prev =
       Option.value ~default:Vclock.empty (Hashtbl.find_opt t.sems sem)
     in
     Hashtbl.replace t.sems sem (Vclock.merge prev (clock_of t proc))
-  | M_cell_created { cell; name; role = _ } ->
+  | Sim.M_cell_created { cell; name; role = _ } ->
     Hashtbl.replace t.cell_names cell name
-  | M_cell_read { proc; cell; role } -> (
+  | Sim.M_cell_read { proc; cell; role } -> (
     match role with
     | Sim.Data -> on_data_access t ~proc ~cell ~write:false
     | Sim.Sync -> ())
-  | M_cell_write { proc; cell; role } -> (
+  | Sim.M_cell_write { proc; cell; role } -> (
     match role with
     | Sim.Data -> on_data_access t ~proc ~cell ~write:true
     | Sim.Sync -> ())
+  | _ -> ()
 
 (* Table 1: on a grant to [txn], every conflicting active grant of
    another transaction must be compatible — read-only locks share with
@@ -363,6 +329,19 @@ let lock_event t ~grants (ev : Lm.event) =
     Hashtbl.replace t.released_txns txn ()
   | Ev_cancelled _ | Ev_suspected _ -> ()
 
+(* The one subscription: primitive events drive the passes (and are
+   what [events_seen] counts); every other event goes to the
+   per-instance filters of the attached lock managers and caches. *)
+let on_event t (ev : Sim.mon_event) =
+  match ev with
+  | Sim.M_spawn _ | Sim.M_wake _ | Sim.M_send _ | Sim.M_recv _
+  | Sim.M_ivar_fill _ | Sim.M_ivar_read _ | Sim.M_sem_acquire _
+  | Sim.M_sem_release _ | Sim.M_cell_created _ | Sim.M_cell_read _
+  | Sim.M_cell_write _ ->
+    t.n_events <- t.n_events + 1;
+    primitive t ev
+  | _ -> List.iter (fun f -> f ev) t.filters
+
 let create ?tracer sim =
   let t =
     {
@@ -380,34 +359,42 @@ let create ?tracer sim =
       txn_locks = Hashtbl.create 16;
       released_txns = Hashtbl.create 16;
       reported = Hashtbl.create 8;
-      detachers = [];
+      token = None;
+      filters = [];
       viols = [];
       accs = [];
       n_events = 0;
     }
   in
-  Sim.set_monitor sim (Some (handle t));
+  t.token <- Some (Sim.subscribe sim (on_event t));
   t
 
 let attach_lock_manager t lm =
-  let token =
-    Lm.subscribe lm (lock_event t ~grants:(fun () -> Lm.active_grants lm))
-  in
-  t.detachers <- (fun () -> Lm.unsubscribe lm token) :: t.detachers
+  t.filters <-
+    (function
+      | Lm.Lock_event { lm = from; ev } when from == lm ->
+        lock_event t ~grants:(fun () -> Lm.active_grants lm) ev
+      | _ -> ())
+    :: t.filters
 
-let attach_cache t ~name ~key_to_string cache =
-  Cache.set_monitor cache
-    (Some
-       (fun (Cache.Use_after_evict k) ->
-         report t
-           ~dedup:(Printf.sprintf "cache:%s:%s" name (key_to_string k))
-           "use-after-evict"
-           (Printf.sprintf
-              "cache %s: batch writeback persisted buffer %s after it was \
-               evicted or replaced mid-batch (stale snapshot can clobber \
-               newer durable bytes)"
-              name (key_to_string k))));
-  t.detachers <- (fun () -> Cache.set_monitor cache None) :: t.detachers
+let attach_cache (type k) t ~name ~(key_to_string : k -> string)
+    (cache : k Cache.t) =
+  let filter : Sim.mon_event -> unit = function
+    | Cache.Batch_written { cache = from; key; stale = true } -> (
+      match Cache.same cache from with
+      | Some Type.Equal ->
+        report t
+          ~dedup:(Printf.sprintf "cache:%s:%s" name (key_to_string key))
+          "use-after-evict"
+          (Printf.sprintf
+             "cache %s: batch writeback persisted buffer %s after it was \
+              evicted or replaced mid-batch (stale snapshot can clobber \
+              newer durable bytes)"
+             name (key_to_string key))
+      | None -> ())
+    | _ -> ()
+  in
+  t.filters <- filter :: t.filters
 
 let feed_lock_event t ev = lock_event t ~grants:(fun () -> own_grants t) ev
 
@@ -418,6 +405,6 @@ let events_seen t = t.n_events
 let accesses t = List.rev t.accs
 
 let detach t =
-  Sim.set_monitor t.sim None;
-  List.iter (fun f -> f ()) t.detachers;
-  t.detachers <- []
+  Option.iter (Sim.unsubscribe t.sim) t.token;
+  t.token <- None;
+  t.filters <- []

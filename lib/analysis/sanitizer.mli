@@ -1,25 +1,21 @@
 (** Race and protocol sanitizers over the deterministic simulator.
 
-    An always-available dynamic-analysis layer: [create] installs the
-    [Sim] monitor and from then on every cross-process interaction —
-    spawn, wakeup, mailbox send/receive, ivar fill/read, semaphore
-    acquire/release, instrumented {!Rhodos_sim.Sim.Cell} access — feeds
-    two passes plus a set of protocol monitors:
+    An always-available dynamic-analysis layer: [create] subscribes to
+    the world's observation stream ({!Rhodos_sim.Sim.subscribe}) and
+    from then on every cross-process interaction — spawn, wakeup,
+    mailbox send/receive, ivar fill/read, semaphore acquire/release,
+    instrumented {!Rhodos_sim.Sim.Cell} access — feeds a race pass plus
+    a set of protocol monitors:
 
     - {b happens-before (vector clocks)}: each process carries a
       {!Vclock.t}, ticked on its own events and joined across every
       synchronization edge (including lock grant/release once a lock
       manager is attached). Two accesses to the same [Data] cell from
       different processes, at least one a write, whose clocks are
-      incomparable, are a data race ([v_kind = "data-race"]).
-    - {b lockset (Eraser)}: per [Data] cell, the candidate set of locks
-      held on {e every} access is narrowed from the moment a second
-      process touches the cell; an empty candidate set once the cell is
-      write-shared — and the triggering pair is not happens-before
-      ordered — is reported ([v_kind = "lockset"]). Cells with the
-      [Sync] role (lock tables, dedup maps, cache pools: lock-free by
-      design in the cooperative simulator) are exempt from both
-      pairwise passes; the protocol monitors cover them.
+      incomparable, are a data race ([v_kind = "data-race"]). Cells
+      with the [Sync] role (lock tables, dedup maps, cache pools:
+      lock-free by design in the cooperative simulator) are exempt;
+      the protocol monitors cover them.
     - {b protocol monitors}, firing mid-run: Table 1 lock-mode
       compatibility on every grant ([{v "table1" v}]), grants after
       [release_all] ([{v "2pl" v}]), re-grant at a rank already held
@@ -31,8 +27,8 @@
     Violations deduplicate per (object, kind): a racy cell hammered in
     a loop yields one report, not thousands. Emission never schedules
     simulator events, so an attached sanitizer leaves [Sim.run_digest]
-    unchanged — and with no sanitizer attached the instrumentation is a
-    single [None] match per touch point. *)
+    unchanged — and with nobody subscribed the instrumentation is one
+    match on the empty subscriber list per touch point. *)
 
 type access = {
   acc_time : float;
@@ -54,24 +50,23 @@ type access = {
 (** One recorded access to a [Data]-role cell. *)
 
 type violation = { v_kind : string; v_detail : string; v_time : float }
-(** [v_kind] is one of ["data-race"], ["lockset"], ["table1"],
+(** [v_kind] is one of ["data-race"], ["table1"],
     ["2pl"], ["double-acquire"], ["release-without-hold"],
     ["ivar-double-fill"], ["use-after-evict"]. *)
 
 type t
 
 val create : ?tracer:Rhodos_obs.Trace.t -> Rhodos_sim.Sim.t -> t
-(** Install the sanitizer as the world's [Sim] monitor. Create it
-    before the structures it should observe, so cells register their
-    names. At most one sanitizer per world (it owns the monitor
-    slot). *)
+(** Subscribe a sanitizer to the world's stream; other subscribers
+    coexist with it. Create it before the structures it should
+    observe, so cells register their names. *)
 
 val attach_lock_manager : t -> Rhodos_txn.Lock_manager.t -> unit
-(** Subscribe to the lock manager: grants/releases become
-    happens-before edges (the item's clock is joined into the grantee,
-    the releaser's clock into its items), per-process locksets feed the
-    Eraser pass, and the Table 1 / 2PL / double-acquire /
-    release-without-hold monitors arm. Transactions are bound to the
+(** Follow this lock manager's events (not other managers'):
+    grants/releases become happens-before edges (the item's clock is
+    joined into the grantee, the releaser's clock into its items), race
+    reports name the items each side held, and the Table 1 / 2PL /
+    double-acquire / release-without-hold monitors arm. Transactions are bound to the
     process that first blocks on or is immediately granted a lock
     (grants pumped by a releaser are attributed through that
     binding). *)
@@ -82,9 +77,9 @@ val attach_cache :
   key_to_string:('k -> string) ->
   'k Rhodos_cache.Buffer_cache.t ->
   unit
-(** Arm the buffer-cache protocol monitor: a batch writeback entry
-    persisting a buffer that was evicted or replaced mid-batch reports
-    ["use-after-evict"]. *)
+(** Arm the buffer-cache protocol monitor for this cache: a batch
+    writeback entry persisting a buffer that was evicted or replaced
+    mid-batch reports ["use-after-evict"]. *)
 
 val feed_lock_event : t -> Rhodos_txn.Lock_manager.event -> unit
 (** Drive the lock-protocol monitors with a synthetic event stream —
@@ -101,11 +96,12 @@ val accesses : t -> access list
     happens-before property reads the clocks off this. *)
 
 val events_seen : t -> int
-(** Simulator monitor events processed since [create] — the
-    host-side work the sanitizer performed (clock ticks, joins,
-    bookkeeping). The A5 overhead ablation reports this against the
-    dispatch count; it is not part of any violation logic. *)
+(** Simulator-primitive events (not dispatches, lock or cache events)
+    processed since [create] — the host-side work the sanitizer
+    performed (clock ticks, joins, bookkeeping). The A5 overhead
+    ablation reports this against the dispatch count; it is not part
+    of any violation logic. *)
 
 val detach : t -> unit
-(** Clear the [Sim] monitor and every subscription made by the
-    attach functions. Recorded violations and accesses survive. *)
+(** Remove this sanitizer's subscription only. Recorded violations
+    and accesses survive. *)

@@ -19,9 +19,9 @@ type buffer = {
   mutable flushing : bool;
 }
 
-type 'k event = Use_after_evict of 'k
-
+(* [id] recovers the key type that [Batch_written] hides. *)
 type 'k t = {
+  id : 'k Type.Id.t;
   name : string;
   sim : Sim.t;
   capacity : int;
@@ -32,10 +32,12 @@ type 'k t = {
   buffers : ('k, buffer) Lru.t Sim.Cell.cell;
   counters : Counter.t;
   mutable flusher : Sim.pid option;
-  mutable monitor : ('k event -> unit) option;
 }
 
-let set_monitor t f = t.monitor <- f
+type Sim.mon_event +=
+  | Batch_written : { cache : 'k t; key : 'k; stale : bool } -> Sim.mon_event
+
+let same a b = Type.Id.provably_equal a.id b.id
 
 (* Read / mutate the pool through its cell so the sanitizer observes
    the accesses; [mut] runs an in-place mutation under an [update] so
@@ -78,13 +80,10 @@ let write_out t dirty =
             fun () ->
               b.flushing <- false;
               Counter.incr t.counters "writebacks";
-              (* The entry about to be persisted is no longer the
-                 pool's buffer for this key (invalidated or replaced
-                 mid-batch): the bytes going out can clobber newer
-                 durable state — report it. *)
-              (match t.monitor with
-              | Some f when not (still_pooled t k b) -> f (Use_after_evict k)
-              | Some _ | None -> ());
+              if Sim.observed t.sim then
+                Sim.emit t.sim
+                  (Batch_written
+                     { cache = t; key = k; stale = not (still_pooled t k b) });
               if b.dirty && b.data == snapshot then b.dirty <- false ))
         entries
     in
@@ -126,6 +125,7 @@ let create ?(name = "cache") ?writeback_batch ?on_evict ~sim ~capacity ~policy
   if capacity <= 0 then invalid_arg "Buffer_cache.create: capacity";
   let t =
     {
+      id = Type.Id.make ();
       name;
       sim;
       capacity;
@@ -138,7 +138,6 @@ let create ?(name = "cache") ?writeback_batch ?on_evict ~sim ~capacity ~policy
           (Lru.create capacity);
       counters = Counter.create ();
       flusher = None;
-      monitor = None;
     }
   in
   (match policy with

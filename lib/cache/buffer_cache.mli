@@ -130,17 +130,18 @@ val stats : 'k t -> Rhodos_util.Stats.Counter.t
     ["evictions"], ["dirty_evictions"], ["lost_dirty"],
     ["batch_flushes"] (calls into [writeback_batch]). *)
 
-(** {2 Protocol monitor}
+(** {2 Instrumentation} *)
 
-    Hook for the sanitizer ([Rhodos_analysis.Sanitizer]): emitted
-    synchronously from inside cache operations; the callback must not
-    block. No-op when unset. *)
+type Rhodos_sim.Sim.mon_event +=
+  | Batch_written : { cache : 'k t; key : 'k; stale : bool }
+      -> Rhodos_sim.Sim.mon_event
+      (** Published on the world's stream when a batch entry's
+          [written] thunk runs: [key] is about to be persisted by
+          [cache]. [stale]: the buffer is no longer the pool's buffer
+          for [key] (invalidated or replaced mid-batch), so the
+          snapshot can clobber newer durable bytes. *)
 
-type 'k event =
-  | Use_after_evict of 'k
-      (** a batch entry's [written] thunk ran for a buffer that is no
-          longer the pool's current buffer for that key (invalidated
-          or replaced mid-batch): the snapshot about to be persisted
-          can clobber newer durable bytes *)
-
-val set_monitor : 'k t -> ('k event -> unit) option -> unit
+val same : 'k t -> 'j t -> ('k, 'j) Type.eq option
+(** [Some Equal] iff both are the same cache (a [Type.Id] witness):
+    how a consumer attached to one cache recognises its own
+    {!Batch_written} events and reads their key. *)

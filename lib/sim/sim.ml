@@ -1,6 +1,7 @@
 open Effect
 open Effect.Deep
 module Prio_queue = Rhodos_util.Prio_queue
+module Event_bus = Rhodos_util.Event_bus
 
 exception Killed
 
@@ -25,20 +26,24 @@ type proc = {
 
 type pid = proc
 
-(* Monitor events: a synchronous feed of every causality-relevant
-   primitive operation, consumed by the race/protocol sanitizer
-   ([Rhodos_analysis.Sanitizer]). Emission never schedules events and
-   never blocks, so an attached monitor cannot perturb the run digest;
-   with no monitor attached every hook is a single match on [None] —
-   no allocation, no call. [proc = -1] means "outside any process"
-   (top-level setup code or a bare timer thunk). Mailbox messages,
-   ivars, semaphores and cells carry per-world sequence numbers so the
-   consumer can pair a [M_recv] with the exact [M_send] that produced
-   the message even when deliveries reorder under a controlled
-   schedule. *)
+(* The world's one observation stream: a synchronous feed of every
+   dispatch and every causality-relevant primitive operation, extended
+   by the layers above (lock manager, buffer cache) with their own
+   constructors. Emission never schedules events and never blocks, so
+   a subscriber cannot perturb the run digest; with no subscriber each
+   emission site is a single match on the empty subscriber list, and
+   the event is built only past that match. [proc = -1] means "outside
+   any process" (top-level setup code or a bare timer thunk). Mailbox
+   messages, ivars, semaphores and cells carry per-world sequence
+   numbers so a consumer can pair a [M_recv] with the exact [M_send]
+   that produced the message even when deliveries reorder under a
+   controlled schedule. *)
 type cell_role = Data | Sync
 
-type mon_event =
+type mon_event = ..
+
+type mon_event +=
+  | M_dispatch of { at : float; proc : int; name : string }
   | M_spawn of { parent : int; child : int; name : string }
   | M_wake of { by : int; target : int }
       (** [by] resumed parked process [target]: a mailbox send reaching
@@ -54,7 +59,7 @@ type mon_event =
   | M_cell_read of { proc : int; cell : int; role : cell_role }
   | M_cell_write of { proc : int; cell : int; role : cell_role }
 
-(* Profiler hooks: like the monitor, a synchronous feed — but of the
+(* Profiler hooks: like the event stream, a synchronous feed — but of the
    dispatch loop itself rather than of synchronisation primitives. The
    probe supplies its own host clock ([pr_clock], monotonic
    nanoseconds) so the simulator never reads host time directly (the
@@ -91,12 +96,12 @@ type probe = {
    two runs produce the same digest iff they dispatched the same
    events in the same order at the same times. [origin] is the process
    the event belongs to (the one that scheduled it, or the one it will
-   resume) — carried only so a recorded run can be pretty-printed as
-   an interleaving; a proc pointer, not a string, so the hot path pays
-   no formatting cost. The sentinel [t.top] proc (id -1) stands for
-   "outside any process". [queued_host_ns] is the probe's enqueue
-   stamp (0 when no probe is armed) — an immediate int field, so the
-   event record allocates nothing extra on the probe-off path.
+   resume) — carried for the [M_dispatch] event and the probe; a proc
+   pointer, not a string, so the hot path pays no formatting cost. The
+   sentinel [t.top] proc (id -1) stands for "outside any process".
+   [queued_host_ns] is the probe's enqueue stamp (0 when no probe is
+   armed) — an immediate int field, so the event record allocates
+   nothing extra on the probe-off path.
 
    Every field is mutable because dispatched events are recycled
    through a freelist ([t.pool]): at ~600k dispatches/sec the 6-word
@@ -129,11 +134,9 @@ type t = {
   track : bool;
   mutable procs : proc list; (* every spawn, only when [track] *)
   scheduler : (step:int -> n_ready:int -> int) option;
-  record : bool;
   mutable n_choices : int;
   mutable choice_rev : (int * int) list; (* (n_ready, chosen), newest first *)
-  mutable dispatch_rev : (float * string) list; (* only when [record] *)
-  mutable monitor : (mon_event -> unit) option;
+  bus : mon_event Event_bus.t;
   mutable probe : probe option;
   mutable next_obj : int; (* mailbox/ivar/semaphore/cell id allocator *)
   mutable pool : event array; (* recycled event records *)
@@ -152,21 +155,29 @@ type _ Effect.t +=
   | Block : (('a -> bool) -> (unit -> bool) -> unit) -> 'a Effect.t
   | Block_simple : (('a -> bool) -> unit) -> 'a Effect.t
 
-let create ?(tie_break = Prio_queue.Fifo) ?(track = false) ?scheduler
-    ?(record = false) () =
+let create ?(tie_break = Prio_queue.Fifo) ?(track = false) ?scheduler () =
   let top =
     { id = -1; name = "top"; state = Ready; kill_pending = false; locals = [] }
   in
   { clock = ref 0.;
     events = Prio_queue.create ~tie:tie_break (); top;
     failure = None; next_pid = 0; current = top; next_event_id = 0; digest = 0;
-    dispatched = 0; track; procs = []; scheduler; record; n_choices = 0;
-    choice_rev = []; dispatch_rev = []; monitor = None; probe = None;
+    dispatched = 0; track; procs = []; scheduler; n_choices = 0;
+    choice_rev = []; bus = Event_bus.create (); probe = None;
     next_obj = 0; pool = [||]; pool_n = 0 }
 
 let now t = !(t.clock)
 
-let set_monitor t f = t.monitor <- f
+let subscribe t f = Event_bus.subscribe t.bus f
+
+let unsubscribe t tok = Event_bus.unsubscribe t.bus tok
+
+(* The guard every emission site tests before building its event: one
+   match on the subscriber list, no call (the bus exposes [subs]
+   read-only for this). *)
+let[@inline] observed t = match t.bus.subs with [] -> false | _ :: _ -> true
+
+let emit t ev = Event_bus.publish t.bus ev
 
 let set_probe t p = t.probe <- p
 
@@ -182,9 +193,6 @@ let obj_id t =
 let always_live () = true
 
 let nop () = ()
-
-let proc_label (p : proc) =
-  if p.id < 0 then "top" else Printf.sprintf "%s#%d" p.name p.id
 
 (* Return a dispatched event record to the freelist for reuse. Fields
    are cleared so a pooled record pins neither closures nor procs. The
@@ -257,9 +265,7 @@ let make_waker :
   else begin
     resumed := true;
     proc.state <- Ready;
-    (match t.monitor with
-    | Some f -> f (M_wake { by = cur_id t; target = proc.id })
-    | None -> ());
+    if observed t then emit t (M_wake { by = cur_id t; target = proc.id });
     (match t.probe with
     | Some p -> p.pr_wake ~target:proc.id ~name:proc.name
     | None -> ());
@@ -324,9 +330,8 @@ let spawn_at ?(name = "proc") t ~at f =
   in
   t.next_pid <- t.next_pid + 1;
   if t.track then t.procs <- proc :: t.procs;
-  (match t.monitor with
-  | Some f -> f (M_spawn { parent = cur_id t; child = proc.id; name })
-  | None -> ());
+  if observed t then
+    emit t (M_spawn { parent = cur_id t; child = proc.id; name });
   schedule_event ~origin:proc t ~at ~live:always_live (fun () ->
       if proc.state = Ready && not proc.kill_pending then begin
         let saved = t.current in
@@ -405,8 +410,9 @@ let dispatch t time ev =
    let lo = Int64.to_int bits land hash_mask in
    let hi = Int64.to_int (Int64.shift_right_logical bits 32) land hash_mask in
    t.digest <- digest_fold t.digest ev.id lo hi);
-  if t.record then
-    t.dispatch_rev <- (time, proc_label ev.origin) :: t.dispatch_rev;
+  if observed t then
+    emit t
+      (M_dispatch { at = time; proc = ev.origin.id; name = ev.origin.name });
   (match t.probe with
   | None ->
     let thunk = ev.thunk in
@@ -624,8 +630,6 @@ let events_dispatched t = t.dispatched
 
 let choices t = List.rev t.choice_rev
 
-let dispatch_log t = List.rev t.dispatch_rev
-
 type audit = { parked : string list; undelivered_kills : string list }
 
 let audit t =
@@ -645,7 +649,7 @@ let audit t =
 
 module Mailbox = struct
   (* Messages travel as [(msg, v)] pairs where [msg] is a per-mailbox
-     sequence number, so the monitor can pair each receive with the
+     sequence number, so a stream consumer can pair each receive with the
      exact send that produced it even when a controlled schedule
      reorders deliveries. The pairs never escape this module. *)
   type 'a mb = {
@@ -671,17 +675,15 @@ module Mailbox = struct
   let send mb v =
     let msg = mb.next_msg in
     mb.next_msg <- msg + 1;
-    (match mb.sim.monitor with
-    | Some f -> f (M_send { proc = cur_id mb.sim; mailbox = mb.mbid; msg })
-    | None -> ());
+    if observed mb.sim then
+      emit mb.sim (M_send { proc = cur_id mb.sim; mailbox = mb.mbid; msg });
     deliver mb (msg, v) mb.waiters
 
   (* Runs in the receiving process (fast path or just-resumed), so
      [cur_id] attributes the receive correctly. *)
   let got mb (msg, v) =
-    (match mb.sim.monitor with
-    | Some f -> f (M_recv { proc = cur_id mb.sim; mailbox = mb.mbid; msg })
-    | None -> ());
+    if observed mb.sim then
+      emit mb.sim (M_recv { proc = cur_id mb.sim; mailbox = mb.mbid; msg });
     v
 
   let try_recv mb =
@@ -726,9 +728,8 @@ module Semaphore = struct
     { sim; sid = obj_id sim; count; waiters = [] }
 
   let acquired s =
-    match s.sim.monitor with
-    | Some f -> f (M_sem_acquire { proc = cur_id s.sim; sem = s.sid })
-    | None -> ()
+    if observed s.sim then
+      emit s.sim (M_sem_acquire { proc = cur_id s.sim; sem = s.sid })
 
   let acquire s =
     if s.count > 0 then begin
@@ -755,9 +756,8 @@ module Semaphore = struct
     | w :: rest -> if w () then s.waiters <- rest else wake_one s rest
 
   let release s =
-    (match s.sim.monitor with
-    | Some f -> f (M_sem_release { proc = cur_id s.sim; sem = s.sid })
-    | None -> ());
+    if observed s.sim then
+      emit s.sim (M_sem_release { proc = cur_id s.sim; sem = s.sid });
     wake_one s s.waiters
 
   let available s = s.count
@@ -817,10 +817,9 @@ module Ivar = struct
 
   let fill iv v =
     let double = is_filled iv in
-    (match iv.sim.monitor with
-    | Some f ->
-      f (M_ivar_fill { proc = cur_id iv.sim; ivar = iv.ivid; double })
-    | None -> ());
+    if observed iv.sim then
+      emit iv.sim
+        (M_ivar_fill { proc = cur_id iv.sim; ivar = iv.ivid; double });
     match iv.value with
     | Some _ -> invalid_arg "Sim.Ivar.fill: already filled"
     | None ->
@@ -836,22 +835,21 @@ module Ivar = struct
       | None ->
         suspend iv.sim (fun waker -> iv.waiters <- iv.waiters @ [ waker ])
     in
-    (match iv.sim.monitor with
-    | Some f -> f (M_ivar_read { proc = cur_id iv.sim; ivar = iv.ivid })
-    | None -> ());
+    if observed iv.sim then
+      emit iv.sim (M_ivar_read { proc = cur_id iv.sim; ivar = iv.ivid });
     v
 end
 
 (* Instrumented shared state: the unit of cross-process mutable state
    the sanitizer can see. A cell is just a mutable box whose reads and
-   writes emit monitor events; with no monitor attached each access is
-   one match on [None]. [Data] cells promise "every pair of accesses is
-   ordered by happens-before or guarded by a common lock" and are
-   race-checked pairwise; [Sync] cells are coordination state that is
-   lock-free by design in a cooperative simulator (lock tables, request
-   dedup maps, cache pools) — their accesses are counted but exempt
-   from pairwise reports, with protocol monitors covering them
-   instead. *)
+   writes are stream events; with no subscriber each access is one
+   match on the empty subscriber list. [Data] cells promise "every
+   pair of accesses is ordered by happens-before or guarded by a
+   common lock" and are race-checked pairwise; [Sync] cells are
+   coordination state that is lock-free by design in a cooperative
+   simulator (lock tables, request dedup maps, cache pools) — their
+   accesses are counted but exempt from pairwise reports, with
+   protocol monitors covering them instead. *)
 module Cell = struct
   type 'a cell = {
     sim : t;
@@ -866,34 +864,34 @@ module Cell = struct
     let cname =
       match name with Some n -> n | None -> Printf.sprintf "cell#%d" cid
     in
-    (match sim.monitor with
-    | Some f -> f (M_cell_created { cell = cid; name = cname; role })
-    | None -> ());
+    if observed sim then
+      emit sim (M_cell_created { cell = cid; name = cname; role });
     { sim; cid; cname; crole = role; v }
 
   let name c = c.cname
 
+  let emit_read c =
+    emit c.sim
+      (M_cell_read { proc = cur_id c.sim; cell = c.cid; role = c.crole })
+
+  let emit_write c =
+    emit c.sim
+      (M_cell_write { proc = cur_id c.sim; cell = c.cid; role = c.crole })
+
   let get c =
-    (match c.sim.monitor with
-    | Some f ->
-      f (M_cell_read { proc = cur_id c.sim; cell = c.cid; role = c.crole })
-    | None -> ());
+    if observed c.sim then emit_read c;
     c.v
 
   let peek c = c.v
 
   let set c v =
-    (match c.sim.monitor with
-    | Some f ->
-      f (M_cell_write { proc = cur_id c.sim; cell = c.cid; role = c.crole })
-    | None -> ());
+    if observed c.sim then emit_write c;
     c.v <- v
 
   let update c f =
-    (match c.sim.monitor with
-    | Some g ->
-      g (M_cell_read { proc = cur_id c.sim; cell = c.cid; role = c.crole });
-      g (M_cell_write { proc = cur_id c.sim; cell = c.cid; role = c.crole })
-    | None -> ());
+    if observed c.sim then begin
+      emit_read c;
+      emit_write c
+    end;
     c.v <- f c.v
 end

@@ -30,7 +30,6 @@ val create :
   ?tie_break:Rhodos_util.Prio_queue.tie ->
   ?track:bool ->
   ?scheduler:Schedule.strategy ->
-  ?record:bool ->
   unit ->
   t
 (** [tie_break] (default [Fifo]) orders same-time events; [Lifo] is
@@ -51,10 +50,7 @@ val create :
     point is recorded and retrievable via {!choices}, making any run
     replayable with [Schedule.of_list]. A [Schedule.fifo] strategy
     dispatches in exactly the default order, so its digest matches an
-    uncontrolled run. [record] (default [false]) additionally keeps a
-    human-readable dispatch log ({!dispatch_log}) naming the process
-    each dispatched event belongs to — used to pretty-print a
-    counterexample schedule as an interleaving trace. *)
+    uncontrolled run. *)
 
 val now : t -> float
 (** Current simulated time (ms). *)
@@ -98,8 +94,8 @@ val pid_name : t -> pid -> string
 
 val current_proc_id : t -> int
 (** Id of the process currently executing, [-1] outside any process —
-    the same attribution the monitor events carry. Lets a monitor
-    consumer attribute third-party event streams (e.g. lock-manager
+    the same attribution the stream events carry. Lets a stream
+    consumer attribute events from the layers above (e.g. lock-manager
     events) to the process that produced them. *)
 
 (** {2 Process-local storage}
@@ -126,18 +122,20 @@ module Local : sig
       children. *)
 end
 
-(** {2 Monitor hooks}
+(** {2 The observation stream}
 
-    A monitor is a synchronous callback fed every causality-relevant
-    primitive operation: spawns, cross-process wakeups, mailbox
-    send/recv (with per-message sequence numbers so a receive pairs
-    with the exact send that produced it under any schedule), ivar
-    fill/read, semaphore acquire/release, and every {!Cell} access.
-    The race/protocol sanitizer ([Rhodos_analysis.Sanitizer]) is the
-    intended consumer. Emission never schedules events and never
-    blocks, so attaching a monitor cannot change the {!run_digest};
-    with no monitor attached each hook costs a single match on
-    [None] — no allocation, no call. *)
+    Each world carries one multi-subscriber event stream, fed every
+    dispatch and every causality-relevant primitive operation: spawns,
+    cross-process wakeups, mailbox send/recv (with per-message sequence
+    numbers so a receive pairs with the exact send that produced it
+    under any schedule), ivar fill/read, semaphore acquire/release, and
+    every {!Cell} access. The lock manager and the buffer cache extend
+    the type with events carrying the instance that emitted them. The
+    sanitizer, the deadlock detector and the explorer all subscribe
+    here. Delivery is synchronous, in subscription order; callbacks
+    must not block. Emission never schedules events, so subscribers
+    cannot change {!run_digest}; with none, each emission site costs
+    one match on the empty subscriber list. *)
 
 type cell_role =
   | Data
@@ -149,7 +147,13 @@ type cell_role =
           pools); exempt from pairwise race reports — protocol
           monitors and end-state invariants cover it *)
 
-type mon_event =
+type mon_event = ..
+
+type mon_event +=
+  | M_dispatch of { at : float; proc : int; name : string }
+      (** the event loop is about to run an event owned by process
+          [proc] (named [name]; [-1]/["top"] outside any) at sim time
+          [at] — one per dispatch, in dispatch order *)
   | M_spawn of { parent : int; child : int; name : string }
   | M_wake of { by : int; target : int }
       (** process [by] resumed parked process [target]; [-1] = outside
@@ -165,14 +169,22 @@ type mon_event =
   | M_sem_acquire of { proc : int; sem : int }
   | M_sem_release of { proc : int; sem : int }
   | M_cell_created of { cell : int; name : string; role : cell_role }
-      (** emitted only for cells created while the monitor is
+      (** emitted only for cells created while some subscriber is
           attached; consumers fall back to ["cell#<id>"] otherwise *)
   | M_cell_read of { proc : int; cell : int; role : cell_role }
   | M_cell_write of { proc : int; cell : int; role : cell_role }
 
-val set_monitor : t -> (mon_event -> unit) option -> unit
-(** Install (or clear) the monitor. At most one monitor per world;
-    install it before creating the objects it should know by name. *)
+val subscribe : t -> (mon_event -> unit) -> Rhodos_util.Event_bus.token
+(** Add a subscriber; it sees every later event. Subscribe before
+    creating the objects it should know by name. *)
+
+val unsubscribe : t -> Rhodos_util.Event_bus.token -> unit
+
+val observed : t -> bool
+(** [true] iff some subscriber is attached: test it before building
+    an event for {!emit}. *)
+
+val emit : t -> mon_event -> unit
 
 (** {2 Profiler hooks}
 
@@ -245,10 +257,6 @@ val choices : t -> (int * int) list
     [(n_ready, chosen)] per point where the ready set held more than
     one live event. Empty when no [scheduler] was given. The [chosen]
     components form the schedule that [Schedule.of_list] replays. *)
-
-val dispatch_log : t -> (float * string) list
-(** Dispatch trace (time, owning process label), oldest first. Empty
-    unless the world was created with [~record:true]. *)
 
 type audit = {
   parked : string list;
@@ -360,21 +368,20 @@ module Ivar : sig
 end
 
 (** Instrumented shared state: a mutable box whose reads and writes
-    are monitor events, making cross-process mutable state observable
+    are stream events, making cross-process mutable state observable
     to the sanitizer. Library code holding state that several
     processes touch (agent fetch bookkeeping, cache pools, lock
     tables) keeps it in cells instead of bare [ref]s/[Hashtbl]s — the
     [global-mutable-state] and [raw-shared-cell] lint rules enforce
-    the discipline. With no monitor attached an access costs one
-    match on [None]. *)
+    the discipline. With no subscriber an access costs one match on
+    the empty subscriber list. *)
 module Cell : sig
   type 'a cell
 
   val create : ?role:cell_role -> ?name:string -> t -> 'a -> 'a cell
   (** [role] defaults to [Data] (the checked discipline); pass
       [~role:Sync] for by-design lock-free coordination state. Create
-      cells after {!set_monitor} so the sanitizer learns their
-      names. *)
+      cells after attaching the sanitizer so it learns their names. *)
 
   val name : 'a cell -> string
 

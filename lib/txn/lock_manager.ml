@@ -77,10 +77,10 @@ type waiter = {
 
 type table = { mutable grants : grant list; mutable waiters : waiter list }
 
-(* Instrumentation events, consumed by the analysis layer (waits-for
-   deadlock detection). Emitted synchronously at the state change, so
-   a consumer reading [waits_for_edges] from inside its callback sees
-   the lock tables in the state the event describes. *)
+(* Instrumentation events, for the analysis layer's stream consumers.
+   Emitted synchronously at the state change, so a consumer reading
+   [waits_for_edges] from inside its callback sees the lock tables in
+   the state the event describes. *)
 type event =
   | Ev_blocked of { txn : int; item : item; mode : mode }
   | Ev_granted of { txn : int; item : item; mode : mode }
@@ -103,8 +103,9 @@ type t = {
   released : (int, unit) Hashtbl.t Sim.Cell.cell;
       (* transactions past their shrink phase *)
   counters : Counter.t;
-  events : event Rhodos_obs.Event_bus.t;
 }
+
+type Sim.mon_event += Lock_event of { lm : t; ev : event }
 
 let create ?(config = default_config) ~sim ~on_suspect () =
   let table name =
@@ -121,7 +122,6 @@ let create ?(config = default_config) ~sim ~on_suspect () =
       Sim.Cell.create ~role:Sim.Sync ~name:"lock:released" sim
         (Hashtbl.create 32);
     counters = Counter.create ();
-    events = Rhodos_obs.Event_bus.create ();
   }
 
 (* Read / mutate a table through its cell. [mut] mutates the record in
@@ -133,11 +133,10 @@ let mut tc f =
       f tb;
       tb)
 
-let subscribe t f = Rhodos_obs.Event_bus.subscribe t.events f
+let sim t = t.sim
 
-let unsubscribe t tok = Rhodos_obs.Event_bus.unsubscribe t.events tok
-
-let emit t ev = Rhodos_obs.Event_bus.publish t.events ev
+(* Callers test [Sim.observed] first, so no event is built unheard. *)
+let emit t ev = Sim.emit t.sim (Lock_event { lm = t; ev })
 
 let table_of t = function
   | Record_item _ -> t.record_table
@@ -272,7 +271,7 @@ and suspect t g =
      sees the event first, while the waiters that triggered the break
      are still queued — a deadlock detector can classify the suspicion
      as true deadlock vs false abort from the waits-for graph. *)
-  emit t (Ev_suspected { txn = g.g_txn });
+  if Sim.observed t.sim then emit t (Ev_suspected { txn = g.g_txn });
   ignore
     (Sim.spawn ~name:"lock-suspect" t.sim (fun () -> t.on_suspect ~txn:g.g_txn))
 
@@ -303,7 +302,8 @@ let rec pump t tc =
       | Some _ -> ()
       | None -> add_grant t tc ~txn:w.w_txn ~item:w.w_item ~mode:w.w_mode);
       let mode = match self with Some g -> g.g_mode | None -> w.w_mode in
-      emit t (Ev_granted { txn = w.w_txn; item = w.w_item; mode });
+      if Sim.observed t.sim then
+        emit t (Ev_granted { txn = w.w_txn; item = w.w_item; mode });
       ignore (w.w_waker Granted);
       pump t tc
     end
@@ -331,10 +331,10 @@ let acquire t ~txn item mode =
           g.g_mode <- mode;
           g.g_renewals <- 0);
       Counter.incr t.counters "conversions";
-      emit t (Ev_granted { txn; item; mode })
+      if Sim.observed t.sim then emit t (Ev_granted { txn; item; mode })
     | None when can_upgrade_now ->
       add_grant t tc ~txn ~item ~mode;
-      emit t (Ev_granted { txn; item; mode })
+      if Sim.observed t.sim then emit t (Ev_granted { txn; item; mode })
     | _ ->
       Counter.incr t.counters "waits";
       let outcome =
@@ -357,7 +357,7 @@ let acquire t ~txn item mode =
                   in
                   tb.waiters <- upgrades @ [ w ] @ rest)
             else mut tc (fun tb -> tb.waiters <- tb.waiters @ [ w ]);
-            emit t (Ev_blocked { txn; item; mode }))
+            if Sim.observed t.sim then emit t (Ev_blocked { txn; item; mode }))
       in
       match outcome with
       | Granted -> ()
@@ -379,7 +379,7 @@ let try_acquire t ~txn item mode =
             g.g_renewals <- 0);
         Counter.incr t.counters "conversions"
       | None -> add_grant t tc ~txn ~item ~mode);
-      emit t (Ev_granted { txn; item; mode });
+      if Sim.observed t.sim then emit t (Ev_granted { txn; item; mode });
       true
     end
     else false
@@ -401,7 +401,7 @@ let release_all t ~txn =
         pump t tc
       end)
     (all_tables t);
-  if !released_any then emit t (Ev_released { txn });
+  if !released_any && Sim.observed t.sim then emit t (Ev_released { txn });
   (* Under the cross-level relaxation, a release in one table can
      unblock waiters queued in another. *)
   if !released_any && t.config.cross_level then List.iter (pump t) (all_tables t)
@@ -415,7 +415,7 @@ let cancel_waits t ~txn =
       mut tc (fun tb -> tb.waiters <- rest);
       List.iter
         (fun w ->
-          emit t (Ev_cancelled { txn = w.w_txn });
+          if Sim.observed t.sim then emit t (Ev_cancelled { txn = w.w_txn });
           ignore (w.w_waker Cancelled))
         mine;
       (* Removing a waiter may unblock the queue behind it. *)

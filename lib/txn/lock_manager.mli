@@ -137,9 +137,9 @@ val stats : t -> Rhodos_util.Stats.Counter.t
 
 (** {2 Instrumentation}
 
-    Hooks for the analysis and observability layers
-    ([Rhodos_analysis], [Rhodos_obs]); publishing is a no-op when no
-    subscriber is attached. *)
+    Lock events ride the world's observation stream
+    ({!Rhodos_sim.Sim.subscribe}) as {!Lock_event}, synchronously
+    inside lock-manager operations. *)
 
 type event =
   | Ev_blocked of { txn : int; item : item; mode : mode }
@@ -156,13 +156,12 @@ type event =
           the waits-for graph still shows the contention that caused
           the break *)
 
-val subscribe : t -> (event -> unit) -> Rhodos_obs.Event_bus.token
-(** Attach an event subscriber (any number may coexist — a deadlock
-    detector and a tracer no longer evict each other). Callbacks run
-    synchronously inside lock-manager operations and must not block.
-    Detach with {!unsubscribe}. *)
+type Rhodos_sim.Sim.mon_event += Lock_event of { lm : t; ev : event }
+(** [ev] as emitted by [lm]; a consumer attached to one manager
+    ignores the others sharing the world. *)
 
-val unsubscribe : t -> Rhodos_obs.Event_bus.token -> unit
+val sim : t -> Rhodos_sim.Sim.t
+(** The world whose stream carries this manager's events. *)
 
 val active_grants : t -> (int * item * mode) list
 (** Snapshot of every active grant as [(txn, item, mode)], across the

@@ -21,6 +21,12 @@ module Finding = Rhodos_static.Finding
 module Vclock = Rhodos_analysis.Vclock
 module Sanitizer = Rhodos_analysis.Sanitizer
 module Cache = Rhodos_cache.Buffer_cache
+module Deadlock_detector = Rhodos_analysis.Deadlock_detector
+module Cluster = Rhodos.Cluster
+module Fa = Rhodos_agent.File_agent
+module Ta = Rhodos_agent.Transaction_agent
+module Txn = Rhodos_txn.Txn_service
+module Counter = Rhodos_util.Stats.Counter
 
 (* ------------------------------------------------------------------ *)
 (* items_conflict: unit edge cases                                     *)
@@ -734,9 +740,10 @@ let test_vclock_basics () =
     (Vclock.compare_clocks m (Vclock.merge b a) = Vclock.Equal);
   check string "rendering" "{0:2 1:1}" (Vclock.to_string m)
 
-(* Workers touching one shared cell under per-worker lock lists: the
-   candidate lockset narrows by intersection, and chained common locks
-   provide the happens-before edges that keep the narrowing benign. *)
+(* Workers touching one shared cell under per-worker lock lists:
+   chained common locks provide the happens-before edges (release of
+   an item joins into its next grantee) that keep the accesses
+   ordered. *)
 let run_lock_workers specs =
   let sim = Sim.create () in
   let sz = Sanitizer.create sim in
@@ -759,11 +766,11 @@ let run_lock_workers specs =
 
 let test_lockset_narrowing () =
   let a = Lm.File_item 1 and b = Lm.File_item 2 and c = Lm.File_item 3 in
-  check (list string) "chained common locks: candidate narrows but stays clean"
+  check (list string) "chained common locks: ordered, stays clean"
     []
     (run_lock_workers [ (1, [ a; b ]); (2, [ b; c ]); (3, [ c ]) ]);
   check (list string) "a worker sharing no lock with the chain races"
-    [ "data-race"; "lockset" ]
+    [ "data-race" ]
     (run_lock_workers [ (1, [ a; b ]); (2, [ b; c ]); (3, [ c ]); (4, [ a ]) ])
 
 (* A small fully synchronized workload: three workers update a cell
@@ -858,15 +865,13 @@ let test_sanitizer_digest_neutral () =
 
 let test_seeded_race_both_passes () =
   (* End-to-end negative control: the unlocked counter model is caught
-     by BOTH passes even under plain FIFO, and adding the lock silences
-     both. *)
+     by the happens-before pass even under plain FIFO, and adding the
+     lock silences it. *)
   let _, viols =
     Explore.run_schedule (Scenarios.seeded_race_model ~locked:false ()) []
   in
   check bool "happens-before pass fires" true
     (List.mem_assoc "sanitizer:data-race" viols);
-  check bool "lockset pass fires" true
-    (List.mem_assoc "sanitizer:lockset" viols);
   let _, viols =
     Explore.run_schedule (Scenarios.seeded_race_model ~locked:true ()) []
   in
@@ -934,6 +939,102 @@ let test_sanitizer_use_after_evict () =
          Cache.invalidate c 1));
   Sim.run sim;
   check (list string) "stale entry reported" [ "use-after-evict" ] (sz_kinds sz)
+
+(* ------------------------------------------------------------------ *)
+(* The observation stream                                              *)
+(* ------------------------------------------------------------------ *)
+
+type producers = { sim_seen : bool; lock_seen : bool; cache_seen : bool }
+
+(* A cluster run with transactions and a batch writeback. With
+   [observe], every in-lib consumer subscribes to the one stream at
+   once — the sanitizer (lock manager and agent cache attached), a
+   deadlock detector, the explorer's dispatch log — plus a catch-all
+   recorder of which producers it heard from. *)
+let stream_run ~observe =
+  let seen = ref { sim_seen = false; lock_seen = false; cache_seen = false } in
+  let dispatches = ref (fun () -> []) in
+  let sim =
+    Cluster.run (fun sim t ->
+        let ws = Cluster.add_client t ~name:"ws" in
+        if observe then begin
+          let lm = Txn.lock_manager (Cluster.txn_service t) in
+          let pool = Fa.buffer_pool (Cluster.file_agent ws) in
+          let sz = Sanitizer.create sim in
+          Sanitizer.attach_lock_manager sz lm;
+          Sanitizer.attach_cache sz ~name:"agent-pool"
+            ~key_to_string:(fun (f, b) -> Printf.sprintf "%d.%d" f b)
+            pool;
+          ignore (Deadlock_detector.attach lm);
+          dispatches := Explore.record_dispatches sim;
+          ignore
+            (Sim.subscribe sim (fun ev ->
+                 let s = !seen in
+                 seen :=
+                   match ev with
+                   | Lm.Lock_event _ -> { s with lock_seen = true }
+                   | Cache.Batch_written _ -> { s with cache_seen = true }
+                   | Sim.M_dispatch _ | Sim.M_spawn _ | Sim.M_cell_read _ ->
+                     { s with sim_seen = true }
+                   | _ -> s))
+        end;
+        let d = Cluster.create_file ws "/plain" in
+        Cluster.pwrite ws d ~off:0 ~data:(Bytes.make 20_000 'p');
+        Fa.flush (Cluster.file_agent ws);
+        Cluster.with_transaction ws (fun ta td ->
+            let fd = Ta.tcreate ta td ~path:"/acct" in
+            Ta.twrite ta td fd (Bytes.make 64 'a'));
+        Cluster.with_transaction ws (fun ta td ->
+            let fd = Ta.topen ta td ~path:"/acct" in
+            ignore (Ta.tread ta td fd 64));
+        sim)
+  in
+  (Sim.run_digest sim, Sim.events_dispatched sim, !seen, !dispatches ())
+
+let test_stream_all_consumers_neutral () =
+  let bare_digest, bare_n, _, _ = stream_run ~observe:false in
+  let digest, n, seen, dispatches = stream_run ~observe:true in
+  check int "same digest with every consumer attached" bare_digest digest;
+  check int "same dispatch count" bare_n n;
+  check bool "recorder heard the simulator" true seen.sim_seen;
+  check bool "recorder heard the lock manager" true seen.lock_seen;
+  check bool "recorder heard the buffer cache" true seen.cache_seen;
+  check bool "dispatch log filled" true (dispatches <> [])
+
+let test_stream_per_manager_filter () =
+  (* Two lock managers share one world; the detector and the sanitizer
+     attach to [a] only. Each cell is written by two processes with no
+     simulator edge between them, ordered only by one manager's lock:
+     [a]'s grants order "cell-a", but [b]'s must not be joined, so
+     "cell-b" is a race — and [b]'s grants must not be counted. *)
+  let sim = Sim.create () in
+  let sz = Sanitizer.create sim in
+  let mk () = Lm.create ~sim ~on_suspect:(fun ~txn:_ -> ()) () in
+  let a = mk () and b = mk () in
+  let det = Deadlock_detector.attach a in
+  Sanitizer.attach_lock_manager sz a;
+  let cell_a = Sim.Cell.create ~name:"cell-a" sim 0 in
+  let cell_b = Sim.Cell.create ~name:"cell-b" sim 0 in
+  let writer lm cell txn at =
+    ignore
+      (Sim.spawn_at ~name:(Printf.sprintf "w%d" txn) sim ~at (fun () ->
+           Lm.acquire lm ~txn (Lm.File_item 1) Lm.Iwrite;
+           Sim.Cell.set cell txn;
+           Lm.release_all lm ~txn))
+  in
+  writer a cell_a 1 0.;
+  writer a cell_a 2 10.;
+  writer b cell_b 11 0.;
+  writer b cell_b 12 10.;
+  Sim.run sim;
+  check int "detector counts only its manager's grants" 2
+    (Counter.get (Deadlock_detector.stats det) "grants_observed");
+  check (list string) "only the cell ordered by the other manager races"
+    [ "data-race" ] (sz_kinds sz);
+  check bool "the race is on cell-b" true
+    (List.for_all
+       (fun v -> String.starts_with ~prefix:"cell-b:" v.Sanitizer.v_detail)
+       (Sanitizer.violations sz))
 
 (* ------------------------------------------------------------------ *)
 
@@ -1020,5 +1121,11 @@ let () =
           test_case "ivar double fill" `Quick test_sanitizer_ivar_double_fill;
           test_case "use-after-evict via attach_cache" `Quick
             test_sanitizer_use_after_evict;
+        ] );
+      ( "observation stream",
+        [
+          test_case "all consumers digest neutral" `Quick
+            test_stream_all_consumers_neutral;
+          test_case "per-manager filter" `Quick test_stream_per_manager_filter;
         ] );
     ]

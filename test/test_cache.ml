@@ -350,10 +350,10 @@ let test_evict_during_flush_keeps_new_bytes () =
 
 let test_use_after_evict_monitor () =
   (* A batch entry whose buffer was invalidated before its thunk ran
-     is about to persist a stale snapshot: the protocol monitor must
-     say so. *)
+     is about to persist a stale snapshot: its stream event must say
+     so. *)
   let sim = Sim.create () in
-  let events = ref [] in
+  let events : int list ref = ref [] in
   let writeback_batch entries =
     List.iter
       (fun (_, _, written) ->
@@ -361,14 +361,20 @@ let test_use_after_evict_monitor () =
         written ())
       entries
   in
-  let c =
+  let c : int Cache.t =
     Cache.create ~writeback_batch ~sim ~capacity:8
       ~policy:(Cache.Delayed_write { flush_interval_ms = 0. })
       ~writeback:(fun _ _ -> ())
       ()
   in
-  Cache.set_monitor c
-    (Some (fun (Cache.Use_after_evict k) -> events := k :: !events));
+  let on_event : Sim.mon_event -> unit = function
+    | Cache.Batch_written { cache; key; stale = true } -> (
+      match Cache.same c cache with
+      | Some Type.Equal -> events := key :: !events
+      | None -> ())
+    | _ -> ()
+  in
+  ignore (Sim.subscribe sim on_event);
   ignore
     (Sim.spawn ~name:"flusher" sim (fun () ->
          Cache.write c 0 (data 0);
