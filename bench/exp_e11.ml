@@ -45,11 +45,12 @@ let scenario_mid_commit () =
         Log.attach (Fs.block_service fs 0) ~region:(fst region) ~fragments:(snd region)
       in
       Log.append log
-        (Log.Write { txn = 777; file = Fs.id_to_int f; off = 0; data = Bytes.of_string "NEWVALUE" });
-      Log.append log (Log.Commit { txn = 777 });
+        [ Log.Write { txn = 777; file = Fs.id_to_int f; off = 0; data = Bytes.of_string "NEWVALUE" };
+          Log.Commit { txn = 777 } ];
       ignore (Fs.crash fs);
       let _ts2, report = Txn.recover_service ~fs ~log_region:region () in
-      let redone = report.Txn.redone_transactions = [ 777 ] in
+      (* The setup's Done was only staged, so it is redone too. *)
+      let redone = report.Txn.redone_transactions = [ Txn.txn_id setup; 777 ] in
       let value = Bytes.to_string (Fs.pread fs f ~off:0 ~len:8) in
       if redone && value = "NEWVALUE" then
         "intentions list replayed: committed txn redone to NEWVALUE"

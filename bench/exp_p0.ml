@@ -16,6 +16,11 @@
      It is deterministic, so a change that rescans stable pages
      recovery does not need shows up exactly;
 
+   - the commit path: single-client transfers straight into the
+     transaction service, in commits/sec and words/txn, and in
+     simulated ms per commit, which is deterministic, so one more
+     forced log write per commit shows up exactly;
+
    - the read path: one remote client on [Cluster.default_config]
      scans a 1 MiB file in 8 KiB reads, cold and then warm, and counts
      every word the whole stack allocates per read (minor + major -
@@ -221,12 +226,17 @@ let churn_load () =
    the transaction service over a stable-mirrored disk, with a log
    large enough that no checkpoint runs. A commit that read the
    intentions list back would cost more the longer the log grew, which
-   is what these two numbers catch. *)
+   is what the first two numbers catch; the simulated ms per commit
+   counts the disk work of a commit. *)
 
 let txn_transfers = 2_000
 let txn_accounts = 64
 
-type commit_timing = { commits_per_sec : float; words_per_txn : float }
+type commit_timing = {
+  commits_per_sec : float;
+  words_per_txn : float;
+  sim_ms_per_txn : float;
+}
 
 let txn_commit_run () =
   run_sim (fun sim ->
@@ -238,6 +248,7 @@ let txn_commit_run () =
       let balance = Bytes.make 16 '1' in
       let t0 = now_ns () in
       let m0 = Gc.minor_words () in
+      let s0 = Sim.now sim in
       for _ = 1 to txn_transfers do
         let a = Rng.int rng txn_accounts in
         let b = (a + 1 + Rng.int rng (txn_accounts - 1)) mod txn_accounts in
@@ -252,11 +263,13 @@ let txn_commit_run () =
       done;
       let m1 = Gc.minor_words () in
       let t1 = now_ns () in
+      let s1 = Sim.now sim in
       if Counter.get (Txn.stats ts) "log_checkpoints" <> 0 then
         failwith "P0 commit load: the intentions list was checkpointed";
       {
         commits_per_sec = float_of_int txn_transfers /. (float_of_int (t1 - t0) /. 1e9);
         words_per_txn = (m1 -. m0) /. float_of_int txn_transfers;
+        sim_ms_per_txn = (s1 -. s0) /. float_of_int txn_transfers;
       })
 
 let txn_commit_load () =
@@ -320,8 +333,8 @@ let run_reports () =
     churn;
   let txn = txn_commit_load () in
   note "commit path (%d single-client transfers, no checkpoint, best of %d): \
-        %.0f commits/s, %.0f words/txn"
-    txn_transfers timed_runs txn.commits_per_sec txn.words_per_txn;
+        %.0f commits/s, %.0f words/txn, %.1f simulated ms/txn"
+    txn_transfers timed_runs txn.commits_per_sec txn.words_per_txn txn.sim_ms_per_txn;
   let qb = queue_bench_all () in
   note "queue microbench (steady-state pop+re-add, ops/s):";
   List.iter (fun (k, v) -> note "  %-28s %12.0f" k v) qb;
@@ -338,6 +351,7 @@ let run_reports () =
     load_metrics "e15" e15 @ load_metrics "churn" churn
     @ [ ("txn_commit_per_sec", txn.commits_per_sec);
         ("txn_commit_words_per_txn", txn.words_per_txn);
+        ("txn_commit_sim_ms", txn.sim_ms_per_txn);
         ("read_path_words_per_read", read_path);
         ("recover_sim_ms", recover_ms) ]
     @ qb
@@ -364,8 +378,8 @@ let parse_baseline path =
    words/event must stay below [alloc_ceiling] x baseline + a small
    absolute slack (deterministic for a given binary, so a tight bound
    holds). The read path's count is exact and one 8 KiB copy is about
-   a third of it, so it gets [exact_ceiling]; so does the recovery
-   time, which is simulated and repeats exactly. *)
+   a third of it, so it gets [exact_ceiling]; so do the recovery time
+   and the simulated ms per commit, which repeat exactly. *)
 let rate_floor = 0.6
 let alloc_ceiling = 1.25
 let exact_ceiling = 1.05
@@ -416,6 +430,7 @@ let check ~baseline () =
   upper "churn_words_per_event";
   rate "txn_commit_per_sec";
   upper "txn_commit_words_per_txn";
+  upper ~ceiling:exact_ceiling ~slack:0. "txn_commit_sim_ms";
   upper ~ceiling:exact_ceiling "read_path_words_per_read";
   upper ~ceiling:exact_ceiling ~slack:0. "recover_sim_ms";
   List.iter (fun (sname, _) -> rate (qbench_key sname)) qbench_sizes;

@@ -49,6 +49,9 @@ type t = {
   bitmap_fragments : int;
   data_start : int;            (* first allocatable fragment *)
   mutable bitmap : Bitset.t;   (* bit set = fragment allocated *)
+  masked : (int, int) Hashtbl.t;
+      (* pos -> fragments: allocated in [bitmap] but persisted as free
+         (see [reserve_block] and [retire]) *)
   extent_rows : (int * int) list array;
   (* Write-once format latch: [format] flips it before any client traffic
      exists; every access from a conn root only reads.
@@ -100,6 +103,7 @@ let create ?(name = "blocksrv") ?(config = default_config) ?tracer ~disk ?stable
     bitmap_fragments;
     data_start;
     bitmap = Bitset.create total_fragments;
+    masked = Hashtbl.create 8;
     extent_rows = Array.make array_rows [];
     formatted = false;
     tracks = Lru.create 64;
@@ -172,8 +176,6 @@ let extent_array_consistent t =
 let is_free t ~pos ~fragments =
   check_run t ~pos ~fragments;
   Bitset.range_all_clear t.bitmap ~pos ~len:fragments
-
-let bitmap_snapshot t = Bitset.copy t.bitmap
 
 let metadata_fragments t = t.data_start
 
@@ -474,11 +476,20 @@ let flush_block t ~pos ~fragments =
 (* Bitmap persistence                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The bitmap as it goes to disk: masked runs read as free. *)
+let persisted_bitmap t =
+  if Hashtbl.length t.masked = 0 then t.bitmap
+  else begin
+    let b = Bitset.copy t.bitmap in
+    Hashtbl.iter (fun pos len -> Bitset.clear_range b ~pos ~len) t.masked;
+    b
+  end
+
 (* The serialised bitmap occupies fragments [bitmap_start,
    bitmap_start + bitmap_fragments). Persist the fragments covering
    the dirtied bit range, to main storage and to stable storage. *)
 let persist_bitmap_range t ~pos ~len =
-  let serialised = Bitset.to_bytes t.bitmap in
+  let serialised = Bitset.to_bytes (persisted_bitmap t) in
   let first_frag = pos / bits_per_fragment in
   let last_frag = (pos + len - 1) / bits_per_fragment in
   for bf = first_frag to last_frag do
@@ -504,7 +515,6 @@ let take_extent t ~row ~entry:(pos, len) ~fragments =
   if len > fragments then insert_extent t ~pos:(pos + fragments) ~len:(len - fragments);
   Bitset.set_range t.bitmap ~pos ~len:fragments;
   Counter.incr t.counters "allocs";
-  after_bitmap_change t ~pos ~len:fragments;
   pos
 
 (* Exact fit first, then best (smallest sufficient) fit across higher
@@ -533,7 +543,8 @@ let find_candidate t ~fragments ~prefer =
     done);
   !best
 
-let allocate_with_preference t ~fragments ~prefer =
+(* Marks the run allocated in memory only; the callers persist it. *)
+let claim t ~fragments ~prefer =
   check_formatted t;
   if fragments <= 0 then invalid_arg "allocate: fragments must be positive";
   match find_candidate t ~fragments ~prefer with
@@ -547,7 +558,6 @@ let allocate_with_preference t ~fragments ~prefer =
     | Some pos ->
       Bitset.set_range t.bitmap ~pos ~len:fragments;
       Counter.incr t.counters "allocs";
-      after_bitmap_change t ~pos ~len:fragments;
       (* Refill the array so the next allocations are fast again. *)
       rebuild_extent_array t;
       pos
@@ -555,8 +565,14 @@ let allocate_with_preference t ~fragments ~prefer =
       raise
         (No_space { wanted_fragments = fragments; free_fragments = free_fragments t }))
 
-let allocate t ~fragments =
-  allocate_with_preference t ~fragments ~prefer:(fun ~pos ~over -> pos < over)
+let allocate_with_preference t ~fragments ~prefer =
+  let pos = claim t ~fragments ~prefer in
+  after_bitmap_change t ~pos ~len:fragments;
+  pos
+
+let lowest ~pos ~over = pos < over
+
+let allocate t ~fragments = allocate_with_preference t ~fragments ~prefer:lowest
 
 let allocate_near t ~hint ~fragments =
   allocate_with_preference t ~fragments ~prefer:(fun ~pos ~over ->
@@ -591,7 +607,8 @@ let allocate_block t ~blocks =
   if blocks <= 0 then invalid_arg "allocate_block: blocks must be positive";
   allocate t ~fragments:(blocks * fragments_per_block)
 
-let free t ~pos ~fragments =
+(* Clears the run in memory only; the callers persist it. *)
+let unclaim t ~pos ~fragments =
   check_formatted t;
   check_run t ~pos ~fragments;
   if pos < t.data_start then
@@ -605,10 +622,47 @@ let free t ~pos ~fragments =
   let start = left pos in
   let len = Bitset.clear_run_at t.bitmap start in
   remove_overlapping_extents t ~pos:start ~len;
-  insert_extent t ~pos:start ~len;
+  insert_extent t ~pos:start ~len
+
+let free t ~pos ~fragments =
+  unclaim t ~pos ~fragments;
   after_bitmap_change t ~pos ~len:fragments
 
 let free_block t ~pos ~blocks = free t ~pos ~fragments:(blocks * fragments_per_block)
+
+(* Masked runs: allocated in memory, so nothing else gets them, but
+   every bitmap write records them as free. *)
+let mask t ~pos ~fragments =
+  if Hashtbl.mem t.masked pos then
+    invalid_arg (Printf.sprintf "%s: fragment %d already masked" t.name pos);
+  Hashtbl.replace t.masked pos fragments
+
+let unmask t ~pos ~fragments =
+  if Hashtbl.find_opt t.masked pos <> Some fragments then
+    invalid_arg (Printf.sprintf "%s: fragment %d is not masked" t.name pos);
+  Hashtbl.remove t.masked pos
+
+let reserve_block t ~blocks =
+  if blocks <= 0 then invalid_arg "reserve_block: blocks must be positive";
+  let fragments = blocks * fragments_per_block in
+  let pos = claim t ~fragments ~prefer:lowest in
+  mask t ~pos ~fragments;
+  pos
+
+let confirm t ~pos ~fragments =
+  unmask t ~pos ~fragments;
+  after_bitmap_change t ~pos ~len:fragments
+
+let retire t ~pos ~fragments =
+  check_run t ~pos ~fragments;
+  if not (Bitset.range_all_set t.bitmap ~pos ~len:fragments) then
+    invalid_arg (Printf.sprintf "%s: retiring free fragment %d" t.name pos);
+  mask t ~pos ~fragments;
+  after_bitmap_change t ~pos ~len:fragments
+
+let release t ~pos ~fragments =
+  unmask t ~pos ~fragments;
+  unclaim t ~pos ~fragments
 
 (* ------------------------------------------------------------------ *)
 (* Format / attach / sync                                              *)
@@ -630,6 +684,7 @@ let format t =
   L.info (fun m -> m "%s: formatting %d fragments" t.name t.total_fragments);
   t.formatted <- true;
   t.bitmap <- Bitset.create t.total_fragments;
+  Hashtbl.reset t.masked;
   Bitset.set_range t.bitmap ~pos:0 ~len:t.data_start;
   Array.fill t.extent_rows 0 array_rows [];
   rebuild_extent_array t;
@@ -637,6 +692,8 @@ let format t =
   let dest = if t.stable = None then Original else Original_and_stable in
   put_block ~dest ~wait:Wait_stable t ~pos:0 (encode_superblock t ~boots:0L);
   persist_bitmap_all t
+
+let bitmap_snapshot t = Bitset.copy (persisted_bitmap t)
 
 (* The maximal allocated runs at or above [data_start], in order. *)
 let allocated_runs t =
@@ -714,6 +771,7 @@ let attach t =
     Bytes.blit chunk 0 raw (bf * fragment_bytes) fragment_bytes
   done;
   t.bitmap <- Bitset.of_bytes t.total_fragments raw;
+  Hashtbl.reset t.masked;
   (* The paper (re)builds the free-extent array by scanning the bitmap. *)
   rebuild_extent_array t;
   L.info (fun m ->

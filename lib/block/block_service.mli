@@ -158,6 +158,32 @@ val free : t -> pos:int -> fragments:int -> unit
 
 val free_block : t -> pos:int -> blocks:int -> unit
 
+(** {2 Masked runs}
+
+    A masked run is allocated in memory, so no allocation hands it
+    out, but every bitmap write records it as free: after a crash it
+    is free. The transaction service uses this so that a crash at any
+    instant of a shadow commit leaks no block. *)
+
+val reserve_block : t -> blocks:int -> int
+(** Like [allocate_block], but the run stays masked until [confirm] or
+    [release]; nothing is written. *)
+
+val confirm : t -> pos:int -> fragments:int -> unit
+(** Unmask a reserved run and persist it as allocated.
+    @raise Invalid_argument if [pos, fragments] is not a masked run. *)
+
+val retire : t -> pos:int -> fragments:int -> unit
+(** Mask an allocated run and persist it as free; it stays out of
+    reach of allocation until [release].
+    @raise Invalid_argument if any fragment is free or already
+    masked. *)
+
+val release : t -> pos:int -> fragments:int -> unit
+(** Unmask a masked run and free it in memory; it is already free on
+    disk, so nothing is written.
+    @raise Invalid_argument if [pos, fragments] is not a masked run. *)
+
 (** {1 Data transfer} *)
 
 val get_block : ?source:source -> t -> pos:int -> fragments:int -> bytes
@@ -197,8 +223,9 @@ val extent_array_consistent : t -> bool
 val is_free : t -> pos:int -> fragments:int -> bool
 
 val bitmap_snapshot : t -> Rhodos_util.Bitset.t
-(** A copy of the current allocation bitmap (bit set = allocated).
-    For integrity checking (fsck). *)
+(** A copy of the allocation bitmap as the next bitmap write would
+    record it (bit set = allocated; masked runs are clear). For
+    integrity checking (fsck). *)
 
 val metadata_fragments : t -> int
 (** Fragments reserved for the superblock and bitmap at the start of

@@ -675,9 +675,13 @@ let block_location t id ~block_index =
 
 (* Replace the run entry covering [block_index] with up to three
    pieces: the prefix, the one-block shadow location, the suffix. The
-   new run list is installed before the old block is freed: freeing
-   persists the bitmap and yields, and a concurrent replace on the same
-   file must build on this one's runs, not overwrite them. *)
+   new run list is installed before anything yields, so a concurrent
+   replace on the same file builds on this one's runs instead of
+   overwriting them. The old block is free on disk before the FIT is
+   stored, but out of reach of allocation until it is: a crash in
+   between leaves a FIT pointing at a block nobody else holds, which
+   the redo swaps out again and finds free already; the other order
+   leaked it. *)
 let replace_block t id ~block_index ~disk ~frag =
   with_fit t id (fun ofit ->
   let fit = ofit.fit in
@@ -707,8 +711,11 @@ let replace_block t id ~block_index ~disk ~frag =
   fit.Fit.runs <- runs;
   ofit.runs_dirty <- true;
   Cache.invalidate t.data_cache (old_disk, old_frag);
-  Block.free t.disks.(old_disk) ~pos:old_frag ~fragments:fpb;
-  store_fit t id ofit)
+  let bs = t.disks.(old_disk) in
+  let live = not (Block.is_free bs ~pos:old_frag ~fragments:fpb) in
+  if live then Block.retire bs ~pos:old_frag ~fragments:fpb;
+  store_fit t id ofit;
+  if live then Block.release bs ~pos:old_frag ~fragments:fpb)
 
 (* ------------------------------------------------------------------ *)
 (* Cache control / failure                                             *)

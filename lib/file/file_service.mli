@@ -144,11 +144,13 @@ val block_location : t -> file_id -> block_index:int -> (int * int) option
 val replace_block : t -> file_id -> block_index:int -> disk:int -> frag:int -> unit
 (** The shadow-page descriptor swap (paper section 6.7): point the
     FIT's logical block at the already-written shadow block
-    [(disk, frag)] and free the original. Splits the containing run,
-    so it destroys contiguity — exactly the cost the paper attributes
-    to shadow paging. The caller owns the shadow block (allocated via
-    the block service) until this call, which transfers it to the
-    file. *)
+    [(disk, frag)] and free the original. The original is free on
+    disk before the FIT is stored ([Block_service.retire]) and free in
+    memory after; if it is free already (a redo after a crash), it is
+    left alone. Splits the containing run, so it destroys contiguity —
+    exactly the cost the paper attributes to shadow paging. The caller
+    owns the shadow block (allocated via the block service) until this
+    call, which transfers it to the file. *)
 
 (** {1 Introspection} *)
 

@@ -344,6 +344,7 @@ let handle_request t server request =
       Fs.close_file server.s_fs (local_fid server id);
       Ok_unit
     | R_delete id ->
+      Txn.sync_log server.s_ts;
       Fs.delete server.s_fs (local_fid server id);
       Ok_unit
     | R_pread (id, off, len) ->
@@ -369,10 +370,12 @@ let handle_request t server request =
       done;
       Ok_int !n
     | R_pwrite (id, off, data) ->
+      Txn.sync_log server.s_ts;
       Fs.pwrite server.s_fs (local_fid server id) ~off data;
       Ok_unit
     | R_getattr id -> Ok_attrs (Fs.get_attributes server.s_fs (local_fid server id))
     | R_truncate (id, size) ->
+      Txn.sync_log server.s_ts;
       Fs.truncate server.s_fs (local_fid server id) size;
       Ok_unit
     | R_tbegin ->

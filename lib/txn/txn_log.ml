@@ -1,3 +1,4 @@
+module Sim = Rhodos_sim.Sim
 module Block = Rhodos_block.Block_service
 module Crc32 = Rhodos_util.Crc32
 
@@ -12,7 +13,6 @@ type record =
     }
   | Commit of { txn : int }
   | Done of { txn : int }
-  | Abort of { txn : int }
 
 exception Log_full
 
@@ -25,18 +25,31 @@ type t = {
   region : int;       (* first fragment *)
   fragments : int;
   image : bytes;      (* in-memory copy of the whole region *)
-  mutable cursor : int;
+  mutable cursor : int;   (* end of the records in [image] *)
+  durable : int Sim.Cell.cell;
+      (* [image] below this offset is on disk. Written only under
+         [writer]; [flush] reads it without, to skip the writer when
+         nothing is staged: the watermark only grows until a
+         checkpoint, which resets the cursor with it. *)
+  mutable owed : int;     (* room kept for the Dones not staged yet *)
+  writer : Sim.Semaphore.sem; (* one put (or checkpoint) in flight *)
 }
 
 let capacity t = t.fragments * frag_bytes
 
+let make bs ~region ~fragments image =
+  { bs; region; fragments; image; cursor = 0; owed = 0;
+    durable = Sim.Cell.create ~role:Sim.Sync ~name:"txn_log:durable" (Block.sim bs) 0;
+    writer = Sim.Semaphore.create (Block.sim bs) 1 }
+
+let dest t = if Block.has_stable t.bs then Block.Original_and_stable else Block.Original
+
 let create bs ~fragments =
   if fragments <= 0 then invalid_arg "Txn_log.create";
   let region = Block.allocate bs ~fragments in
-  let t = { bs; region; fragments; image = Bytes.make (fragments * frag_bytes) '\000'; cursor = 0 } in
+  let t = make bs ~region ~fragments (Bytes.make (fragments * frag_bytes) '\000') in
   (* Ensure the on-disk head is clean so scans stop immediately. *)
-  let dest = if Block.has_stable bs then Block.Original_and_stable else Block.Original in
-  Block.put_block ~dest bs ~pos:region (Bytes.make frag_bytes '\000');
+  Block.put_block ~dest:(dest t) bs ~pos:region (Bytes.make frag_bytes '\000');
   t
 
 (* ------------------------------------------------------------------ *)
@@ -48,12 +61,11 @@ let kind_code = function
   | Shadow _ -> 2
   | Commit _ -> 3
   | Done _ -> 4
-  | Abort _ -> 5
 
 let payload_bytes = function
   | Write { data; _ } -> 28 + Bytes.length data
   | Shadow _ -> 36
-  | Commit _ | Done _ | Abort _ -> 8
+  | Commit _ | Done _ -> 8
 
 (* Payloads are encoded straight into the log image at [p] and decoded
    from it in place: only a [Write]'s data is ever copied out. *)
@@ -70,7 +82,7 @@ let encode_payload b p = function
     Bytes.set_int64_le b (p + 16) (Int64.of_int block_index);
     Bytes.set_int32_le b (p + 24) (Int32.of_int shadow_disk);
     Bytes.set_int64_le b (p + 28) (Int64.of_int shadow_frag)
-  | Commit { txn } | Done { txn } | Abort { txn } ->
+  | Commit { txn } | Done { txn } ->
     Bytes.set_int64_le b p (Int64.of_int txn)
 
 (* [len] is the payload's framed length; a payload too short for its
@@ -95,41 +107,69 @@ let decode_record ~kind b p ~len =
          })
   | 3 -> Some (Commit { txn })
   | 4 -> Some (Done { txn })
-  | 5 -> Some (Abort { txn })
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Persistence                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let persist_range t ~pos ~len =
-  let first = pos / frag_bytes and last = (pos + len - 1) / frag_bytes in
-  let dest =
-    if Block.has_stable t.bs then Block.Original_and_stable else Block.Original
-  in
-  (* One contiguous put for the whole dirtied range. *)
-  let frags = last - first + 1 in
-  Block.put_block ~dest t.bs
-    ~pos:(t.region + first)
-    (Bytes.sub t.image (first * frag_bytes) (frags * frag_bytes))
+let frame_bytes record = header_bytes + payload_bytes record
 
-let append t record =
+let done_bytes = frame_bytes (Done { txn = 0 })
+
+(* Keep one spare header's room so the terminator (zero magic) after
+   the last record is always inside the region, and room for every
+   Done still owed. *)
+let fits t bytes = t.cursor + t.owed + bytes + 4 <= capacity t
+
+(* Encode one frame at the cursor, followed by a zero terminator (the
+   image past the cursor may hold a torn frame read back by [attach]). *)
+let encode t record =
   let len = payload_bytes record in
-  let total = header_bytes + len in
-  (* Keep one spare header's room so the terminator (zero magic) after
-     the last record is always inside the region. *)
-  if t.cursor + total + 4 > capacity t then raise Log_full;
-  let b = t.image in
-  let pos = t.cursor in
+  let b = t.image and pos = t.cursor in
   encode_payload b (pos + header_bytes) record;
   Bytes.set_int32_le b pos record_magic;
   Bytes.set_int32_le b (pos + 4) (Int32.of_int len);
   Bytes.set_int32_le b (pos + 8) (Crc32.sub b ~pos:(pos + header_bytes) ~len);
   Bytes.set_uint8 b (pos + 12) (kind_code record);
-  (* Zero terminator after the record (may already be zero). *)
-  Bytes.set_int32_le b (pos + total) 0l;
-  t.cursor <- pos + total;
-  persist_range t ~pos ~len:(total + 4)
+  Bytes.set_int32_le b (pos + header_bytes + len) 0l;
+  t.cursor <- pos + header_bytes + len
+
+(* One put of every fragment from the one holding the durable watermark
+   to the one holding the terminator. The snapshot and the cursor are
+   taken together, before the put yields: records encoded while it is
+   in flight are not in it, so the watermark moves only to the cursor
+   captured here. Callers hold [writer]. *)
+let put t =
+  let stop = t.cursor in
+  let first = Sim.Cell.get t.durable / frag_bytes and last = (stop + 3) / frag_bytes in
+  Block.put_block ~dest:(dest t) t.bs
+    ~pos:(t.region + first)
+    (Bytes.sub t.image (first * frag_bytes) ((last - first + 1) * frag_bytes));
+  Sim.Cell.set t.durable stop
+
+(* Group commit: a put that was in flight when we arrived may have
+   snapshotted everything up to [upto] already. *)
+let put_upto t upto = if Sim.Cell.get t.durable < upto then put t
+
+let flush t =
+  let upto = t.cursor in
+  (* Nothing staged: no writer to wait for. *)
+  if Sim.Cell.get t.durable < upto then Sim.Semaphore.with_acquire t.writer (fun () -> put_upto t upto)
+
+(* The room for the transaction's Done is kept from here on, so its
+   [stage_done] always fits: a Done that could be dropped would leave a
+   Commit that a recovery redoes over whatever was written after it. *)
+let append t records =
+  if not (fits t (List.fold_left (fun n r -> n + frame_bytes r) done_bytes records)) then
+    raise Log_full;
+  t.owed <- t.owed + done_bytes;
+  List.iter (encode t) records;
+  flush t
+
+let stage_done t ~txn =
+  t.owed <- t.owed - done_bytes;
+  encode t (Done { txn })
 
 let scan_image image =
   let cap = Bytes.length image in
@@ -161,20 +201,20 @@ let attach bs ~region ~fragments =
     end
     else Block.get_block bs ~pos:region ~fragments
   in
-  let t = { bs; region; fragments; image; cursor = 0 } in
+  let t = make bs ~region ~fragments image in
   let _, cursor = scan_image t.image in
   t.cursor <- cursor;
+  Sim.Cell.set t.durable cursor;
   t
 
 let scan t = fst (scan_image t.image)
 
 let checkpoint t =
-  t.cursor <- 0;
-  Bytes.fill t.image 0 (Bytes.length t.image) '\000';
-  let dest =
-    if Block.has_stable t.bs then Block.Original_and_stable else Block.Original
-  in
-  Block.put_block ~dest t.bs ~pos:t.region (Bytes.make frag_bytes '\000')
+  Sim.Semaphore.with_acquire t.writer (fun () ->
+      t.cursor <- 0;
+      Sim.Cell.set t.durable 0;
+      Bytes.fill t.image 0 (Bytes.length t.image) '\000';
+      Block.put_block ~dest:(dest t) t.bs ~pos:t.region (Bytes.make frag_bytes '\000'))
 
 let region t = t.region
 let fragments t = t.fragments

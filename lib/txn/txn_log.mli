@@ -18,11 +18,21 @@
       this transaction must be applied;
     - [Done]: all intentions of the transaction have been made
       permanent ("after making the changes permanent the records from
-      the intentions list are deleted");
-    - [Abort]: the transaction's intentions are void.
+      the intentions list are deleted").
+
+    A commit costs one forced put: a transaction's intentions and its
+    [Commit] go to disk together ([append]), so intentions without a
+    [Commit] can only be a torn put. Its [Done] is staged in the
+    in-memory image ([stage_done]) and reaches disk with the next put,
+    or is erased by the next [checkpoint]; the log keeps room for it
+    from the [append] on, so it is never dropped. Every put writes all bytes
+    from the durable watermark up to the cursor it captured, so a
+    durable [Commit] implies that every [Done] staged before it is
+    durable too. A transaction stages its [Done] before releasing its
+    locks, so the transactions a recovery redoes never conflict.
 
     Recovery ([scan]) returns the parsed records; the transaction
-    service redoes committed-but-not-done transactions (both record
+    service redoes committed-but-not-done transactions (both intention
     kinds are idempotent) and discards the rest. A live commit never
     reads the log back: it applies the records it appended itself.
 
@@ -42,7 +52,6 @@ type record =
     }
   | Commit of { txn : int }
   | Done of { txn : int }
-  | Abort of { txn : int }
 
 exception Log_full
 
@@ -60,20 +69,37 @@ val region : t -> int
 
 val fragments : t -> int
 
-val append : t -> record -> unit
-(** Persist one record (set-intention). Durable when the call
-    returns.
-    @raise Log_full when the region cannot hold it — callers should
-    [checkpoint] when [used_bytes] approaches capacity. *)
+val append : t -> record list -> unit
+(** Persist records (set-intention) in one put; a committing
+    transaction passes its intentions followed by its [Commit]. The
+    put also carries every record staged or appended before them.
+    Durable when the call returns. Puts are serialized, one in flight
+    per log: a caller that finds one in flight waits for it, and
+    returns without a put of its own if that put covered its records
+    (group commit). From here on the log keeps room for the caller's
+    [Done], so [stage_done] never runs out of room.
+    @raise Log_full before encoding anything when the region cannot
+    hold them and a [Done] — callers should [checkpoint] when
+    [used_bytes] approaches capacity. *)
+
+val stage_done : t -> txn:int -> unit
+(** Write [Done] into the in-memory image only, in the room [append]
+    kept for it; it reaches disk with the next put. Call once per
+    [append]. *)
+
+val flush : t -> unit
+(** Put whatever is staged, unless a put already covers it; returns at
+    once when nothing is staged. *)
 
 val scan : t -> record list
 (** All records currently in the log, oldest first, stopping at the
     first invalid frame (get-intention, used for recovery). *)
 
 val checkpoint : t -> unit
-(** Discard all records (remove-intention): resets the log head.
-    Callers must only do this when no transaction is between [Commit]
-    and [Done]. *)
+(** Discard all records (remove-intention): resets the log head, and
+    erases every staged [Done] with the rest. It runs under the same
+    writer as the puts. Callers must only do this when no transaction
+    is between [append] and [stage_done]. *)
 
 val used_bytes : t -> int
 

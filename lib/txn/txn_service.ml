@@ -44,9 +44,6 @@ type txn = {
   (* Per-txn work list, same single-owner contract as [state] and [deleted].
      static-ok: static-race single-owner work list *)
   mutable opened : Fs.file_id list;
-  mutable shadow_allocs : (int * int) list;
-      (* shadow blocks allocated during commit phase 1; freed if the
-         commit fails before its Commit record lands *)
 }
 
 let txn_id txn = txn.id
@@ -101,7 +98,7 @@ let finish_txn t txn =
   Lock_manager.cancel_waits t.lm ~txn:txn.id;
   Lock_manager.release_all t.lm ~txn:txn.id
 
-let abort_internal t txn ~reason ~log_it =
+let abort_internal t txn ~reason =
   if txn.state = Active then begin
     txn.abort_reason <- Some reason;
     L.info (fun m -> m "txn %d aborted: %s" txn.id reason);
@@ -114,7 +111,6 @@ let abort_internal t txn ~reason ~log_it =
       (fun id -> try Fs.close_file t.fs id with Fs.File_not_found _ -> ())
       txn.opened;
     txn.writes <- [];
-    if log_it then (try Txn_log.append t.log (Txn_log.Abort { txn = txn.id }) with Txn_log.Log_full -> ());
     finish_txn t txn
   end
 
@@ -124,7 +120,7 @@ let suspect_abort t id =
   match Hashtbl.find_opt t.txns id with
   | Some txn when txn.state = Active ->
     Counter.incr t.counters "timeout_aborts";
-    abort_internal t txn ~reason:"suspected deadlocked (lock timeout)" ~log_it:true
+    abort_internal t txn ~reason:"suspected deadlocked (lock timeout)"
   | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -165,6 +161,7 @@ let create ?(config = default_config) ?tracer ~fs () =
   build ~config ?tracer ~fs ~log ()
 
 let log_region t = (Txn_log.region t.log, Txn_log.fragments t.log)
+let sync_log t = Txn_log.flush t.log
 
 let lock_manager t = t.lm
 let stats t = t.counters
@@ -244,7 +241,6 @@ let tbegin t =
       created = [];
       deleted = [];
       opened = [];
-      shadow_allocs = [];
     }
   in
   t.next_id <- t.next_id + 1;
@@ -376,14 +372,13 @@ let tentative_bytes t txn file ~off ~len =
    extending the file is always WAL (a shadow swap needs an existing
    descriptor to replace). All post-images come from the full
    tentative overlay, so overlapping writes by the same transaction
-   commit correctly. Returns the records appended, oldest first: the
-   commit applies exactly these, so it never reads the log back. *)
+   commit correctly. Shadow blocks are reserved (free on disk until
+   the commit confirms them) and written here. Returns the records,
+   oldest first, for the commit to append in one put and then apply,
+   so it never reads the log back, and the reserved blocks. *)
 let log_intentions t txn =
-  let appended = ref [] in
-  let append r =
-    Txn_log.append t.log r;
-    appended := r :: !appended
-  in
+  let records = ref [] and reserved = ref [] in
+  let append r = records := r :: !records in
   let writes = List.rev txn.writes in
   let files = List.sort_uniq compare (List.map (fun (f, _, _) -> f) writes) in
   List.iter
@@ -428,8 +423,8 @@ let log_intentions t txn =
                   | None -> 0
                 in
                 let bs = Fs.block_service t.fs disk in
-                let frag = Block.allocate_block bs ~blocks:1 in
-                txn.shadow_allocs <- (disk, frag) :: txn.shadow_allocs;
+                let frag = Block.reserve_block bs ~blocks:1 in
+                reserved := (disk, frag) :: !reserved;
                 Block.put_block bs ~pos:frag post;
                 Counter.incr t.counters "shadow_intentions";
                 append
@@ -457,7 +452,7 @@ let log_intentions t txn =
           end)
         (merged_intervals writes ~file:fid))
     files;
-  List.rev !appended
+  (List.rev !records, !reserved)
 
 let apply_record t = function
   | Txn_log.Write { file; off; data; _ } -> Fs.pwrite t.fs (Fs.id_of_int file) ~off data
@@ -469,7 +464,7 @@ let apply_record t = function
     | Some (d, f) when d = shadow_disk && f = shadow_frag -> ()
     | Some _ | None ->
       Fs.replace_block t.fs file ~block_index ~disk:shadow_disk ~frag:shadow_frag)
-  | Txn_log.Commit _ | Txn_log.Done _ | Txn_log.Abort _ -> ()
+  | Txn_log.Commit _ | Txn_log.Done _ -> ()
 
 let maybe_checkpoint t =
   if
@@ -495,29 +490,40 @@ let tend_impl t txn =
     Hashtbl.remove t.txns txn.id
   end
   else begin
-  (match
-     (* Phase boundary: record every intention, then the commit flag.
-        Everything before the Commit record is tentative. *)
-     (let intentions = log_intentions t txn in
-      Txn_log.append t.log (Txn_log.Commit { txn = txn.id });
-      (* Make permanent (the second phase of the intentions list). *)
-      List.iter (apply_record t) intentions;
-      Txn_log.append t.log (Txn_log.Done { txn = txn.id }))
-   with
-  | () -> ()
-  | exception Txn_log.Log_full ->
-    (* The commit never reached its Commit record: shadow blocks
-       already allocated and written would leak. *)
+  let intentions, reserved = log_intentions t txn in
+  (* Phase boundary: the intentions and the commit flag reach the log
+     in one put, so nothing of this transaction is in the log unless
+     its Commit is. *)
+  (match Txn_log.append t.log (intentions @ [ Txn_log.Commit { txn = txn.id } ]) with
+  | () ->
+    (* The shadow blocks were reserved, free on disk, so a crash before
+       the Commit leaked none; now they are persisted as allocated,
+       before the Done can follow the Commit to disk. *)
     List.iter
       (fun (disk, frag) ->
-        Block.free_block (Fs.block_service t.fs disk) ~pos:frag ~blocks:1)
-      txn.shadow_allocs;
-    txn.shadow_allocs <- [];
+        Block.confirm (Fs.block_service t.fs disk) ~pos:frag
+          ~fragments:Block.fragments_per_block)
+      reserved;
+    (* Make permanent (the second phase of the intentions list), and
+       stage the Done before the locks go: a conflicting transaction's
+       Commit then reaches disk only with this Done. *)
+    List.iter (apply_record t) intentions;
+    Txn_log.stage_done t.log ~txn:txn.id
+  | exception Txn_log.Log_full ->
+    (* Nothing was logged: give back the reserved shadow blocks. *)
+    List.iter
+      (fun (disk, frag) ->
+        Block.release (Fs.block_service t.fs disk) ~pos:frag
+          ~fragments:Block.fragments_per_block)
+      reserved;
     txn.state <- Active;
-    abort_internal t txn ~reason:"intentions list full" ~log_it:false;
+    abort_internal t txn ~reason:"intentions list full";
     Hashtbl.remove t.txns txn.id;
     raise (Aborted { txn = txn.id; reason = "intentions list full" }));
-  (* Deferred deletions: applied once the transaction is durable. *)
+  (* Deferred deletions: applied once the transaction is durable, and
+     after its Done is forced, so a redo never meets a file its own
+     transaction deleted (the id of a deleted file can be reused). *)
+  if txn.deleted <> [] then Txn_log.flush t.log;
   List.iter
     (fun id ->
       match Fs.delete t.fs id with
@@ -545,7 +551,7 @@ let tabort t txn =
     (fun () ->
       match txn.state with
       | Active ->
-        abort_internal t txn ~reason:"aborted by client" ~log_it:true;
+        abort_internal t txn ~reason:"aborted by client";
         Hashtbl.remove t.txns txn.id
       | Committing | Finished -> Hashtbl.remove t.txns txn.id)
 
@@ -579,7 +585,6 @@ let recover_service ?(config = default_config) ?tracer ~fs
   let t = build ~config ?tracer ~fs ~log () in
   let records = Txn_log.scan log in
   let committed = Hashtbl.create 8 and done_ = Hashtbl.create 8 in
-  let aborted = Hashtbl.create 8 in
   (* One pass groups each transaction's intentions, newest first. *)
   let intentions = Hashtbl.create 8 in
   let max_logged = ref 0 in
@@ -589,7 +594,6 @@ let recover_service ?(config = default_config) ?tracer ~fs
         match r with
         | Txn_log.Commit { txn } -> Hashtbl.replace committed txn (); txn
         | Txn_log.Done { txn } -> Hashtbl.replace done_ txn (); txn
-        | Txn_log.Abort { txn } -> Hashtbl.replace aborted txn (); txn
         | Txn_log.Write { txn; _ } | Txn_log.Shadow { txn; _ } ->
           let mine = Option.value (Hashtbl.find_opt intentions txn) ~default:[] in
           Hashtbl.replace intentions txn (r :: mine);
@@ -603,38 +607,33 @@ let recover_service ?(config = default_config) ?tracer ~fs
       committed []
     |> List.sort compare
   in
+  (* Redone transactions never conflict (see Txn_log), so their order
+     does not matter. A shadow block is free on disk if the crash came
+     before the commit persisted it as allocated. *)
   List.iter
     (fun id ->
-      (match Hashtbl.find_opt intentions id with
-      | Some mine -> List.iter (apply_record t) (List.rev mine)
-      | None -> ());
-      Txn_log.append log (Txn_log.Done { txn = id }))
+      List.iter
+        (fun r ->
+          (match r with
+          | Txn_log.Shadow { shadow_disk; shadow_frag; _ } ->
+            let bs = Fs.block_service fs shadow_disk in
+            if Block.is_free bs ~pos:shadow_frag ~fragments:Block.fragments_per_block then
+              ignore
+                (Block.allocate_at bs ~pos:shadow_frag ~fragments:Block.fragments_per_block)
+          | Txn_log.Write _ | Txn_log.Commit _ | Txn_log.Done _ -> ());
+          apply_record t r)
+        (List.rev (Option.value (Hashtbl.find_opt intentions id) ~default:[])))
     to_redo;
+  (* Intentions without a Commit are a torn put. *)
   let discarded =
     Hashtbl.fold
-      (fun txn _ acc ->
-        if Hashtbl.mem committed txn || Hashtbl.mem aborted txn then acc
-        else txn :: acc)
+      (fun txn _ acc -> if Hashtbl.mem committed txn then acc else txn :: acc)
       intentions []
     |> List.sort compare
   in
-  (* Shadow blocks written for transactions that never committed (or
-     that aborted) are allocated but referenced by nothing: free them,
-     or they leak forever. *)
-  List.iter
-    (fun r ->
-      match r with
-      | Txn_log.Shadow { txn; shadow_disk; shadow_frag; _ }
-        when not (Hashtbl.mem committed txn) ->
-        let bs = Fs.block_service fs shadow_disk in
-        if
-          not
-            (Block.is_free bs ~pos:shadow_frag
-               ~fragments:Block.fragments_per_block)
-        then Block.free_block bs ~pos:shadow_frag ~blocks:1
-      | _ -> ())
-    records;
-  (* The log can be cleared: every committed transaction is applied. *)
+  (* Their shadow blocks were never persisted as allocated: nothing to
+     free. The log can be cleared: every committed transaction is
+     applied. *)
   Txn_log.checkpoint log;
   (* Fresh transaction ids must not collide with logged ones. *)
   t.next_id <- !max_logged + 1;

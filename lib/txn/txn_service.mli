@@ -20,16 +20,17 @@
     other transactions"); reads see the transaction's own tentative
     writes overlaid on the committed state.
 
-    Commit (section 6.7): intentions are recorded on the stable
-    intentions list, the [Commit] flag is forced, then each intention
-    is made permanent — by {b WAL} (in-place write, preserving block
-    contiguity) when the affected blocks are contiguous or the file
-    uses record-level locking, by {b shadow page} (block already
-    written at a fresh location, descriptor swap in the FIT)
-    otherwise. The commit applies the intentions it has just logged,
+    Commit (section 6.7): the intentions and the [Commit] flag are
+    forced to the stable intentions list in one put, then each
+    intention is made permanent — by {b WAL} (in-place write,
+    preserving block contiguity) when the affected blocks are
+    contiguous or the file uses record-level locking, by {b shadow
+    page} (block already written at a fresh location, descriptor swap
+    in the FIT) otherwise. The commit applies the intentions it has just logged,
     held in memory; only recovery reads the intentions list back.
-    After a crash, [recover_service] redoes committed-but-unDone
-    transactions and discards the rest.
+    Its [Done] is staged before the locks are released and reaches
+    disk with the next put. After a crash, [recover_service] redoes
+    committed-but-unDone transactions and discards the rest.
 
     All operations must run inside a [Sim] process. *)
 
@@ -69,6 +70,12 @@ val create :
 val log_region : t -> int * int
 (** (first fragment, fragment count) of the intentions list on disk 0
     — pass to [recover_service] after a crash. *)
+
+val sync_log : t -> unit
+(** Put every staged [Done] on disk; returns at once when none is
+    staged. Call it before changing a file outside a transaction:
+    otherwise a crash makes recovery redo an earlier commit over the
+    change, or into a file that took a deleted one's id. *)
 
 (** {1 Transaction operations (paper's set)} *)
 
@@ -112,7 +119,9 @@ val tclose : t -> txn -> Rhodos_file.File_service.file_id -> unit
 
 val tend : t -> txn -> unit
 (** Commit. @raise Aborted if the transaction was suspected
-    deadlocked before the commit point. *)
+    deadlocked before the commit point, or the intentions list had no
+    room for its intentions and its [Done] (nothing was logged or
+    applied). *)
 
 val tabort : t -> txn -> unit
 (** Abort and release; idempotent. *)
@@ -131,7 +140,7 @@ val is_active : t -> txn -> bool
 
 type recovery_report = {
   redone_transactions : int list;   (** committed but not Done: redone *)
-  discarded_transactions : int list; (** in flight at the crash *)
+  discarded_transactions : int list; (** intentions of a torn put *)
 }
 
 val recover_service :

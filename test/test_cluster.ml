@@ -327,6 +327,56 @@ let test_crash_after_mixed_writes () =
         true
         (Rhodos_file.Fsck.is_clean report))
 
+(* A commit's Done is only staged when [tend] returns. A plain write
+   or delete that follows must not let a recovery redo the commit over
+   it: the server forces the staged Done first. *)
+let test_plain_write_after_commit_survives_crash () =
+  Cluster.run (fun _sim t ->
+      let c = Cluster.add_client t ~name:"ws" in
+      Cluster.with_transaction c (fun ta td ->
+          let fd = Transaction_agent.tcreate ta td ~path:"/acct" in
+          Transaction_agent.twrite ta td fd (Bytes.of_string "committed"));
+      let d = Cluster.open_file c "/acct" in
+      Cluster.pwrite c d ~off:0 ~data:(Bytes.of_string "overwrite");
+      File_agent.flush (Cluster.file_agent c);
+      Cluster.close c d;
+      ignore (Cluster.crash_server t);
+      let report = Cluster.recover_server t in
+      check (Alcotest.list int) "nothing redone" [] report.Txn.redone_transactions;
+      let d = Cluster.open_file c "/acct" in
+      check Alcotest.string "newer write kept" "overwrite"
+        (Bytes.to_string (Cluster.read c d 100));
+      Cluster.close c d;
+      let report = Cluster.fsck t in
+      check bool (Format.asprintf "%a" Rhodos_file.Fsck.pp_report report) true
+        (Rhodos_file.Fsck.is_clean report))
+
+let test_reused_id_after_commit_survives_crash () =
+  Cluster.run (fun _sim t ->
+      let c = Cluster.add_client t ~name:"ws" in
+      Cluster.with_transaction c (fun ta td ->
+          let fd = Transaction_agent.tcreate ta td ~path:"/old" in
+          Transaction_agent.twrite ta td fd (Bytes.make 3000 'o'));
+      let file_of d = File_agent.descriptor_file (Cluster.file_agent c) d in
+      let d = Cluster.open_file c "/old" in
+      let old_id = file_of d in
+      Cluster.close c d;
+      Cluster.delete c "/old";
+      let d = Cluster.create_file c "/new" in
+      check int "the new file reuses the id" old_id (file_of d);
+      Cluster.write c d (Bytes.of_string "fresh");
+      File_agent.flush (Cluster.file_agent c);
+      Cluster.close c d;
+      ignore (Cluster.crash_server t);
+      ignore (Cluster.recover_server t);
+      let d = Cluster.open_file c "/new" in
+      check Alcotest.string "new file intact" "fresh"
+        (Bytes.to_string (Cluster.read c d 3000));
+      Cluster.close c d;
+      let report = Cluster.fsck t in
+      check bool (Format.asprintf "%a" Rhodos_file.Fsck.pp_report report) true
+        (Rhodos_file.Fsck.is_clean report))
+
 (* A second crash right after recovery: the first attach has bumped
    the boot epoch and scanned only live pages, and the second must find
    everything the first left. *)
@@ -767,6 +817,10 @@ let () =
           Alcotest.test_case "crash after mixed writes" `Quick
             test_crash_after_mixed_writes;
           Alcotest.test_case "crash twice in a row" `Quick test_crash_twice_in_a_row;
+          Alcotest.test_case "plain write after commit" `Quick
+            test_plain_write_after_commit_survives_crash;
+          Alcotest.test_case "reused id after commit" `Quick
+            test_reused_id_after_commit_survives_crash;
         ] );
       ( "multiple servers",
         [

@@ -181,9 +181,10 @@ let test_shadow_commit_balances_storage () =
 
 let test_crash_mid_shadow_commit_no_leak () =
   (* A transaction that crashed during commit phase 1: its Shadow
-     records are on the log (pointing at allocated, written shadow
-     blocks) but there is no Commit record. Recovery must discard the
-     transaction AND free the orphaned shadow blocks. *)
+     records are on the log (pointing at written shadow blocks, which
+     the commit reserves: allocated in memory, free on disk) but there
+     is no Commit record. After a reboot, recovery must discard the
+     transaction, and no shadow block may stay allocated. *)
   run_in_sim (fun sim ->
       let fs = make_fs sim in
       let ts = Txn.create ~fs () in
@@ -192,24 +193,31 @@ let test_crash_mid_shadow_commit_no_leak () =
       let f = Txn.tcreate ts setup in
       Txn.twrite ts setup f ~off:0 (Bytes.make (8 * 8192) 'o');
       Txn.tend ts setup;
+      Txn.sync_log ts;
       (* Hand-craft the mid-commit state. *)
       let bs = Fs.block_service fs 0 in
-      let shadow_frag = Block.allocate_block bs ~blocks:1 in
+      let shadow_frag = Block.reserve_block bs ~blocks:1 in
       Block.put_block bs ~pos:shadow_frag (Bytes.make 8192 'S');
       let log = Rhodos_txn.Txn_log.attach bs ~region ~fragments:len in
       Rhodos_txn.Txn_log.append log
-        (Rhodos_txn.Txn_log.Shadow
-           {
-             txn = 555;
-             file = Fs.id_to_int f;
-             block_index = 2;
-             shadow_disk = 0;
-             shadow_frag;
-           });
-      (* No Commit record: the machine died here. *)
+        [ Rhodos_txn.Txn_log.Shadow
+            {
+              txn = 555;
+              file = Fs.id_to_int f;
+              block_index = 2;
+              shadow_disk = 0;
+              shadow_frag;
+            } ];
+      (* No Commit record: the machine died here. Reboot from the disk. *)
+      Txn.shutdown ts;
       ignore (Fs.crash fs);
+      let bs = Block.create ~disk:(Block.disk bs) () in
+      Block.attach bs;
+      let fs = Fs.create ~disks:[| bs |] () in
       let _ts2, report = Txn.recover_service ~fs ~log_region:(region, len) () in
       check bool "discarded" true (List.mem 555 report.Txn.discarded_transactions);
+      check bool "shadow block free" true
+        (Block.is_free bs ~pos:shadow_frag ~fragments:Block.fragments_per_block);
       let fsck =
         Fsck.check fs ~files:[ f ] ~regions:[ ("txn-log", 0, region, len) ] ()
       in

@@ -692,10 +692,9 @@ let test_log_roundtrip () =
           Log.Shadow { txn = 1; file = 42; block_index = 3; shadow_disk = 0; shadow_frag = 99 };
           Log.Commit { txn = 1 };
           Log.Done { txn = 1 };
-          Log.Abort { txn = 2 };
         ]
       in
-      List.iter (Log.append log) records;
+      Log.append log records;
       check bool "scan returns records" true (Log.scan log = records);
       (* Re-attach from disk: survives the in-memory copy being lost. *)
       let log2 = Log.attach bs ~region:(Log.region log) ~fragments:16 in
@@ -722,7 +721,6 @@ let log_record_gen =
         (triple (int_range 0 50) (int_range 0 100) (int_range 0 5000));
       map (fun t -> Log.Commit { txn = t }) txn;
       map (fun t -> Log.Done { txn = t }) txn;
-      map (fun t -> Log.Abort { txn = t }) txn;
     ]
 
 let log_roundtrip_prop =
@@ -733,7 +731,7 @@ let log_roundtrip_prop =
           let fs = make_fs sim in
           let bs = Fs.block_service fs 0 in
           let log = Log.create bs ~fragments:64 in
-          List.iter (Log.append log) records;
+          Log.append log records;
           let direct = Log.scan log = records in
           let reattached =
             Log.scan (Log.attach bs ~region:(Log.region log) ~fragments:64) = records
@@ -746,7 +744,7 @@ let test_log_full () =
       let log = Log.create (Fs.block_service fs 0) ~fragments:1 in
       try
         for _ = 1 to 1000 do
-          Log.append log (Log.Write { txn = 1; file = 1; off = 0; data = Bytes.make 100 'x' })
+          Log.append log [ Log.Write { txn = 1; file = 1; off = 0; data = Bytes.make 100 'x' } ]
         done;
         Alcotest.fail "expected Log_full"
       with Log.Log_full -> ())
@@ -765,14 +763,16 @@ let test_recovery_redoes_committed () =
          before applying: simulate by writing the log records
          directly. *)
       let log = Log.attach (Fs.block_service fs 0) ~region:(fst region) ~fragments:(snd region) in
-      Log.append log (Log.Write { txn = 999; file = Fs.id_to_int f; off = 0; data = Bytes.of_string "REDONE__" });
-      Log.append log (Log.Commit { txn = 999 });
-      (* An in-flight transaction without Commit: must be discarded. *)
-      Log.append log (Log.Write { txn = 1000; file = Fs.id_to_int f; off = 0; data = Bytes.of_string "NEVER!!!" });
+      Log.append log
+        [ Log.Write { txn = 999; file = Fs.id_to_int f; off = 0; data = Bytes.of_string "REDONE__" };
+          Log.Commit { txn = 999 } ];
+      (* A torn put, intentions without their Commit: must be discarded. *)
+      Log.append log [ Log.Write { txn = 1000; file = Fs.id_to_int f; off = 0; data = Bytes.of_string "NEVER!!!" } ];
       (* Crash: lose all volatile state. *)
       ignore (Fs.crash fs);
       let ts2, report = Txn.recover_service ~fs ~log_region:region () in
-      check (Alcotest.list int) "redone" [ 999 ] report.Txn.redone_transactions;
+      (* t1's Done was only staged, so t1 is redone too. *)
+      check (Alcotest.list int) "redone" [ 1; 999 ] report.Txn.redone_transactions;
       check (Alcotest.list int) "discarded" [ 1000 ] report.Txn.discarded_transactions;
       let txn = Txn.tbegin ts2 in
       check Alcotest.string "redo applied" "REDONE__"
@@ -810,11 +810,81 @@ let test_aborted_txn_not_redone () =
       Txn.tabort ts victim;
       ignore (Fs.crash fs);
       let ts2, report = Txn.recover_service ~fs ~log_region:region () in
-      check int "nothing redone" 0 (List.length report.Txn.redone_transactions);
+      (* The victim left nothing in the log; the setup's Done was only
+         staged, so the setup is redone. *)
+      check (Alcotest.list int) "only the setup redone" [ Txn.txn_id setup ]
+        report.Txn.redone_transactions;
       let txn = Txn.tbegin ts2 in
       check Alcotest.string "committed state intact" "keepthis"
         (Bytes.to_string (Txn.tread ts2 txn f ~off:0 ~len:8));
       Txn.tend ts2 txn)
+
+let test_commit_keeps_room_for_done () =
+  (* A one-fragment log. An in-place WAL write whose Write and Commit
+     fit but leave no room for its Done is refused before anything is
+     logged or applied; one byte less fits, commits, and its Done is
+     only staged. An open transaction holds the checkpoint off, so the
+     crash finds that Commit without its Done. *)
+  run_in_sim (fun sim ->
+      let fs = make_fs ~with_stable:true sim in
+      let ts =
+        Txn.create
+          ~config:{ Txn.default_config with Txn.force_technique = Some Txn.Wal; log_fragments = 1 }
+          ~fs ()
+      in
+      let region = Txn.log_region ts in
+      let f = Fs.create_file fs in
+      let original = Bytes.make Block.block_bytes 'O' in
+      Fs.pwrite fs f ~off:0 original;
+      let bystander = Txn.tbegin ts in
+      let refused = Txn.tbegin ts in
+      Txn.twrite ts refused f ~off:0 (Bytes.make 1962 'X');
+      (match Txn.tend ts refused with
+      | () -> Alcotest.fail "a commit without room for its Done went through"
+      | exception Txn.Aborted { reason; _ } ->
+        check Alcotest.string "reason" "intentions list full" reason);
+      check bool "nothing applied" true
+        (Bytes.equal original (Fs.pread fs f ~off:0 ~len:Block.block_bytes));
+      let txn = Txn.tbegin ts in
+      let data = Bytes.make 1961 'N' in
+      Txn.twrite ts txn f ~off:0 data;
+      (match Txn.tend ts txn with
+      | () -> ()
+      | exception Txn.Aborted { reason; _ } -> Alcotest.failf "commit reported aborted: %s" reason);
+      check bool "bytes committed" true (Bytes.equal data (Fs.pread fs f ~off:0 ~len:1961));
+      ignore bystander;
+      ignore (Fs.crash fs);
+      let ts2, report = Txn.recover_service ~fs ~log_region:region () in
+      check (Alcotest.list int) "redone" [ Txn.txn_id txn ] report.Txn.redone_transactions;
+      let reader = Txn.tbegin ts2 in
+      check bool "bytes survive recovery" true
+        (Bytes.equal data (Txn.tread ts2 reader f ~off:0 ~len:1961));
+      Txn.tend ts2 reader;
+      let fsck =
+        Rhodos_file.Fsck.check fs ~files:[ f ] ~regions:[ ("txn-log", 0, fst region, snd region) ] ()
+      in
+      check bool (Format.asprintf "%a" Rhodos_file.Fsck.pp_report fsck) true
+        (Rhodos_file.Fsck.is_clean fsck))
+
+let test_deleting_commit_forces_done () =
+  (* A transaction that deletes a file forces its Done before the
+     delete, so no redo meets the file it deleted (whose id a new file
+     may already reuse). *)
+  run_in_sim (fun sim ->
+      let fs = make_fs ~with_stable:true sim in
+      let ts = Txn.create ~fs () in
+      let region = Txn.log_region ts in
+      let setup = Txn.tbegin ts in
+      let f = Txn.tcreate ts setup in
+      Txn.twrite ts setup f ~off:0 (Bytes.of_string "doomed");
+      Txn.tend ts setup;
+      let txn = Txn.tbegin ts in
+      Txn.twrite ts txn f ~off:0 (Bytes.of_string "DOOMED");
+      Txn.tdelete ts txn f;
+      Txn.tend ts txn;
+      ignore (Fs.crash fs);
+      let _, report = Txn.recover_service ~fs ~log_region:region () in
+      check (Alcotest.list int) "nothing redone" [] report.Txn.redone_transactions)
 
 let test_shadow_commit_cheaper_than_wal_on_commit_io () =
   (* Section 6.7: "the shadow page technique requires lesser I/O
@@ -894,13 +964,30 @@ let await_outcomes sim outcomes n =
 (* A file image whose block [bi] is filled with [owner bi]. *)
 let blocks_of nblocks owner = Bytes.init (nblocks * block) (fun i -> owner (i / block))
 
+(* Each transaction's records sit together and end with its Commit:
+   leaving out the Done records, the log is a sequence of blocks
+   [I_x ... I_x; Commit x], one per transaction. *)
+let contiguous_commits records =
+  let seen = Hashtbl.create 8 in
+  let rec between = function
+    | [] -> true
+    | Log.Done _ :: rest -> between rest
+    | (Log.Write { txn; _ } | Log.Shadow { txn; _ } | Log.Commit { txn }) :: _ as rest ->
+      (not (Hashtbl.mem seen txn)) && (Hashtbl.replace seen txn (); block txn rest)
+  and block txn = function
+    | (Log.Write { txn = x; _ } | Log.Shadow { txn = x; _ }) :: rest when x = txn -> block txn rest
+    | Log.Commit { txn = x } :: rest when x = txn -> between rest
+    | _ -> false
+  in
+  between records
+
 (* Crash, rebuild the service from the intentions list, and read [f]
    back through it. *)
-let check_recovery fs ts f expected ~discarded =
+let check_recovery fs ts f expected ~redone ~discarded =
   let region = Txn.log_region ts in
   ignore (Fs.crash fs);
   let ts2, report = Txn.recover_service ~fs ~log_region:region () in
-  check (Alcotest.list int) "nothing to redo" [] report.Txn.redone_transactions;
+  check (Alcotest.list int) "redone" redone report.Txn.redone_transactions;
   check (Alcotest.list int) "discarded" discarded report.Txn.discarded_transactions;
   let txn = Txn.tbegin ts2 in
   check bool "recovered file agrees" true
@@ -908,8 +995,9 @@ let check_recovery fs ts f expected ~discarded =
   Txn.tend ts2 txn
 
 let test_interleaved_commits_apply_own_intentions () =
-  (* Shadow paging reads and writes a block before each append, so two
-     concurrent commits interleave their intentions in the log. *)
+  (* Shadow paging reads and writes a block per intention, so two
+     commits run concurrently; each still puts its intentions and its
+     Commit together, and applies only its own. *)
   with_txn ~with_stable:true
     ~config:{ Txn.default_config with Txn.force_technique = Some Txn.Shadow_page }
     (fun sim fs ts ->
@@ -921,18 +1009,18 @@ let test_interleaved_commits_apply_own_intentions () =
       let outcomes = ref [] in
       spawn_commit sim ts f outcomes 'A' [ 0; 2; 4 ];
       spawn_commit sim ts f outcomes 'B' [ 1; 3; 5 ];
-      check bool "both committed" true
-        (List.for_all (fun (_, _, ok) -> ok) (await_outcomes sim outcomes 2));
+      let ids =
+        match await_outcomes sim outcomes 2 with
+        | [ ('A', a, true); ('B', b, true) ] -> [ a; b ]
+        | _ -> Alcotest.fail "expected both to commit"
+      in
       let records = log_records fs ts in
       let shadow_owners =
         List.filter_map (function Log.Shadow { txn; _ } -> Some txn | _ -> None) records
       in
-      let rec switches = function
-        | a :: (b :: _ as rest) -> (if a <> b then 1 else 0) + switches rest
-        | _ -> 0
-      in
       check int "six shadow intentions" 6 (List.length shadow_owners);
-      check bool "the two commits' intentions interleave" true (switches shadow_owners >= 2);
+      check bool "each commit's records are contiguous and end with its Commit" true
+        (contiguous_commits records);
       let expected =
         blocks_of nblocks (function 0 | 2 | 4 -> 'A' | 1 | 3 | 5 -> 'B' | _ -> '.')
       in
@@ -948,12 +1036,14 @@ let test_interleaved_commits_apply_own_intentions () =
         records;
       check bool "file agrees with the log replay" true
         (Bytes.equal expected (replay_log fs records ~file:(Fs.id_to_int f) ~size));
-      check_recovery fs ts f expected ~discarded:[])
+      (* B's put went out before A staged its Done, and nothing was put
+         after B's: both are redone, and they do not conflict. *)
+      check_recovery fs ts f expected ~redone:ids ~discarded:[])
 
 let test_commit_skips_foreign_intentions () =
-  (* B's commit overflows a one-fragment log after some of its shadow
-     intentions have landed before A's Commit record: A applies only
-     its own, and B's abort leaves nothing behind. *)
+  (* B's commit overflows a one-fragment log after A's put: A applies
+     only its own intentions, and B's abort leaves no record behind and
+     frees the shadow blocks it wrote. *)
   with_txn ~with_stable:true
     ~config:
       { Txn.default_config with Txn.force_technique = Some Txn.Shadow_page; log_fragments = 1 }
@@ -961,23 +1051,36 @@ let test_commit_skips_foreign_intentions () =
       let nblocks = 48 in
       let f = Fs.create_file fs in
       Fs.pwrite fs f ~off:0 (Bytes.make (nblocks * block) '.');
+      let free_before = Block.free_fragments (Fs.block_service fs 0) in
       let outcomes = ref [] in
       spawn_commit sim ts f outcomes 'A' [ 0; 2; 4 ];
       spawn_commit sim ts f outcomes 'B' (List.init 40 (fun i -> 5 + i));
       match await_outcomes sim outcomes 2 with
       | [ ('A', a, true); ('B', b, false) ] ->
-        let rec b_before_a_commit = function
-          | Log.Shadow { txn; _ } :: _ when txn = b -> true
-          | Log.Commit { txn } :: _ when txn = a -> false
-          | _ :: rest -> b_before_a_commit rest
-          | [] -> false
-        in
-        check bool "B's intentions precede A's commit" true
-          (b_before_a_commit (log_records fs ts));
+        let records = log_records fs ts in
+        check bool "A's records are contiguous and end with its Commit" true
+          (contiguous_commits records);
+        check bool "no record of B" true
+          (List.for_all
+             (function
+               | Log.Write { txn; _ } | Log.Shadow { txn; _ } | Log.Commit { txn }
+               | Log.Done { txn } -> txn <> b)
+             records);
+        (* A swapped three blocks, freeing the old ones. *)
+        check int "B's shadow blocks freed" free_before
+          (Block.free_fragments (Fs.block_service fs 0));
         let expected = blocks_of nblocks (function 0 | 2 | 4 -> 'A' | _ -> '.') in
         check bool "only A's intentions applied" true
           (Bytes.equal expected (Fs.pread fs f ~off:0 ~len:(Bytes.length expected)));
-        check_recovery fs ts f expected ~discarded:[ b ]
+        List.iter
+          (function
+            | Log.Shadow { block_index; shadow_disk; shadow_frag; _ } ->
+              check bool "descriptor points at A's shadow block" true
+                (Fs.block_location fs f ~block_index = Some (shadow_disk, shadow_frag))
+            | _ -> ())
+          records;
+        (* A's Done was only staged. *)
+        check_recovery fs ts f expected ~redone:[ a ] ~discarded:[]
       | _ -> Alcotest.fail "expected A to commit and B to overflow the log")
 
 let test_commit_alloc_flat_in_log_length () =
@@ -1006,6 +1109,166 @@ let test_commit_alloc_flat_in_log_length () =
       if long_log > 2. *. near_empty then
         Alcotest.failf "commit on a 1,000-record log allocated %.0f words, near-empty %.0f"
           long_log near_empty)
+
+(* ------------------------------------------------------------------ *)
+(* Crash sweep: concurrent committers on conflicting accounts, crashed *)
+(* at each of a series of instants and recovered from the log          *)
+(* ------------------------------------------------------------------ *)
+
+let sweep_accounts = 4
+let sweep_workers = 3
+let sweep_txns = 8
+let sweep_bytes = 200
+
+(* The bytes transaction [id] writes into an account: its id, then a
+   fill character, so a torn or foreign write shows. *)
+let sweep_payload id =
+  let b = Bytes.make sweep_bytes (Char.chr (97 + (id mod 26))) in
+  Bytes.set_int64_le b 0 (Int64.of_int id);
+  b
+
+(* One run crashed at [at] ms: [sweep_workers] processes each commit
+   [sweep_txns] transfers between two of [sweep_accounts] accounts in
+   a three-fragment log. At the crash the disks finish the requests
+   already queued, the server is rebuilt from its disks, and the
+   service from its intentions list. A transaction is durable when its
+   Commit reached the log: it was acknowledged, its Commit is in the
+   log the recovery reads, or it had finished [tend] (released its
+   locks) without the client seeing the reply. Every account must hold
+   the last durable write in its lock order, and storage must
+   balance. The simulated disk serves writes to one sector in the
+   order they were queued, so overlapping puts to the log would not
+   show as lost commits here; a real disk reorders them, so the run
+   also checks that at most one put to the log is in flight. *)
+let crash_sweep_run technique ~at =
+  run_in_sim (fun sim ->
+      let g = Disk.geometry_with_capacity (mib 8) in
+      let disk = Disk.create ~name:"d0" sim g in
+      let stable =
+        let g = Disk.geometry_with_capacity (mib 16) in
+        (Disk.create ~name:"s0a" sim g, Disk.create ~name:"s0b" sim g)
+      in
+      let tracer = Rhodos_obs.Trace.create sim in
+      let spans = Rhodos_obs.Trace.collect tracer in
+      let bs = Block.create ~tracer ~disk ~stable () in
+      Block.format bs;
+      let fs = Fs.create ~disks:[| bs |] () in
+      let ts =
+        Txn.create
+          ~config:
+            { Txn.default_config with Txn.force_technique = Some technique; log_fragments = 3 }
+          ~fs ()
+      in
+      let region = Txn.log_region ts in
+      let f = Fs.create_file fs in
+      for a = 0 to sweep_accounts - 1 do
+        Fs.pwrite fs f ~off:(a * block) (sweep_payload 0)
+      done;
+      let history = Array.make sweep_accounts [] in
+      let acked = Hashtbl.create 16 and in_tend = Array.make sweep_workers None in
+      let rng = Rhodos_util.Rng.create 11 in
+      let workers =
+        List.init sweep_workers (fun w ->
+            Sim.spawn sim (fun () ->
+                for _ = 1 to sweep_txns do
+                  Sim.sleep sim (Rhodos_util.Rng.float rng 150.);
+                  let a = Rhodos_util.Rng.int rng sweep_accounts in
+                  let b = (a + 1 + Rhodos_util.Rng.int rng (sweep_accounts - 1)) mod sweep_accounts in
+                  let accts = [ min a b; max a b ] in
+                  let txn = Txn.tbegin ts in
+                  let id = Txn.txn_id txn in
+                  (match
+                     List.iter
+                       (fun acct ->
+                         ignore (Txn.tread ~intent:`Update ts txn f ~off:(acct * block) ~len:8))
+                       accts;
+                     List.iter
+                       (fun acct -> Txn.twrite ts txn f ~off:(acct * block) (sweep_payload id))
+                       accts;
+                     (* Under the locks: each account's list is its lock order. *)
+                     List.iter (fun acct -> history.(acct) <- id :: history.(acct)) accts;
+                     in_tend.(w) <- Some id;
+                     Txn.tend ts txn
+                   with
+                  | () -> Hashtbl.replace acked id ()
+                  | exception Txn.Aborted _ -> ());
+                  in_tend.(w) <- None
+                done))
+      in
+      Sim.sleep sim at;
+      let log_puts =
+        List.filter_map
+          (fun (sp : Rhodos_obs.Trace.span) ->
+            match List.assoc_opt "pos" sp.attrs with
+            | Some (Rhodos_obs.Trace.Int pos)
+              when sp.op = "put_block" && pos >= fst region && pos < fst region + snd region ->
+              Some (sp.start_ms, sp.end_ms)
+            | _ -> None)
+          (Rhodos_obs.Trace.spans spans)
+      in
+      Rhodos_obs.Trace.stop tracer spans;
+      let rec overlapping = function
+        | (_, e1) :: ((s2, _) :: _ as rest) -> s2 < e1 || overlapping rest
+        | _ -> false
+      in
+      (* Crash. *)
+      let finished = Hashtbl.create 4 in
+      let committing = List.filter_map Fun.id (Array.to_list in_tend) in
+      List.iter
+        (fun id ->
+          if Lm.held_count (Txn.lock_manager ts) ~txn:id = 0 then Hashtbl.replace finished id ())
+        committing;
+      List.iter (Sim.kill sim) workers;
+      Txn.shutdown ts;
+      ignore (Fs.crash fs);
+      Sim.sleep sim 5_000.;
+      (* Reboot from the disks. *)
+      let bs = Block.create ~disk ~stable () in
+      Block.attach bs;
+      let fs = Fs.create ~disks:[| bs |] () in
+      let logged = Hashtbl.create 16 in
+      List.iter
+        (function Log.Commit { txn } -> Hashtbl.replace logged txn () | _ -> ())
+        (Log.scan (Log.attach bs ~region:(fst region) ~fragments:(snd region)));
+      let _, report = Txn.recover_service ~fs ~log_region:region () in
+      let durable id = Hashtbl.mem acked id || Hashtbl.mem logged id || Hashtbl.mem finished id in
+      let problems = ref [] in
+      if overlapping (List.sort compare log_puts) then
+        problems := "two puts to the log were in flight at once" :: !problems;
+      for a = 0 to sweep_accounts - 1 do
+        let expected =
+          match List.find_opt durable history.(a) with Some id -> id | None -> 0
+        in
+        let got = Fs.pread fs f ~off:(a * block) ~len:sweep_bytes in
+        if not (Bytes.equal got (sweep_payload expected)) then
+          problems :=
+            Printf.sprintf "account %d holds txn %Ld, expected %d" a
+              (Bytes.get_int64_le got 0) expected
+            :: !problems
+      done;
+      let fsck =
+        Rhodos_file.Fsck.check fs ~files:[ f ] ~regions:[ ("txn-log", 0, fst region, snd region) ] ()
+      in
+      if not (Rhodos_file.Fsck.is_clean fsck) then
+        problems := Format.asprintf "%a" Rhodos_file.Fsck.pp_report fsck :: !problems;
+      (report, List.rev !problems))
+
+(* The crash instants cover the whole run: about 1.4 s under WAL and
+   4.4 s under shadow paging. *)
+let sweep_instants = 80
+
+let test_crash_sweep technique ~step_ms () =
+  let redone = ref 0 and discarded = ref 0 in
+  for k = 0 to sweep_instants - 1 do
+    let at = float_of_int k *. step_ms in
+    let report, problems = crash_sweep_run technique ~at in
+    redone := !redone + List.length report.Txn.redone_transactions;
+    discarded := !discarded + List.length report.Txn.discarded_transactions;
+    if problems <> [] then
+      Alcotest.failf "crash at %.0f ms: %s" at (String.concat "; " problems)
+  done;
+  check bool "some crash left commits to redo" true (!redone > 0);
+  if technique = Txn.Wal then check bool "some crash tore a put" true (!discarded > 0)
 
 let serializability_prop =
   (* Random concurrent read-modify-write increments: the final value
@@ -1131,5 +1394,12 @@ let () =
           Alcotest.test_case "redo committed" `Quick test_recovery_redoes_committed;
           Alcotest.test_case "idempotent" `Quick test_recovery_is_idempotent;
           Alcotest.test_case "aborted not redone" `Quick test_aborted_txn_not_redone;
+          Alcotest.test_case "commit keeps room for its Done" `Quick
+            test_commit_keeps_room_for_done;
+          Alcotest.test_case "deleting commit forces its Done" `Quick
+            test_deleting_commit_forces_done;
+          Alcotest.test_case "crash sweep: WAL" `Quick (test_crash_sweep Txn.Wal ~step_ms:17.);
+          Alcotest.test_case "crash sweep: shadow" `Quick
+            (test_crash_sweep Txn.Shadow_page ~step_ms:55.);
         ] );
     ]
