@@ -62,6 +62,16 @@ let write_whole c path data =
   Fa.flush (Cluster.file_agent c);
   Cluster.close c d
 
+(* Stable pages the last recovery's attach read, summed over every
+   server's block services from the cluster's metrics. *)
+let attach_pages_scanned t =
+  List.fold_left
+    (fun n (s : Rhodos_obs.Metrics.sample) ->
+      if String.ends_with ~suffix:".attach_pages_scanned" s.name then n + int_of_float s.value
+      else n)
+    0
+    (Rhodos_obs.Metrics.snapshot (Cluster.metrics t))
+
 let execute sim t c line =
   let fail fmt = Printf.ksprintf (fun s -> Printf.printf "error: %s\n" s) fmt in
   match split_words line with
@@ -140,8 +150,9 @@ let execute sim t c line =
   | [ "recover-server" ] ->
     let t0 = Sim.now sim in
     let report = Cluster.recover_server t in
-    Printf.printf "server recovered in %.1f simulated ms; %d txns redone, %d discarded\n"
-      (Sim.now sim -. t0)
+    Printf.printf
+      "server recovered in %.1f simulated ms (%d stable pages scanned); %d txns redone, %d discarded\n"
+      (Sim.now sim -. t0) (attach_pages_scanned t)
       (List.length report.Txn.redone_transactions)
       (List.length report.Txn.discarded_transactions)
   | [ "time" ] -> Printf.printf "simulated time: %.2f ms\n" (Sim.now sim)

@@ -10,6 +10,7 @@ module Ta = Rhodos_agent.Transaction_agent
 module Fa = Rhodos_agent.File_agent
 module Disk = Rhodos_disk.Disk
 module Txn = Rhodos_txn.Txn_service
+module Metrics = Rhodos_obs.Metrics
 
 let () =
   Cluster.run (fun sim t ->
@@ -38,14 +39,25 @@ let () =
       Printf.printf "injected media decay into the main disk's bitmap area\n";
 
       (* 4. Recover: stable storage is scanned only where structure
-         lives (the superblock and bitmap, then every fragment the
-         restored bitmap marks allocated), both mirrors at once, and
-         torn or decayed copies are repaired; the bitmap is restored
-         from its stable copy and the intentions list is replayed. *)
+         lives (the chunks of 64 fragments that the superblock's chunk
+         map marks as holding a stable copy), both mirrors at once,
+         and torn or decayed copies are repaired; the bitmap is
+         restored from its stable copy and the intentions list is
+         replayed. *)
       let t0 = Sim.now sim in
       let report = Cluster.recover_server t in
-      Printf.printf "recovered in %.1f simulated ms: %d transactions redone, %d discarded\n"
-        (Sim.now sim -. t0)
+      let pages_scanned =
+        List.fold_left
+          (fun n (s : Metrics.sample) ->
+            if String.ends_with ~suffix:".attach_pages_scanned" s.name then
+              n + int_of_float s.value
+            else n)
+          0
+          (Metrics.snapshot (Cluster.metrics t))
+      in
+      Printf.printf
+        "recovered in %.1f simulated ms (%d stable pages scanned): %d transactions redone, %d discarded\n"
+        (Sim.now sim -. t0) pages_scanned
         (List.length report.Txn.redone_transactions)
         (List.length report.Txn.discarded_transactions);
 

@@ -30,6 +30,11 @@ let default_config = { track_cache_tracks = 32; bitmap_write_through = true }
 let array_rows = 64
 let row_capacity = 64
 
+(* What the superblock holds besides the geometry: the boot count and
+   the chunk map, one bit per [Stable.chunk_pages] fragments, set when
+   the chunk may hold a stable copy (see [attach]). *)
+type superblock = { boots : int64; chunks : Bitset.t }
+
 (* One whole-track disk read in flight. Its buffer starts at track
    [first_track]; the ivar carries it, or [None] when the read failed
    or its issuer died, which sends the joined readers to the disk
@@ -66,12 +71,33 @@ type t = {
   (* background stable writes outstanding *)
   mutable pending_background : int;
   background_done : Sim.Condition.cond;
+  durable_sb : superblock Sim.Cell.cell;
+      (* The superblock as it is on disk. [mark_chunks] replaces it
+         under [sb_writer] and reads it without, to skip the writer
+         when its chunks are marked already: only [format] and
+         [attach], before anything else runs, clear bits. The metadata
+         chunks are always set. *)
+  sb_writer : Sim.Semaphore.sem; (* one superblock write in flight *)
   counters : Counter.t;
 }
 
 let superblock_magic = 0x524B4C42l (* "BLKR" *)
 
 let bits_per_fragment = fragment_bytes * 8
+
+(* The chunk map starts at this superblock byte. *)
+let chunk_map_offset = 40
+
+let chunk_of frag = frag / Stable.chunk_pages
+
+(* The chunks that hold fragments [0, n). *)
+let chunks_below n = chunk_of (n + Stable.chunk_pages - 1)
+
+(* A map with only the chunks holding [0, data_start) set. *)
+let metadata_chunk_map ~total_fragments ~data_start =
+  let chunks = Bitset.create (chunks_below total_fragments) in
+  Bitset.set_range chunks ~pos:0 ~len:(chunks_below data_start);
+  chunks
 
 let create ?(name = "blocksrv") ?(config = default_config) ?tracer ~disk ?stable () =
   let g = Disk.geometry disk in
@@ -80,6 +106,8 @@ let create ?(name = "blocksrv") ?(config = default_config) ?tracer ~disk ?stable
   let sectors_per_fragment = fragment_bytes / g.sector_bytes in
   let total_fragments = Disk.capacity_sectors disk / sectors_per_fragment in
   if total_fragments < 8 then invalid_arg "Block_service: disk too small";
+  if (chunks_below total_fragments + 7) / 8 > fragment_bytes - chunk_map_offset then
+    invalid_arg "Block_service: disk too large for the superblock's chunk map";
   let bitmap_fragments = (total_fragments + bits_per_fragment - 1) / bits_per_fragment in
   let data_start = 1 + bitmap_fragments in
   let stable =
@@ -113,6 +141,10 @@ let create ?(name = "blocksrv") ?(config = default_config) ?tracer ~disk ?stable
         (Hashtbl.create 16);
     pending_background = 0;
     background_done = Sim.Condition.create sim;
+    durable_sb =
+      Sim.Cell.create ~role:Sim.Sync ~name:"block_service:superblock" sim
+        { boots = 0L; chunks = metadata_chunk_map ~total_fragments ~data_start };
+    sb_writer = Sim.Semaphore.create sim 1;
     counters = Counter.create ();
   }
 
@@ -418,12 +450,59 @@ let get_block ?(source = Main) t ~pos ~fragments =
         ("fragments", Trace.Int fragments) ])
     (fun () -> get_block_impl ~source t ~pos ~fragments)
 
-let write_stable_pages t ~pos data nfrags =
-  let s = stable_exn t in
+let write_main t ~pos data =
+  let sector = pos * t.sectors_per_fragment in
+  cache_update_on_write t ~sector data;
+  Disk.write t.disk ~sector data;
+  Counter.incr t.counters "foreground_refs"
+
+let write_stable_pages t s ~pos data nfrags =
   for i = 0 to nfrags - 1 do
     Stable.write s ~page:(pos + i) (Bytes.sub data (i * fragment_bytes) fragment_bytes)
   done;
   Counter.add t.counters "stable_writes" nfrags
+
+(* Superblock fields, little-endian: magic(4) version(4)
+   total_fragments(8) bitmap_start(8) bitmap_fragments(8) boots(8),
+   then the chunk map from [chunk_map_offset]. *)
+let encode_superblock t sb =
+  let b = Bytes.make fragment_bytes '\000' in
+  Bytes.set_int32_le b 0 superblock_magic;
+  Bytes.set_int32_le b 4 2l (* version *);
+  Bytes.set_int64_le b 8 (Int64.of_int t.total_fragments);
+  Bytes.set_int64_le b 16 (Int64.of_int t.bitmap_start);
+  Bytes.set_int64_le b 24 (Int64.of_int t.bitmap_fragments);
+  Bytes.set_int64_le b 32 sb.boots;
+  let map = Bitset.to_bytes sb.chunks in
+  Bytes.blit map 0 b chunk_map_offset (Bytes.length map);
+  b
+
+(* Carefully: main storage, then both stable copies; then it is the
+   durable superblock. *)
+let write_superblock t sb =
+  let data = encode_superblock t sb in
+  write_main t ~pos:0 data;
+  Option.iter (fun s -> write_stable_pages t s ~pos:0 data 1) t.stable;
+  Sim.Cell.set t.durable_sb sb
+
+let rec all_marked chunks c last =
+  c > last || (Bitset.get chunks c && all_marked chunks (c + 1) last)
+
+(* Before the first stable write into a chunk, its bit reaches the
+   superblock on disk, so the next [attach] scans it. The fast path
+   reads the durable map and neither locks nor allocates. Otherwise
+   one writer at a time adds the bits and writes the superblock; a
+   writer that waited finds its bits durable and writes nothing. *)
+let mark_chunks t ~pos ~fragments =
+  let first = chunk_of pos and last = chunk_of (pos + fragments - 1) in
+  if not (all_marked (Sim.Cell.get t.durable_sb).chunks first last) then
+    Sim.Semaphore.with_acquire t.sb_writer (fun () ->
+        let sb = Sim.Cell.get t.durable_sb in
+        if not (all_marked sb.chunks first last) then begin
+          let chunks = Bitset.copy sb.chunks in
+          Bitset.set_range chunks ~pos:first ~len:(last - first + 1);
+          write_superblock t { sb with chunks }
+        end)
 
 let put_block_impl ~dest ~wait t ~pos data =
   let len = Bytes.length data in
@@ -431,27 +510,23 @@ let put_block_impl ~dest ~wait t ~pos data =
     invalid_arg "put_block: data must be a positive multiple of the fragment size";
   let fragments = len / fragment_bytes in
   check_run t ~pos ~fragments;
-  let write_main () =
-    let sector = pos * t.sectors_per_fragment in
-    cache_update_on_write t ~sector data;
-    Disk.write t.disk ~sector data;
-    Counter.incr t.counters "foreground_refs"
-  in
   let write_stable () =
+    let s = stable_exn t in
+    mark_chunks t ~pos ~fragments;
     match wait with
-    | Wait_stable -> write_stable_pages t ~pos data fragments
+    | Wait_stable -> write_stable_pages t s ~pos data fragments
     | Return_early ->
       background_started t;
       ignore
         (Sim.spawn ~name:"stable-write" t.sim (fun () ->
-             write_stable_pages t ~pos data fragments;
+             write_stable_pages t s ~pos data fragments;
              background_finished t))
   in
   match dest with
-  | Original -> write_main ()
+  | Original -> write_main t ~pos data
   | Stable_only -> write_stable ()
   | Original_and_stable ->
-    write_main ();
+    write_main t ~pos data;
     write_stable ()
 
 let put_block ?(dest = Original) ?(wait = Wait_stable) t ~pos data =
@@ -668,18 +743,6 @@ let release t ~pos ~fragments =
 (* Format / attach / sync                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Superblock fields, little-endian: magic(4) version(4)
-   total_fragments(8) bitmap_start(8) bitmap_fragments(8) boots(8). *)
-let encode_superblock t ~boots =
-  let b = Bytes.make fragment_bytes '\000' in
-  Bytes.set_int32_le b 0 superblock_magic;
-  Bytes.set_int32_le b 4 1l (* version *);
-  Bytes.set_int64_le b 8 (Int64.of_int t.total_fragments);
-  Bytes.set_int64_le b 16 (Int64.of_int t.bitmap_start);
-  Bytes.set_int64_le b 24 (Int64.of_int t.bitmap_fragments);
-  Bytes.set_int64_le b 32 boots;
-  b
-
 let format t =
   L.info (fun m -> m "%s: formatting %d fragments" t.name t.total_fragments);
   t.formatted <- true;
@@ -689,21 +752,12 @@ let format t =
   Array.fill t.extent_rows 0 array_rows [];
   rebuild_extent_array t;
   Lru.reset t.tracks;
-  let dest = if t.stable = None then Original else Original_and_stable in
-  put_block ~dest ~wait:Wait_stable t ~pos:0 (encode_superblock t ~boots:0L);
+  write_superblock t
+    { boots = 0L;
+      chunks = metadata_chunk_map ~total_fragments:t.total_fragments ~data_start:t.data_start };
   persist_bitmap_all t
 
 let bitmap_snapshot t = Bitset.copy (persisted_bitmap t)
-
-(* The maximal allocated runs at or above [data_start], in order. *)
-let allocated_runs t =
-  let runs = ref [] and next = ref t.data_start in
-  Bitset.iter_clear_runs t.bitmap (fun ~pos ~len ->
-      if pos > !next then runs := (!next, pos - !next) :: !runs;
-      next := max !next (pos + len));
-  if t.total_fragments > !next then
-    runs := (!next, t.total_fragments - !next) :: !runs;
-  List.rev !runs
 
 (* Prefer the stable copy of a metadata fragment, fall back to main. *)
 let read_metadata t frag =
@@ -715,36 +769,58 @@ let read_metadata t frag =
       get_block ~source:Main t ~pos:frag ~fragments:1)
   | None -> get_block ~source:Main t ~pos:frag ~fragments:1
 
-(* Stable-storage recovery repairs only the pages that hold live
-   structure: the metadata region [0, data_start) (superblock and
-   bitmap) and the fragments the recovered bitmap marks allocated.
-   That is every page a later read can reach:
+(* Repair the stable copies of chunk [c]. *)
+let recover_chunk t s c =
+  let first = c * Stable.chunk_pages in
+  let count = min Stable.chunk_pages (t.total_fragments - first) in
+  ignore (Stable.recover_range s ~first ~count);
+  Counter.add t.counters "attach_pages_scanned" count;
+  Counter.incr t.counters "attach_marked_chunks"
 
-   - every stable write lands on a fragment that is already allocated
-     in the durable bitmap: [allocate] persists the bitmap before the
-     caller stores anything (e.g. [create_file]'s FIT), [delete]
-     erases the FIT before it frees the fragment, and the metadata
-     region and the intentions-list region are never freed;
-   - a free fragment's stable copies are dead: reusing it rewrites
-     both copies before anything reads them.
+(* Stable-storage recovery repairs only the chunks that the
+   superblock's chunk map marks: [Stable.chunk_pages] fragments per
+   bit, the unit [Stable.recover_range] reads in one reference pair.
+   The chunks holding the metadata region [0, data_start) are always
+   marked and are repaired first, before the superblock is read.
 
-   Skipping free pages means [recover_range] no longer sees every
-   sequence number on disk. A reused fragment's torn write (new
-   primary, stale mirror from an earlier life with a higher sequence
-   number) would then recover to the stale copy. So the superblock
-   carries a boot count: each attach increments it, raises the stable
-   store's sequence floor to [boots lsl 40] (above every number an
-   earlier life issued) before its first stable write, and rewrites
-   the superblock carefully (main and both mirrors).
+   - A bit is set before the first stable write into its chunk:
+     [mark_chunks] writes the superblock carefully (main and both
+     mirrors) and waits for it, one map write at a time, whether the
+     stable write then waits or returns early.
+   - A bit is cleared only here, for a chunk whose fragments the
+     recovered bitmap has all free, and the cleared map is written
+     back with the boot count before any stable write of this boot.
+
+   That covers every page a later read can reach. A marked chunk is
+   scanned whole, and an unmarked one holds no copy written since its
+   bit was last cleared. When it was cleared, all its fragments were
+   free, and a free fragment's stable copies are dead: every stable
+   write lands on a fragment already allocated in the durable bitmap
+   ([allocate] persists the bitmap before the caller stores anything,
+   [delete] erases the FIT before it frees the fragment, and the
+   metadata and intentions-list regions are never freed), and reusing
+   a fragment rewrites both copies before anything reads them.
+
+   Skipping pages means [recover_range] no longer sees every sequence
+   number on disk. A reused fragment's torn write (new primary, stale
+   mirror from an earlier life with a higher sequence number) would
+   then recover to the stale copy. So the superblock carries a boot
+   count: each attach increments it and raises the stable store's
+   sequence floor to [boots lsl 40] (above every number an earlier
+   life issued) before its first stable write, the superblock's.
 
    With [bitmap_write_through = false] the durable bitmap lags the
-   in-memory one until [sync], so a page allocated and written since
-   the last sync is not scanned. Those allocations are lost at a
-   crash anyway: the recovered bitmap has them free. *)
+   in-memory one until [sync], so a chunk whose allocations all came
+   since the last sync is cleared and not scanned. Those allocations
+   are lost at a crash anyway: the recovered bitmap has them free. *)
 let attach t =
-  (match t.stable with
-  | Some s -> ignore (Stable.recover_range s ~first:0 ~count:t.data_start)
-  | None -> ());
+  let meta_chunks = chunks_below t.data_start in
+  Option.iter
+    (fun s ->
+      for c = 0 to meta_chunks - 1 do
+        recover_chunk t s c
+      done)
+    t.stable;
   t.formatted <- true;
   Lru.reset t.tracks;
   let sb = read_metadata t 0 in
@@ -757,13 +833,6 @@ let attach t =
     t.formatted <- false;
     raise (Not_formatted (t.name ^ ": geometry mismatch"))
   end;
-  (match t.stable with
-  | Some s ->
-    let boots = Int64.succ (Bytes.get_int64_le sb 32) in
-    Stable.raise_seq_floor s (Int64.shift_left boots 40);
-    put_block ~dest:Original_and_stable ~wait:Wait_stable t ~pos:0
-      (encode_superblock t ~boots)
-  | None -> ());
   (* Restore the bitmap: prefer the stable copy, fall back to main. *)
   let raw = Bytes.create (t.bitmap_fragments * fragment_bytes) in
   for bf = 0 to t.bitmap_fragments - 1 do
@@ -778,11 +847,25 @@ let attach t =
       m "%s: attached (%d/%d fragments free)" t.name (free_fragments t)
         t.total_fragments);
   match t.stable with
-  | Some s ->
-    List.iter
-      (fun (first, count) -> ignore (Stable.recover_range s ~first ~count))
-      (allocated_runs t)
   | None -> ()
+  | Some s ->
+    let nchunks = chunks_below t.total_fragments in
+    let chunks =
+      Bitset.of_bytes nchunks
+        (Bytes.sub sb chunk_map_offset (Bytes.length sb - chunk_map_offset))
+    in
+    for c = meta_chunks to nchunks - 1 do
+      let pos = c * Stable.chunk_pages in
+      let len = min Stable.chunk_pages (t.total_fragments - pos) in
+      if Bitset.range_all_clear t.bitmap ~pos ~len then Bitset.clear chunks c
+    done;
+    Bitset.set_range chunks ~pos:0 ~len:meta_chunks;
+    let boots = Int64.succ (Bytes.get_int64_le sb 32) in
+    Stable.raise_seq_floor s (Int64.shift_left boots 40);
+    write_superblock t { boots; chunks };
+    for c = meta_chunks to nchunks - 1 do
+      if Bitset.get chunks c then recover_chunk t s c
+    done
 
 let sync t =
   check_formatted t;

@@ -87,7 +87,9 @@ val create :
     crash-proof metadata. Call [format] (new disk) or [attach]
     (existing disk) before anything else. [tracer] wraps [get_block] /
     [put_block] in ["block_service"] spans; free when no subscriber is
-    attached. *)
+    attached.
+    @raise Invalid_argument if the disk has more chunks than the
+    superblock's chunk map holds (about 2 GiB). *)
 
 val format : t -> unit
 (** Initialise the on-disk structures: superblock, empty bitmap with
@@ -95,23 +97,30 @@ val format : t -> unit
 
 val attach : t -> unit
 (** Re-open a formatted disk after a crash: repair the stable copies of
-    the metadata region, read the superblock, restore the bitmap
-    (stable copy preferred, main copy as fallback), rebuild the extent
-    array by scanning the bitmap, then repair the stable copies of
-    every fragment the bitmap marks allocated. Free fragments are not
-    scanned: their stable copies are dead, since every stable write
-    lands on an allocated fragment and reuse rewrites both copies.
+    the chunks holding the metadata region, read the superblock,
+    restore the bitmap (stable copy preferred, main copy as fallback),
+    rebuild the extent array by scanning the bitmap, then repair the
+    stable copies of every chunk the superblock's chunk map marks.
 
     With stable storage, the superblock carries a boot count (0 after
-    [format]). [attach] increments it, raises the stable store's
-    sequence floor above every number an earlier boot issued, and
-    writes the superblock back to main storage and both mirrors; so a
+    [format]) and a chunk map: one bit per chunk of
+    [Rhodos_stable.Stable_store.chunk_pages] fragments, the unit stable
+    recovery reads in one reference per replica. The first stable
+    write into an unmarked chunk sets its bit and writes the
+    superblock carefully before the stable write goes out. [attach]
+    clears the bit of every chunk whose fragments are all free (their
+    stable copies are dead: every stable write lands on an allocated
+    fragment and reuse rewrites both copies), increments the boot
+    count, raises the stable store's sequence floor above every number
+    an earlier boot issued, and writes the superblock back to main
+    storage and both mirrors before it scans the marked chunks; so a
     torn write to a reused fragment still outranks that fragment's
     stale copies from an earlier life.
 
     With [bitmap_write_through = false] the durable bitmap is the one
-    of the last [sync]: fragments allocated since then are not
-    scanned, and a crash loses those allocations anyway.
+    of the last [sync]: a chunk whose allocations all came since then
+    is cleared and not scanned, and a crash loses those allocations
+    anyway.
     @raise Not_formatted if the disk has no valid superblock. *)
 
 val name : t -> string
@@ -236,6 +245,9 @@ val stats : t -> Rhodos_util.Stats.Counter.t
     ["cache_hits"], ["cache_misses"], ["track_joins"] (misses served
     by a track read already in flight; also counted in
     ["cache_misses"]), ["allocs"], ["frees"], ["bitmap_fallbacks"],
-    ["extent_hits"], ["stable_writes"]. *)
+    ["extent_hits"], ["stable_writes"], and for the last [attach]
+    ["attach_marked_chunks"] (chunks the chunk map marks, the metadata
+    chunks included) and ["attach_pages_scanned"] (stable pages those
+    chunks hold, each read once per replica). *)
 
 val reset_stats : t -> unit

@@ -1,5 +1,7 @@
 module Sim = Rhodos_sim.Sim
 module Block = Rhodos_block.Block_service
+module Disk = Rhodos_disk.Disk
+module Stable = Rhodos_stable.Stable_store
 module Cache = Rhodos_cache.Buffer_cache
 module Counter = Rhodos_util.Stats.Counter
 module Lru = Rhodos_util.Lru
@@ -132,6 +134,19 @@ let evict_fits_if_needed t =
     | None -> continue := false (* everything pinned or open *)
   done
 
+(* A FIT fragment or indirect block, decoded. Every layout change
+   writes both to main storage and to both stable mirrors, so when the
+   main copy is unreadable or not one (bad magic) the stable copy
+   stands in. A deleted FIT is zeroed in all three copies: its stable
+   copy is no FIT either. *)
+let read_structure bs ~pos ~fragments decode =
+  match decode (Block.get_block bs ~pos ~fragments) with
+  | v -> v
+  | exception ((Disk.Media_failure _ | Fit.Corrupt _) as e) when Block.has_stable bs -> (
+    match Block.get_block ~source:Block.Stable bs ~pos ~fragments with
+    | raw -> decode raw
+    | exception Stable.Unrecoverable_page _ -> raise e)
+
 let load_fit t id =
   check_id t id;
   match Lru.find t.fits id with
@@ -142,8 +157,8 @@ let load_fit t id =
       (fun () ->
         Counter.incr t.counters "fit_loads";
         let bs = t.disks.(id_disk id) in
-        let raw = Block.get_block bs ~pos:(id_frag id) ~fragments:1 in
-        let fit = match Fit.decode raw with
+        let fit =
+          match read_structure bs ~pos:(id_frag id) ~fragments:1 Fit.decode with
           | fit -> fit
           | exception Fit.Corrupt _ -> raise (File_not_found id)
         in
@@ -151,8 +166,9 @@ let load_fit t id =
         (* Pull overflow runs in from the indirect blocks. *)
         List.iter
           (fun (disk, frag) ->
-            let raw = Block.get_block t.disks.(disk) ~pos:frag ~fragments:fpb in
-            fit.Fit.runs <- fit.Fit.runs @ Fit.decode_indirect raw)
+            fit.Fit.runs <-
+              fit.Fit.runs
+              @ read_structure t.disks.(disk) ~pos:frag ~fragments:fpb Fit.decode_indirect)
           fit.Fit.indirect;
         let ofit = { fit; runs_dirty = false; pins = 1 } in
         Lru.replace t.fits id ofit;

@@ -131,10 +131,10 @@ type recovery_report = {
 }
 
 (* Recovery reads each replica's region in large contiguous chunks —
-   one disk reference per [scan_chunk_pages] pages instead of one per
+   one disk reference per [chunk_pages] pages instead of one per
    page — falling back to per-page reads inside a chunk that hits a
    media fault. *)
-let scan_chunk_pages = 64
+let chunk_pages = 64
 
 (* Returns, per page, the decoded copy and whether the page's sectors
    are unreadable at the device level (to tell "never written" from
@@ -186,7 +186,7 @@ let recover_range t ~first ~count =
   and mirrors = Array.make count (None, false) in
   let rec scan i =
     if i < count then begin
-      let n = min scan_chunk_pages (count - i) in
+      let n = min chunk_pages (count - i) in
       let p, m = read_chunk_pair t ~first_page:(first + i) ~count:n in
       Array.blit p 0 primaries i n;
       Array.blit m 0 mirrors i n;

@@ -73,9 +73,12 @@ type recovery_report = {
   repairs : (int * page_repair) list;  (** page index, action *)
 }
 
+val chunk_pages : int
+(** 64: the pages [recover_range] reads in one reference per replica. *)
+
 val recover_range : t -> first:int -> count:int -> recovery_report
 (** Scan and repair pages [first, first+count). The range is read in
-    chunks of 64 pages; each chunk's primary and mirror copies are
+    chunks of [chunk_pages] pages; each chunk's primary and mirror copies are
     read concurrently (the mirror in a spawned process), so a chunk
     costs one replica's read time. Repairs run after the whole range
     is read, in page order. Sequence numbers issued afterwards are

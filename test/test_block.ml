@@ -1,6 +1,7 @@
 module Sim = Rhodos_sim.Sim
 module Disk = Rhodos_disk.Disk
 module Block = Rhodos_block.Block_service
+module Stable = Rhodos_stable.Stable_store
 module Counter = Rhodos_util.Stats.Counter
 
 let check = Alcotest.check
@@ -737,33 +738,130 @@ let test_attach_repairs_live_pages () =
            (Block.get_block svc2 ~pos:1 ~fragments:1)
            (Block.get_block ~source:Block.Stable svc2 ~pos:1 ~fragments:1)))
 
-let test_attach_skips_free_fragments () =
+(* Chunk [c] of the chunk map covers fragments [c * 64, c * 64 + 64). *)
+let chunk_frag c = c * Stable.chunk_pages
+
+(* Is chunk [c]'s bit set in the superblock on [disk]'s main copy? *)
+let chunk_bit_on_disk disk c =
+  let sb = Disk.peek disk ~sector:0 ~count:4 in
+  Char.code (Bytes.get sb (40 + (c / 8))) land (1 lsl (c mod 8)) <> 0
+
+let claim svc ~pos ~fragments =
+  check bool "run claimed" true (Block.allocate_at svc ~pos ~fragments)
+
+let test_attach_reads_only_marked_chunks () =
   run_in_sim (fun sim ->
       let disk, ((st0, st1) as st) = make_stable_pair sim in
       let svc = Block.create ~disk ~stable:st () in
       Block.format svc;
-      let runs =
-        List.map (fun n -> (Block.allocate svc ~fragments:n, n)) [ 1; 5; 3; 4 ]
-      in
-      List.iter
-        (fun (pos, n) ->
-          Block.put_block svc ~dest:Block.Original_and_stable ~pos (frag_payload ~tag:pos n))
-        runs;
-      (* A freed run keeps its stable copies on disk: attach must not
-         read them. *)
-      let pos, n = List.nth runs 1 in
-      Block.free svc ~pos ~fragments:n;
+      (* Stable copies in chunks 0 and 3. Chunk 5 is allocated whole
+         but holds main-storage data only: it is never marked. *)
+      claim svc ~pos:10 ~fragments:4;
+      claim svc ~pos:(chunk_frag 3 + 7) ~fragments:5;
+      claim svc ~pos:(chunk_frag 5) ~fragments:64;
+      Block.put_block svc ~dest:Block.Original_and_stable ~pos:10 (frag_payload 4);
+      Block.put_block svc ~dest:Block.Stable_only ~pos:(chunk_frag 3 + 7) (frag_payload 5);
+      Block.put_block svc ~pos:(chunk_frag 5) (frag_payload 64);
+      check (Alcotest.list bool) "chunk map on disk" [ true; false; false; true; false; false ]
+        (List.init 6 (chunk_bit_on_disk disk));
       let svc2 = Block.create ~disk ~stable:st () in
       Disk.reset_stats st0;
       Disk.reset_stats st1;
       Block.attach svc2;
-      let live = Block.total_fragments svc2 - Block.free_fragments svc2 in
-      check int "mirror reads exactly the live pages" (live * stable_spp)
+      let stats = Block.stats svc2 in
+      check int "marked chunks" 2 (Counter.get stats "attach_marked_chunks");
+      check int "pages scanned" (2 * 64) (Counter.get stats "attach_pages_scanned");
+      check int "mirror reads exactly the marked chunks" (2 * 64 * stable_spp)
         (Disk.stats st1).sectors_read;
       (* The primary also serves the superblock and bitmap reads. *)
-      check int "primary reads the live pages and the metadata once more"
-        ((live + Block.metadata_fragments svc2) * stable_spp)
+      check int "primary reads the marked chunks and the metadata once more"
+        (((2 * 64) + Block.metadata_fragments svc2) * stable_spp)
         (Disk.stats st0).sectors_read)
+
+let test_attach_clears_freed_chunk () =
+  run_in_sim (fun sim ->
+      let disk, ((_, st1) as st) = make_stable_pair sim in
+      let svc = Block.create ~disk ~stable:st () in
+      Block.format svc;
+      let pos = chunk_frag 6 + 1 in
+      claim svc ~pos ~fragments:3;
+      Block.put_block svc ~dest:Block.Original_and_stable ~pos (frag_payload 3);
+      check bool "first stable copy marks the chunk" true (chunk_bit_on_disk disk 6);
+      (* Freed: the chunk's stable copies are dead. *)
+      Block.free svc ~pos ~fragments:3;
+      let svc2 = Block.create ~disk ~stable:st () in
+      Disk.reset_stats st1;
+      Block.attach svc2;
+      check bool "cleared at attach" false (chunk_bit_on_disk disk 6);
+      check int "only the metadata chunk is marked" 1
+        (Counter.get (Block.stats svc2) "attach_marked_chunks");
+      check int "the freed chunk is not read" (64 * stable_spp) (Disk.stats st1).sectors_read;
+      (* Reuse marks it again. *)
+      claim svc2 ~pos ~fragments:1;
+      Block.put_block svc2 ~dest:Block.Stable_only ~pos (frag_payload 1);
+      check bool "marked again on reuse" true (chunk_bit_on_disk disk 6))
+
+let test_attach_repairs_torn_write_in_new_chunk () =
+  run_in_sim (fun sim ->
+      let disk, ((st0, st1) as st) = make_stable_pair sim in
+      let svc = Block.create ~disk ~stable:st () in
+      Block.format svc;
+      (* One allocated fragment in a chunk no stable write touched yet. *)
+      let pos = chunk_frag 9 + 3 in
+      claim svc ~pos ~fragments:1;
+      Block.put_block svc ~dest:Block.Original_and_stable ~pos (frag_payload ~tag:1 1);
+      torn_write ~mirror:st1 svc ~pos (frag_payload ~tag:2 1);
+      let svc2 = Block.create ~disk ~stable:st () in
+      Block.attach svc2;
+      Disk.fail_unit st0;
+      check bool "the mirror holds the newer copy" true
+        (Bytes.equal (frag_payload ~tag:2 1)
+           (Block.get_block ~source:Block.Stable svc2 ~pos ~fragments:1)))
+
+(* Two writers make the first stable writes into one clean chunk at the
+   same instant, and the server crashes at each instant of a sweep.
+   The crash keeps exactly the writes that reached the disks by then:
+   the disks are copied, and requests still queued are lost. A fresh
+   server attaches the copies; both pages must then have identical
+   copies on the two mirrors, whatever the crash tore. *)
+let test_concurrent_first_writes_crash_sweep () =
+  let torn = ref 0 in
+  for k = 0 to 159 do
+    let at = float_of_int k *. 0.5 in
+    run_in_sim (fun sim ->
+        let disk = Disk.create ~name:"main" sim (Disk.geometry_with_capacity (mib 1)) in
+        let g = Disk.geometry_with_capacity (mib 2) in
+        let st0 = Disk.create ~name:"st0" sim g and st1 = Disk.create ~name:"st1" sim g in
+        let svc = Block.create ~disk ~stable:(st0, st1) () in
+        Block.format svc;
+        let pages = [ chunk_frag 3 + 2; chunk_frag 3 + 40 ] in
+        List.iter (fun pos -> claim svc ~pos ~fragments:1) pages;
+        List.iteri
+          (fun i pos ->
+            ignore
+              (Sim.spawn sim (fun () ->
+                   Block.put_block svc ~dest:Block.Stable_only ~pos (frag_payload ~tag:i 1))))
+          pages;
+        Sim.sleep sim at;
+        let copy d =
+          let d' = Disk.create ~name:(Disk.name d) sim (Disk.geometry d) in
+          Disk.poke d' ~sector:0 (Disk.peek d ~sector:0 ~count:(Disk.capacity_sectors d));
+          d'
+        in
+        let disk = copy disk and st0 = copy st0 and st1 = copy st1 in
+        let copies_agree pos =
+          let sector, count = stable_sectors pos in
+          Bytes.equal (Disk.peek st0 ~sector ~count) (Disk.peek st1 ~sector ~count)
+        in
+        if not (List.for_all copies_agree pages) then incr torn;
+        Block.attach (Block.create ~disk ~stable:(st0, st1) ());
+        List.iter
+          (fun pos ->
+            if not (copies_agree pos) then
+              Alcotest.failf "crash at %.1f ms: page %d left torn" at pos)
+          pages)
+  done;
+  check bool "some crash tore a write" true (!torn > 0)
 
 let test_attach_epoch_newer_primary_wins () =
   (* With the bitmap written back only on [sync], a page can be
@@ -952,7 +1050,13 @@ let () =
           Alcotest.test_case "attach repairs live pages" `Quick
             test_attach_repairs_live_pages;
           Alcotest.test_case "attach skips free fragments" `Quick
-            test_attach_skips_free_fragments;
+            test_attach_reads_only_marked_chunks;
+          Alcotest.test_case "attach clears a freed chunk" `Quick
+            test_attach_clears_freed_chunk;
+          Alcotest.test_case "attach repairs a new chunk" `Quick
+            test_attach_repairs_torn_write_in_new_chunk;
+          Alcotest.test_case "concurrent first writes crash" `Quick
+            test_concurrent_first_writes_crash_sweep;
           Alcotest.test_case "attach epoch: newer primary wins" `Quick
             test_attach_epoch_newer_primary_wins;
         ] );

@@ -586,6 +586,37 @@ let test_fit_written_to_stable () =
       let fit = Fit.decode stable_copy in
       check int "stable FIT size attribute" 5000 fit.Fit.size)
 
+(* A FIT whose main copy decays or stops being a FIT is read from its
+   stable copy; a deleted FIT is gone from all three copies. *)
+let test_fit_falls_back_to_stable () =
+  with_fs ~with_stable:true (fun _ fs ->
+      let bs = Fs.block_service fs 0 in
+      let frag id = Fs.id_to_int id land 0xFFFFFFFF in
+      let sectors_per_frag = Block.fragment_bytes / (Disk.geometry (Block.disk bs)).sector_bytes in
+      let decayed = Fs.create_file fs and zeroed = Fs.create_file fs in
+      let gone = Fs.create_file fs in
+      Fs.pwrite fs decayed ~off:0 (pattern 5000);
+      Fs.pwrite fs zeroed ~off:0 (pattern ~seed:1 7000);
+      Fs.delete fs gone;
+      Fs.drop_caches fs;
+      Disk.inject_media_fault (Block.disk bs) ~sector:(frag decayed * sectors_per_frag)
+        ~count:sectors_per_frag;
+      check bool "the main copy is unreadable" true
+        (match Block.get_block bs ~pos:(frag decayed) ~fragments:1 with
+        | _ -> false
+        | exception Disk.Media_failure _ -> true);
+      Block.put_block bs ~pos:(frag zeroed) (Bytes.make Block.fragment_bytes '\000');
+      check bool "decayed FIT: the file reads back" true
+        (Bytes.equal (pattern 5000) (Fs.pread fs decayed ~off:0 ~len:5000));
+      check bool "zeroed FIT: the file reads back" true
+        (Bytes.equal (pattern ~seed:1 7000) (Fs.pread fs zeroed ~off:0 ~len:7000));
+      (* A fresh service has no memory of the delete. *)
+      let fs2 = Fs.create ~disks:[| bs |] () in
+      check bool "deleted FIT stays deleted" true
+        (match Fs.file_size fs2 gone with
+        | _ -> false
+        | exception Fs.File_not_found _ -> true))
+
 let test_delayed_write_policy_defers_data () =
   with_fs
     ~config:
@@ -779,6 +810,7 @@ let () =
           Alcotest.test_case "nearly stateless" `Quick test_nearly_stateless_service;
           Alcotest.test_case "FIT cache eviction" `Quick test_fit_cache_eviction;
           Alcotest.test_case "FIT on stable storage" `Quick test_fit_written_to_stable;
+          Alcotest.test_case "FIT falls back to stable" `Quick test_fit_falls_back_to_stable;
           Alcotest.test_case "parallel multi-disk read" `Quick
             test_parallel_multi_disk_read_faster;
           Alcotest.test_case "FIT cache evicts lru" `Quick test_fit_cache_evicts_lru;

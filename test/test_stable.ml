@@ -181,6 +181,19 @@ let test_recover_range_reads_only_its_range () =
       check int "primary sectors read" (10 * spp) (Disk.stats d0).sectors_read;
       check int "mirror sectors read" (10 * spp) (Disk.stats d1).sectors_read)
 
+(* The block service's chunk map marks [chunk_pages] pages per bit and
+   scans a marked chunk with one [recover_range]: that costs exactly one
+   reference on each replica. *)
+let test_recover_chunk_is_one_reference_pair () =
+  with_store ~npages:(3 * Stable.chunk_pages) (fun _ d0 d1 s ->
+      Stable.write s ~page:(Stable.chunk_pages + 5) (payload 1);
+      Disk.reset_stats d0;
+      Disk.reset_stats d1;
+      let report = Stable.recover_range s ~first:Stable.chunk_pages ~count:Stable.chunk_pages in
+      check int "pages scanned" Stable.chunk_pages report.pages_scanned;
+      check int "one primary reference" 1 (Disk.stats d0).references;
+      check int "one mirror reference" 1 (Disk.stats d1).references)
+
 let test_recover_range_repairs_and_raises_seq () =
   with_store ~npages:200 (fun _ d0 d1 s ->
       Stable.write s ~page:72 (payload 1);
@@ -328,6 +341,8 @@ let () =
           Alcotest.test_case "background scrubber" `Quick test_scrubber_repairs_decay;
           Alcotest.test_case "range reads only its pages" `Quick
             test_recover_range_reads_only_its_range;
+          Alcotest.test_case "chunk is one reference pair" `Quick
+            test_recover_chunk_is_one_reference_pair;
           Alcotest.test_case "range repairs and raises seq" `Quick
             test_recover_range_repairs_and_raises_seq;
           Alcotest.test_case "range overlaps replicas" `Quick
