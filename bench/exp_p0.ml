@@ -41,10 +41,14 @@
      unchanged. These are the numbers committed to BENCH_simcore.json
      and gated by `--perf-check`.
 
-   - the *profiled* run arms lib/obs/profiler and prints the per-name
-     attribution table. The probe adds two monotonic-clock reads and a
-     stats update per dispatch (~190 ns here), so its rate is reported
-     in the table for context but is not the gated metric.
+   - the *profiled* run arms lib/obs/profiler and prints the per-layer
+     table: host time and words charged to the innermost span open in
+     the dispatching process. The hooks cost clock and Gc reads per
+     dispatch and per span event, so its rate is reported for context
+     but is not the gated metric. Its words are gated: the profiler
+     keeps its own allocation out of every layer, so E15's words per
+     read in each layer repeat exactly and are committed as
+     [e15_words_per_read_<layer>].
 
    (Earlier revisions armed the profiler around the whole load,
    spawn phase included, and gated on its numbers — conflating probe
@@ -75,7 +79,8 @@ let e15_timed_runs = 15
    words per dispatched event. *)
 type timing = { dispatches : int; rate : float; words : float }
 
-let timed sim loop =
+let timed tracer loop =
+  let sim = Trace.sim tracer in
   let d0 = Sim.events_dispatched sim in
   let t0 = now_ns () in
   let m0 = Gc.minor_words () in
@@ -103,8 +108,10 @@ type measured = { timing : timing; runs : int; report : Profiler.report }
 (* ------------------------------------------------------------------ *)
 (* The E15 shape: cold 512 KiB sequential scan through the stack.      *)
 
+let e15_reads = kib 512 / kib 8
+
 let e15_with measure =
-  Cluster.run (fun sim t ->
+  Cluster.run (fun _ t ->
       let ws = Cluster.add_client t ~name:"ws" in
       let d = Cluster.create_file ws "/data" in
       Cluster.pwrite ws d ~off:0 ~data:(pattern (kib 512));
@@ -113,8 +120,8 @@ let e15_with measure =
       Fa.invalidate_file (Cluster.file_agent ws)
         ~file:(Fa.descriptor_file (Cluster.file_agent ws) d);
       ignore (Cluster.lseek ws d (`Set 0));
-      measure sim (fun () ->
-          for _ = 1 to kib 512 / kib 8 do
+      measure (Cluster.tracer t) (fun () ->
+          for _ = 1 to e15_reads do
             ignore (Cluster.read ws d (kib 8))
           done))
 
@@ -122,7 +129,7 @@ let e15_load () =
   let timing =
     best_of e15_timed_runs ~rate:(fun t -> t.rate) (fun () -> e15_with timed)
   in
-  let report = e15_with (fun sim loop -> snd (Profiler.profile sim loop)) in
+  let report = e15_with (fun tracer loop -> snd (Profiler.profile tracer loop)) in
   { timing; runs = e15_timed_runs; report }
 
 (* ------------------------------------------------------------------ *)
@@ -206,19 +213,13 @@ let churn_with measure =
   let sim = Sim.create () in
   let finished = ref 0 in
   churn_build sim finished;
-  let r = measure sim (fun () -> Sim.run sim) in
+  let r = measure (Trace.create sim) (fun () -> Sim.run sim) in
   assert (!finished = churn_pairs);
   r
 
 let churn_load () =
   let timing = best_of timed_runs ~rate:(fun t -> t.rate) (fun () -> churn_with timed) in
-  let report =
-    churn_with (fun sim loop ->
-        let prof = Profiler.create () in
-        Profiler.arm prof sim;
-        loop ();
-        Profiler.disarm prof sim)
-  in
+  let report = churn_with (fun tracer loop -> snd (Profiler.profile tracer loop)) in
   { timing; runs = timed_runs; report }
 
 (* ------------------------------------------------------------------ *)
@@ -322,6 +323,18 @@ let load_metrics prefix (m : measured) =
     (prefix ^ "_events_per_sec", m.timing.rate);
     (prefix ^ "_words_per_event", m.timing.words) ]
 
+(* Words per read charged to each layer of the profiled E15 scan; the
+   scheduler's share is not a layer of the stack. *)
+let layer_prefix = "e15_words_per_read_"
+
+let layer_metrics (m : measured) =
+  List.filter_map
+    (fun (l : Profiler.layer) ->
+      if l.layer = "sim-core" then None
+      else Some (layer_prefix ^ l.layer, l.words /. float_of_int e15_reads))
+    m.report.layers
+  |> List.sort compare
+
 let run_reports () =
   header "P0 — sim-core benchmark: events/sec and allocations/event";
   let e15 = e15_load () in
@@ -348,7 +361,7 @@ let run_reports () =
         %.1f simulated ms"
     recover_files recover_ms;
   let metrics =
-    load_metrics "e15" e15 @ load_metrics "churn" churn
+    load_metrics "e15" e15 @ layer_metrics e15 @ load_metrics "churn" churn
     @ [ ("txn_commit_per_sec", txn.commits_per_sec);
         ("txn_commit_words_per_txn", txn.words_per_txn);
         ("txn_commit_sim_ms", txn.sim_ms_per_txn);
@@ -378,8 +391,9 @@ let parse_baseline path =
    words/event must stay below [alloc_ceiling] x baseline + a small
    absolute slack (deterministic for a given binary, so a tight bound
    holds). The read path's count is exact and one 8 KiB copy is about
-   a third of it, so it gets [exact_ceiling]; so do the recovery time
-   and the simulated ms per commit, which repeat exactly. *)
+   a third of it, so it gets [exact_ceiling]; so do E15's per-layer
+   words per read, the recovery time and the simulated ms per commit,
+   which repeat exactly. *)
 let rate_floor = 0.6
 let alloc_ceiling = 1.25
 let exact_ceiling = 1.05
@@ -432,6 +446,11 @@ let check ~baseline () =
   upper "txn_commit_words_per_txn";
   upper ~ceiling:exact_ceiling ~slack:0. "txn_commit_sim_ms";
   upper ~ceiling:exact_ceiling "read_path_words_per_read";
+  List.iter
+    (fun (name, _) ->
+      if String.starts_with ~prefix:layer_prefix name then
+        upper ~ceiling:exact_ceiling name)
+    metrics;
   upper ~ceiling:exact_ceiling ~slack:0. "recover_sim_ms";
   List.iter (fun (sname, _) -> rate (qbench_key sname)) qbench_sizes;
   if !ok then note "perf: gate passed (floor %.2fx rate, ceiling %.2fx allocs)"

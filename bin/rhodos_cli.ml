@@ -287,7 +287,7 @@ let trace_action tree check =
   else print_string (Export.chrome_json spans)
 
 (* ------------------------------------------------------------------ *)
-(* profile / top: host-time and allocation self-profiling              *)
+(* profile: host-time and allocation self-profiling by layer          *)
 (* ------------------------------------------------------------------ *)
 
 module Profiler = Rhodos_obs.Profiler
@@ -297,7 +297,7 @@ module Profiler = Rhodos_obs.Profiler
    profiler armed around the scan. [traced] also collects spans so
    --chrome can overlay the profiler's counter tracks on the trace. *)
 let profiled_scan ~traced () =
-  Cluster.run (fun sim t ->
+  Cluster.run (fun _ t ->
       let ws = Cluster.add_client t ~name:"ws" in
       let payload = Bytes.init (512 * 1024) (fun i -> Char.chr (i mod 251)) in
       let d = Cluster.create_file ws "/scan" in
@@ -310,7 +310,7 @@ let profiled_scan ~traced () =
       let tracer = Cluster.tracer t in
       let collector = if traced then Some (Trace.collect tracer) else None in
       let (), report =
-        Profiler.profile ~interval:64 sim (fun () ->
+        Profiler.profile ~interval:64 tracer (fun () ->
             for _ = 1 to 64 do
               ignore (Cluster.read ws d (8 * 1024))
             done)
@@ -327,11 +327,6 @@ let profile_action collapsed chrome =
       (Export.chrome_json ~counters:(Profiler.counter_series report) spans)
   else if collapsed then print_string (Profiler.collapsed report)
   else print_string (Profiler.report_table report)
-
-let top_action limit =
-  Rhodos_util.Logging.setup_from_env ();
-  let report, _ = profiled_scan ~traced:false () in
-  print_string (Profiler.top_table ~limit report)
 
 (* ------------------------------------------------------------------ *)
 (* Cmdliner wiring                                                     *)
@@ -428,9 +423,9 @@ let trace_cmd =
 
 let profile_cmd =
   let doc =
-    "profile the engine itself on a cold 512 KiB scan: host time per \
-     process/service, allocations per event, queue waits and scheduler \
-     overhead. Emits a summary table (default), flamegraph folded stacks \
+    "profile the engine itself on a cold 512 KiB scan: host time and words \
+     charged to each span layer, plus the scheduler's share (sim-core). \
+     Emits a summary table (default), flamegraph folded stacks \
      (--collapsed), or Chrome JSON with profiler counter tracks (--chrome)"
   in
   let collapsed =
@@ -438,8 +433,8 @@ let profile_cmd =
       value & flag
       & info [ "collapsed" ]
           ~doc:
-            "Print flamegraph folded stacks (host ns per process, plus the \
-             sim-core scheduler residual) instead of the table.")
+            "Print flamegraph folded stacks (host ns per layer, sim-core \
+             included) instead of the table.")
   in
   let chrome =
     Arg.(
@@ -452,19 +447,10 @@ let profile_cmd =
   in
   Cmd.v (Cmd.info "profile" ~doc) Term.(const profile_action $ collapsed $ chrome)
 
-let top_cmd =
-  let doc = "hottest processes by host time on the standard profiling scan" in
-  let limit =
-    Arg.(
-      value & opt int 10
-      & info [ "limit" ] ~docv:"N" ~doc:"How many processes to show.")
-  in
-  Cmd.v (Cmd.info "top" ~doc) Term.(const top_action $ limit)
-
 let () =
   let doc = "drive a simulated RHODOS distributed file facility" in
   exit
     (Cmd.eval
        (Cmd.group
           (Cmd.info "rhodos_cli" ~doc)
-          [ run_cmd; info_cmd; trace_cmd; profile_cmd; top_cmd ]))
+          [ run_cmd; info_cmd; trace_cmd; profile_cmd ]))

@@ -1,36 +1,54 @@
-(* Host-time / allocation profiler for the simulator engine.
+(* Host-time / allocation profiler for the simulator, by layer.
 
    This is the one module in lib/ allowed to read host clocks (the
-   host-clock-hygiene lint enforces it). It arms the [Sim.probe]
-   hooks: the simulator calls back here around every dispatched event
-   with monotonic-clock stamps, and we accumulate host time, queue
-   wait, wakeups and Gc deltas into per-process and per-service
-   buckets. Nothing flows back into the simulation — the probe
-   callbacks only write profiler-private accumulators — so an armed
-   profiler is digest-neutral, and with the profiler off the hooks
-   cost a single match on [None] (see DESIGN, "Profiler
-   digest-neutrality").
+   host-clock-hygiene lint enforces it). Armed with a tracer, it takes
+   two hooks on the tracer's world: the [Sim.probe], which brackets
+   every dispatched event, and the tracer's span events.
 
-   Attribution model: each dispatched event is owned by the process
-   whose effect scheduled it ("fa-fetch", "server0-disk", "d0", ...,
-   or "top" for top-level work). The service bucket is the leading
-   name segment with trailing digits stripped, so "server0" and
-   "server1" both land in "server". Host time not inside any thunk —
-   heap pushes/pops, the dispatch loop itself — is the residual
-   [overhead_ns] and is reported as the "sim-core" bucket. *)
+   The rule. Span Start and Finish events split a dispatch into
+   segments; each segment's host ns and words are charged to the layer
+   (the span's [service]) of the innermost span the dispatching process
+   has open. A process with no span of its own open falls back to the
+   layer of the span it inherited (the parent of the first span it
+   opened), else to [other]. Host time and words between dispatches
+   are the simulator core's, [sim-core]. A process is not a layer: one
+   RPC handler runs file-service, block-service and disk code.
+
+   Allocation is read as minor + major - promoted words, so the 8 KiB
+   buffers the data path allocates straight into the major heap count.
+   Every hook reads the count on entry and on exit; what it allocated
+   in between is the profiler's own and is kept out of every layer. The
+   floats the hooks store between those readings live in all-float
+   records, which OCaml stores flat, so the stores do not allocate.
+
+   Nothing flows back into the simulation — the hooks only write
+   profiler-private state — so an armed profiler is digest-neutral
+   (DESIGN §4c'). *)
 
 module Sim = Rhodos_sim.Sim
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
-type agg = {
-  key : string;
-  dispatches : int;
-  host_ns : int;
-  wakeups : int;
-  queue_wait_ns : int;
-  queue_waits : int;
-}
+(* Words allocated so far. The minor count comes from [Gc.minor_words],
+   which reads the allocation pointer: the minor count in [Gc.counters]
+   can lag by whole minor heaps. Kept out of line so its own allocation
+   is a fixed cost, calibrated below. *)
+let[@inline never] words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* Words one reading allocates, as seen between two readings. *)
+let read_cost =
+  lazy
+    (let best = ref infinity in
+     for _ = 1 to 8 do
+       let a = words () in
+       let b = words () in
+       best := Float.min !best (b -. a)
+     done;
+     !best)
+
+type layer = { layer : string; host_ns : int; words : float }
 
 type sample = {
   s_sim_ms : float;
@@ -45,163 +63,164 @@ type sample = {
 
 type report = {
   wall_ns : int;
-  dispatch_ns : int;
-  overhead_ns : int;
+  hook_ns : int;
+  core_share : float;
   dispatches : int;
-  wakeups : int;
   events_per_sec : float;
-  minor_words : float;
-  major_words : float;
-  promoted_words : float;
+  words : float;
+  own_words : float;
   minor_collections : int;
   major_collections : int;
-  words_per_event : float;
   sim_ms_advanced : float;
   queue_len_mean : float;
   queue_len_max : int;
   burst_mean : float;
   burst_max : int;
-  by_process : agg list;
-  by_bucket : agg list;
+  layers : layer list;
   samples : sample list;
-}
-
-(* Mutable accumulator per attribution key. *)
-type pstat = {
-  mutable p_dispatches : int;
-  mutable p_host_ns : int;
-  mutable p_wakeups : int;
-  mutable p_qwait_ns : int;
-  mutable p_qwaits : int;
 }
 
 type gc_mark = {
   g_minor : float;
   g_major : float;
-  g_promoted : float;
   g_minor_c : int;
   g_major_c : int;
 }
 
+(* [Gc.quick_stat]'s word counts lag: minor words until the next minor
+   collection, major words until the next major slice. *)
 let gc_mark () =
   let s = Gc.quick_stat () in
+  let _, _, major = Gc.counters () in
   {
-    (* [quick_stat]'s minor_words only advances at minor collections;
-       [Gc.minor_words] reads the allocation pointer, so short windows
-       (fewer dispatches than one minor heap) still measure. *)
     g_minor = Gc.minor_words ();
-    g_major = s.Gc.major_words;
-    g_promoted = s.Gc.promoted_words;
+    g_major = major;
     g_minor_c = s.Gc.minor_collections;
     g_major_c = s.Gc.major_collections;
   }
 
-(* [burst_at]/[sim_first]/[sim_last] are [float ref]s, not mutable
-   float fields: in this mixed record a float field would be boxed and
-   the per-dispatch stores would each allocate. The [c1_*]/[c2_*]
-   fields are a two-entry attribution cache keyed by physical string
-   identity — a process's [name] field is one stable string across its
-   life, and the dominant dispatch pattern alternates between at most
-   two processes, so the per-dispatch Hashtbl lookups almost always
-   collapse to two pointer compares. *)
+(* A layer's totals. [w] is an all-float record so charging it does not
+   allocate. *)
+type fbox = { mutable v : float }
+type cell = { name : string; mutable ns : int; w : fbox }
+
+(* [mark] is the adjusted allocation reading at the start of the open
+   segment, [own] the words the profiler itself allocated, [burst_at]
+   the sim time of the current same-time dispatch run. *)
+type floats = { mutable mark : float; mutable own : float; mutable burst_at : float }
+
 type t = {
   interval : int;
-  procs : (string, pstat) Hashtbl.t;
-  buckets : (string, pstat) Hashtbl.t;
+  cost : float;
+  layers : (string, cell) Hashtbl.t;
+  other : cell;
+  core : cell;
+  open_spans : (int, cell) Hashtbl.t;  (* span id -> layer, while open *)
+  stacks : (int, (int * cell) list) Hashtbl.t;  (* pid -> own open spans, innermost first *)
+  inherited : (int, cell) Hashtbl.t;  (* pid -> layer of the span it inherited *)
+  f : floats;
+  mutable hooks : (Trace.t * Event_bus.token) option;  (* while armed *)
+  mutable in_dispatch : bool;
+  mutable arming_pid : int;  (* the process [arm] ran in, until its dispatch ends *)
+  mutable seg_start : int;
+  mutable last_after : int;  (* host time the last dispatch's hook returned *)
+  mutable hook_ns : int;
   mutable dispatches : int;
-  mutable wakeups : int;
-  mutable dispatch_ns : int;
   mutable queue_len_sum : int;
   mutable queue_len_max : int;
-  (* run-length of consecutive dispatches at the same sim time: the
-     honest "ready set size" a heap-based queue can observe in O(1) *)
-  burst_at : float ref;
-  mutable burst : int;
-  mutable burst_sum : int;
   mutable bursts : int;
+  mutable burst : int;
   mutable burst_max : int;
-  sim_first : float ref;
-  sim_last : float ref;
-  mutable arm_ns : int;
-  mutable arm_gc : gc_mark;
+  arm_ns : int;
+  arm_words : float;
+  arm_gc : gc_mark;
+  arm_sim_ms : float;
   mutable last_sample_ns : int;
   mutable last_sample_gc : gc_mark;
   mutable last_sample_dispatches : int;
   mutable samples_rev : sample list;
-  mutable c1_name : string;
-  mutable c1_ps : pstat;
-  mutable c1_bs : pstat;
-  mutable c2_name : string;
-  mutable c2_ps : pstat;
-  mutable c2_bs : pstat;
 }
 
-let new_pstat () =
-  { p_dispatches = 0; p_host_ns = 0; p_wakeups = 0; p_qwait_ns = 0;
-    p_qwaits = 0 }
+let new_cell name = { name; ns = 0; w = { v = 0. } }
 
-let create ?(interval = 1024) () =
-  if interval < 1 then invalid_arg "Profiler.create: interval < 1";
-  let zero = { g_minor = 0.; g_major = 0.; g_promoted = 0.; g_minor_c = 0; g_major_c = 0 } in
-  (* freshly allocated sentinel strings: physically distinct from any
-     process name, so the cache starts cold even for a process whose
-     name is [""] *)
-  let sentinel () = Bytes.to_string (Bytes.make 1 '\000') in
-  {
-    interval;
-    procs = Hashtbl.create 64;
-    buckets = Hashtbl.create 16;
-    dispatches = 0;
-    wakeups = 0;
-    dispatch_ns = 0;
-    queue_len_sum = 0;
-    queue_len_max = 0;
-    burst_at = ref nan;
-    burst = 0;
-    burst_sum = 0;
-    bursts = 0;
-    burst_max = 0;
-    sim_first = ref nan;
-    sim_last = ref nan;
-    arm_ns = 0;
-    arm_gc = zero;
-    last_sample_ns = 0;
-    last_sample_gc = zero;
-    last_sample_dispatches = 0;
-    samples_rev = [];
-    c1_name = sentinel ();
-    c1_ps = new_pstat ();
-    c1_bs = new_pstat ();
-    c2_name = sentinel ();
-    c2_ps = new_pstat ();
-    c2_bs = new_pstat ();
-  }
+let own_spans t pid = match Hashtbl.find t.stacks pid with l -> l | exception Not_found -> []
 
-(* Exception-style lookup: [Hashtbl.find_opt] would allocate a [Some]
-   per dispatch. *)
-let stat_of tbl key =
-  match Hashtbl.find tbl key with
-  | s -> s
-  | exception Not_found ->
-    let s = new_pstat () in
-    Hashtbl.add tbl key s;
-    s
+let target t pid =
+  match own_spans t pid with
+  | (_, c) :: _ -> c
+  | [] -> ( match Hashtbl.find t.inherited pid with c -> c | exception Not_found -> t.other)
 
-(* "server0-disk" -> "server"; "d0" -> "d"; "top" -> "top" *)
-let bucket_of name =
-  let seg =
-    match String.index_opt name '-' with
-    | Some i -> String.sub name 0 i
-    | None -> name
-  in
-  let n = String.length seg in
-  let rec first_digit i =
-    if i = 0 then 0
-    else
-      match seg.[i - 1] with '0' .. '9' -> first_digit (i - 1) | _ -> i
-  in
-  let cut = first_digit n in
-  if cut = 0 || cut = n then seg else String.sub seg 0 cut
+(* Charge the segment that ends at host time [now], allocation reading
+   [raw], to [c]. *)
+let[@inline] split t c now raw =
+  c.ns <- c.ns + (now - t.seg_start);
+  c.w.v <- c.w.v +. (raw -. t.f.own -. t.f.mark)
+
+(* Close a hook that started at host time [started] with allocation
+   reading [raw_in]: everything allocated since belongs to the profiler,
+   and so does the closing reading itself. Returns the host time the
+   next segment starts at. *)
+let close_hook t raw_in started =
+  let raw_out = words () in
+  t.f.own <- t.f.own +. (raw_out -. raw_in);
+  t.f.mark <- raw_out -. t.f.own;
+  t.f.own <- t.f.own +. t.cost;
+  let after = now_ns () in
+  t.hook_ns <- t.hook_ns + (after - started);
+  after
+
+let on_span t sim ev =
+  let started = now_ns () in
+  let raw = words () in
+  let pid = Sim.current_proc_id sim in
+  if t.in_dispatch then split t (target t pid) started raw;
+  (match ev with
+  | Trace.Start sp ->
+    let ly =
+      match Hashtbl.find t.layers sp.service with
+      | c -> c
+      | exception Not_found ->
+        let c = new_cell sp.service in
+        Hashtbl.replace t.layers sp.service c;
+        c
+    in
+    let own = own_spans t pid in
+    (match (own, sp.parent) with
+    | [], Some p -> (
+      match Hashtbl.find t.open_spans p with
+      | c -> Hashtbl.replace t.inherited pid c
+      | exception Not_found -> ())
+    | _ -> ());
+    Hashtbl.replace t.stacks pid ((sp.id, ly) :: own);
+    Hashtbl.replace t.open_spans sp.id ly
+  | Trace.Finish sp ->
+    (* a span opened before [arm] is not on any stack *)
+    if Hashtbl.mem t.open_spans sp.id then begin
+      Hashtbl.remove t.open_spans sp.id;
+      Hashtbl.replace t.stacks pid
+        (List.filter (fun (id, _) -> id <> sp.id) (own_spans t pid))
+    end);
+  t.seg_start <- close_hook t raw started
+
+(* The first clock read after a dispatch ended is the next dispatch's
+   start: between dispatches only the scheduler runs. *)
+let open_dispatch t =
+  let now = now_ns () in
+  let raw = words () in
+  t.seg_start <- t.last_after;
+  split t t.core now raw;
+  t.in_dispatch <- true;
+  t.seg_start <- close_hook t raw now
+
+(* [arm] ran inside a process, whose dispatch has now ended unannounced:
+   charge the rest of it, up to this clock read, to that process. *)
+let end_arming_dispatch t =
+  let now = now_ns () in
+  let raw = words () in
+  split t (target t t.arming_pid) now raw;
+  t.arming_pid <- -1;
+  t.in_dispatch <- false;
+  t.last_after <- close_hook t raw now
 
 let take_sample t ~sim_ms ~queue_len =
   let now = now_ns () in
@@ -229,161 +248,149 @@ let take_sample t ~sim_ms ~queue_len =
   t.last_sample_gc <- gc;
   t.last_sample_dispatches <- t.dispatches
 
-(* Ensure the [c1] cache slot holds [name]'s stats. Physical equality
-   only: a miss on an equal-but-distinct string just falls back to the
-   Hashtbl, which is structural. *)
-let fill_cache t name =
-  if name != t.c1_name then
-    if name == t.c2_name then begin
-      let n = t.c1_name and p = t.c1_ps and b = t.c1_bs in
-      t.c1_name <- t.c2_name;
-      t.c1_ps <- t.c2_ps;
-      t.c1_bs <- t.c2_bs;
-      t.c2_name <- n;
-      t.c2_ps <- p;
-      t.c2_bs <- b
-    end
-    else begin
-      t.c2_name <- t.c1_name;
-      t.c2_ps <- t.c1_ps;
-      t.c2_bs <- t.c1_bs;
-      t.c1_name <- name;
-      t.c1_ps <- stat_of t.procs name;
-      t.c1_bs <- stat_of t.buckets (bucket_of name)
-    end
+let end_burst t =
+  if t.burst > 0 then begin
+    t.bursts <- t.bursts + 1;
+    if t.burst > t.burst_max then t.burst_max <- t.burst
+  end
 
-let on_dispatch t ~proc:_ ~name ~at ~queue_len ~queued_host_ns ~start_ns
-    ~end_ns =
-  let d = end_ns - start_ns in
+let on_dispatch t ~proc ~at ~queue_len ~end_ns =
+  let raw = words () in
+  split t (target t proc) end_ns raw;
   t.dispatches <- t.dispatches + 1;
-  t.dispatch_ns <- t.dispatch_ns + d;
   t.queue_len_sum <- t.queue_len_sum + queue_len;
   if queue_len > t.queue_len_max then t.queue_len_max <- queue_len;
-  if Float.is_nan !(t.sim_first) then t.sim_first := at;
-  t.sim_last := at;
-  (* same-sim-time dispatch burst = observed ready-set size *)
-  if at = !(t.burst_at) then t.burst <- t.burst + 1
+  (* same-sim-time dispatch run = observed ready-set size *)
+  if at = t.f.burst_at then t.burst <- t.burst + 1
   else begin
-    if t.burst > 0 then begin
-      t.burst_sum <- t.burst_sum + t.burst;
-      t.bursts <- t.bursts + 1;
-      if t.burst > t.burst_max then t.burst_max <- t.burst
-    end;
-    t.burst_at := at;
+    end_burst t;
+    t.f.burst_at <- at;
     t.burst <- 1
   end;
-  fill_cache t name;
-  let ps = t.c1_ps and bs = t.c1_bs in
-  ps.p_dispatches <- ps.p_dispatches + 1;
-  ps.p_host_ns <- ps.p_host_ns + d;
-  bs.p_dispatches <- bs.p_dispatches + 1;
-  bs.p_host_ns <- bs.p_host_ns + d;
-  if queued_host_ns > 0 then begin
-    let w = start_ns - queued_host_ns in
-    let w = if w < 0 then 0 else w in
-    ps.p_qwait_ns <- ps.p_qwait_ns + w;
-    ps.p_qwaits <- ps.p_qwaits + 1;
-    bs.p_qwait_ns <- bs.p_qwait_ns + w;
-    bs.p_qwaits <- bs.p_qwaits + 1
-  end;
-  if t.dispatches mod t.interval = 0 then
-    take_sample t ~sim_ms:at ~queue_len
+  if t.dispatches mod t.interval = 0 then take_sample t ~sim_ms:at ~queue_len;
+  t.in_dispatch <- false;
+  t.last_after <- close_hook t raw end_ns
 
-let on_wake t ~target:_ ~name =
-  t.wakeups <- t.wakeups + 1;
-  fill_cache t name;
-  t.c1_ps.p_wakeups <- t.c1_ps.p_wakeups + 1;
-  t.c1_bs.p_wakeups <- t.c1_bs.p_wakeups + 1
-
-let arm t sim =
-  let now = now_ns () in
-  let gc = gc_mark () in
-  t.arm_ns <- now;
-  t.arm_gc <- gc;
-  t.last_sample_ns <- now;
-  t.last_sample_gc <- gc;
-  t.last_sample_dispatches <- t.dispatches;
-  Sim.set_probe sim
-    (Some
-       {
-         Sim.pr_clock = now_ns;
-         pr_dispatch = on_dispatch t;
-         pr_wake = on_wake t;
-       })
-
-let aggs tbl =
-  let l =
-    Hashtbl.fold
-      (fun key s acc ->
-        {
-          key;
-          dispatches = s.p_dispatches;
-          host_ns = s.p_host_ns;
-          wakeups = s.p_wakeups;
-          queue_wait_ns = s.p_qwait_ns;
-          queue_waits = s.p_qwaits;
-        }
-        :: acc)
-      tbl []
-  in
-  List.sort
-    (fun a b ->
-      match compare b.host_ns a.host_ns with
-      | 0 -> String.compare a.key b.key
-      | c -> c)
-    l
-
-let disarm t sim =
-  Sim.set_probe sim None;
-  let now = now_ns () in
-  let gc = gc_mark () in
-  (* close the trailing burst *)
-  if t.burst > 0 then begin
-    t.burst_sum <- t.burst_sum + t.burst;
-    t.bursts <- t.bursts + 1;
-    if t.burst > t.burst_max then t.burst_max <- t.burst;
-    t.burst <- 0;
-    t.burst_at := nan
-  end;
-  let wall_ns = now - t.arm_ns in
-  let dispatches = t.dispatches in
-  let minor_words = gc.g_minor -. t.arm_gc.g_minor in
-  let major_words = gc.g_major -. t.arm_gc.g_major in
-  let fdiv a b = if b = 0 then 0. else a /. float_of_int b in
+(* The dispatch that disarms still reports its end to the probe it
+   started with; [hooks = None] turns those late calls away. *)
+let probe t sim =
   {
-    wall_ns;
-    dispatch_ns = t.dispatch_ns;
-    overhead_ns = (let o = wall_ns - t.dispatch_ns in if o < 0 then 0 else o);
-    dispatches;
-    wakeups = t.wakeups;
-    events_per_sec =
-      (if wall_ns <= 0 then 0.
-       else float_of_int dispatches /. (float_of_int wall_ns /. 1e9));
-    minor_words;
-    major_words;
-    promoted_words = gc.g_promoted -. t.arm_gc.g_promoted;
-    minor_collections = gc.g_minor_c - t.arm_gc.g_minor_c;
-    major_collections = gc.g_major_c - t.arm_gc.g_major_c;
-    words_per_event = fdiv minor_words dispatches;
-    sim_ms_advanced =
-      (if Float.is_nan !(t.sim_first) then 0.
-       else !(t.sim_last) -. !(t.sim_first));
-    queue_len_mean = fdiv (float_of_int t.queue_len_sum) dispatches;
-    queue_len_max = t.queue_len_max;
-    burst_mean = fdiv (float_of_int t.burst_sum) t.bursts;
-    burst_max = t.burst_max;
-    by_process = aggs t.procs;
-    by_bucket = aggs t.buckets;
-    samples = List.rev t.samples_rev;
+    Sim.pr_clock =
+      (fun () ->
+        if Option.is_some t.hooks then begin
+          if t.arming_pid >= 0 && not (Sim.in_process sim) then end_arming_dispatch t;
+          if not t.in_dispatch then open_dispatch t
+        end;
+        now_ns ());
+    pr_dispatch =
+      (fun ~proc ~name:_ ~at ~queue_len ~queued_host_ns:_ ~start_ns:_ ~end_ns ->
+        if Option.is_some t.hooks then on_dispatch t ~proc ~at ~queue_len ~end_ns);
+    pr_wake = (fun ~target:_ ~name:_ -> ());
   }
 
-let profile ?interval sim f =
-  let t = create ?interval () in
-  arm t sim;
-  let finally () = Sim.set_probe sim None in
-  let x = Fun.protect ~finally f in
-  let r = disarm t sim in
-  (x, r)
+let arm ?(interval = 1024) tracer =
+  if interval < 1 then invalid_arg "Profiler.arm: interval < 1";
+  let started = now_ns () in
+  let raw = words () in
+  let sim = Trace.sim tracer in
+  let gc = gc_mark () in
+  let in_process = Sim.in_process sim in
+  let t =
+    {
+      interval;
+      cost = Lazy.force read_cost;
+      layers = Hashtbl.create 16;
+      other = new_cell "other";
+      core = new_cell "sim-core";
+      open_spans = Hashtbl.create 256;
+      stacks = Hashtbl.create 64;
+      inherited = Hashtbl.create 64;
+      f = { mark = 0.; own = 0.; burst_at = nan };
+      hooks = None;
+      in_dispatch = in_process;
+      arming_pid = (if in_process then Sim.current_proc_id sim else -1);
+      seg_start = 0;
+      last_after = 0;
+      hook_ns = 0;
+      dispatches = 0;
+      queue_len_sum = 0;
+      queue_len_max = 0;
+      bursts = 0;
+      burst = 0;
+      burst_max = 0;
+      arm_ns = started;
+      arm_words = raw;
+      arm_gc = gc;
+      arm_sim_ms = Sim.now sim;
+      last_sample_ns = started;
+      last_sample_gc = gc;
+      last_sample_dispatches = 0;
+      samples_rev = [];
+    }
+  in
+  t.hooks <- Some (tracer, Event_bus.subscribe (Trace.events tracer) (on_span t sim));
+  Sim.set_probe sim (Some (probe t sim));
+  t.last_after <- close_hook t raw started;
+  t.seg_start <- t.last_after;
+  t
+
+let disarm t =
+  match t.hooks with
+  | None -> invalid_arg "Profiler.disarm: not armed"
+  | Some (tracer, token) ->
+    let started = now_ns () in
+    let raw = words () in
+    let sim = Trace.sim tracer in
+    if t.in_dispatch then split t (target t (Sim.current_proc_id sim)) started raw
+    else begin
+      t.seg_start <- t.last_after;
+      split t t.core started raw
+    end;
+    Sim.set_probe sim None;
+    Event_bus.unsubscribe (Trace.events tracer) token;
+    t.hooks <- None;
+    end_burst t;
+    let gc = gc_mark () in
+    let layers =
+      Hashtbl.fold (fun _ c acc -> c :: acc) t.layers [ t.other; t.core ]
+      |> List.map (fun c -> { layer = c.name; host_ns = c.ns; words = c.w.v })
+      |> List.sort (fun a b ->
+             match compare b.host_ns a.host_ns with
+             | 0 -> String.compare a.layer b.layer
+             | c -> c)
+    in
+    let raw_end = words () in
+    let ended = now_ns () in
+    t.f.own <- t.f.own +. (raw_end -. raw);
+    t.hook_ns <- t.hook_ns + (ended - started);
+    let wall_ns = ended - t.arm_ns in
+    let fdiv a b = if b = 0 then 0. else a /. float_of_int b in
+    {
+      wall_ns;
+      hook_ns = t.hook_ns;
+      core_share = fdiv (float_of_int t.core.ns) (wall_ns - t.hook_ns);
+      dispatches = t.dispatches;
+      events_per_sec = fdiv (float_of_int t.dispatches *. 1e9) wall_ns;
+      words = raw_end -. t.arm_words;
+      own_words = t.f.own;
+      minor_collections = gc.g_minor_c - t.arm_gc.g_minor_c;
+      major_collections = gc.g_major_c - t.arm_gc.g_major_c;
+      sim_ms_advanced = Sim.now sim -. t.arm_sim_ms;
+      queue_len_mean = fdiv (float_of_int t.queue_len_sum) t.dispatches;
+      queue_len_max = t.queue_len_max;
+      burst_mean = fdiv (float_of_int t.dispatches) t.bursts;
+      burst_max = t.burst_max;
+      layers;
+      samples = List.rev t.samples_rev;
+    }
+
+let profile ?interval tracer f =
+  let t = arm ?interval tracer in
+  match f () with
+  | x -> (x, disarm t)
+  | exception e ->
+    ignore (disarm t);
+    raise e
 
 (* ---------- renderers ---------- *)
 
@@ -392,77 +399,38 @@ let ns_to_ms ns = float_of_int ns /. 1e6
 let pct part whole =
   if whole <= 0 then 0. else 100. *. float_of_int part /. float_of_int whole
 
-let agg_rows ~total_ns aggs =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf "  %-24s %10s %10s %6s %9s %12s\n" "key" "dispatches"
-       "host ms" "%" "wakeups" "qwait ms/ev");
-  List.iter
-    (fun a ->
-      let mean_wait =
-        if a.queue_waits = 0 then 0.
-        else ns_to_ms a.queue_wait_ns /. float_of_int a.queue_waits
-      in
-      Buffer.add_string b
-        (Printf.sprintf "  %-24s %10d %10.3f %5.1f%% %9d %12.4f\n" a.key
-           a.dispatches (ns_to_ms a.host_ns)
-           (pct a.host_ns total_ns)
-           a.wakeups mean_wait))
-    aggs;
-  Buffer.contents b
-
-let summary_lines r =
-  Printf.sprintf
-    "wall %.3f ms | in-thunk %.3f ms | sim-core overhead %.3f ms (%.1f%%)\n\
-     %d dispatches (%.0f events/sec host) | %d wakeups | sim advanced %.3f \
-     ms\n\
-     gc: %.0f minor words (%.1f words/event), %.0f major, %.0f promoted, \
-     %d/%d minor/major collections\n\
+let report_table (r : report) =
+  let b = Buffer.create 1024 in
+  let measured_ns = r.wall_ns - r.hook_ns in
+  Printf.bprintf b
+    "wall %.3f ms | profiler hooks %.3f ms | sim-core %.1f%% of the rest\n\
+     %d dispatches (%.0f events/sec host) | sim advanced %.3f ms\n\
+     gc: %.0f words (%.1f words/event), %d/%d minor/major collections; \
+     profiler's own %.0f words\n\
      queue len mean %.1f max %d | ready-burst mean %.2f max %d\n"
-    (ns_to_ms r.wall_ns) (ns_to_ms r.dispatch_ns) (ns_to_ms r.overhead_ns)
-    (pct r.overhead_ns r.wall_ns)
-    r.dispatches r.events_per_sec r.wakeups r.sim_ms_advanced r.minor_words
-    r.words_per_event r.major_words r.promoted_words r.minor_collections
-    r.major_collections r.queue_len_mean r.queue_len_max r.burst_mean
-    r.burst_max
-
-let report_table r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b (summary_lines r);
-  Buffer.add_string b "service buckets (host time in dispatched thunks):\n";
-  Buffer.add_string b (agg_rows ~total_ns:r.wall_ns r.by_bucket);
-  Buffer.contents b
-
-let top_table ?(limit = 10) r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b (summary_lines r);
-  Buffer.add_string b
-    (Printf.sprintf "top %d processes by host time:\n" limit);
-  let take n l =
-    let rec go n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | x :: tl -> x :: go (n - 1) tl
-    in
-    go n l
-  in
-  Buffer.add_string b (agg_rows ~total_ns:r.wall_ns (take limit r.by_process));
-  Buffer.contents b
-
-let collapsed r =
-  let b = Buffer.create 1024 in
+    (ns_to_ms r.wall_ns) (ns_to_ms r.hook_ns) (100. *. r.core_share)
+    r.dispatches r.events_per_sec r.sim_ms_advanced r.words
+    (if r.dispatches = 0 then 0. else r.words /. float_of_int r.dispatches)
+    r.minor_collections
+    r.major_collections r.own_words r.queue_len_mean r.queue_len_max
+    r.burst_mean r.burst_max;
+  Printf.bprintf b "layers (host time and words charged to the open span):\n";
+  Printf.bprintf b "  %-16s %10s %6s %12s\n" "layer" "host ms" "%" "words";
   List.iter
-    (fun a ->
-      if a.host_ns > 0 then
-        Buffer.add_string b
-          (Printf.sprintf "rhodos;%s;%s %d\n" (bucket_of a.key) a.key
-             a.host_ns))
-    r.by_process;
-  if r.overhead_ns > 0 then
-    Buffer.add_string b (Printf.sprintf "rhodos;sim-core %d\n" r.overhead_ns);
+    (fun l ->
+      Printf.bprintf b "  %-16s %10.3f %5.1f%% %12.0f\n" l.layer
+        (ns_to_ms l.host_ns) (pct l.host_ns measured_ns) l.words)
+    r.layers;
   Buffer.contents b
 
-let counter_series r =
+let collapsed (r : report) =
+  let b = Buffer.create 256 in
+  List.iter
+    (fun l -> if l.host_ns > 0 then Printf.bprintf b "rhodos;%s %d\n" l.layer l.host_ns)
+    r.layers;
+  Buffer.contents b
+
+let counter_series (r : report) =
   let pick f = List.map (fun s -> (s.s_sim_ms, f s)) r.samples in
   [
     ("queue_len", pick (fun s -> float_of_int s.s_queue_len));

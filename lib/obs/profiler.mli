@@ -1,39 +1,33 @@
-(** Host-time / allocation profiler for the simulator engine.
+(** Host-time / allocation profiler for the simulator, by layer.
 
-    Arms the {!Rhodos_sim.Sim.probe} hooks and accumulates, per
-    dispatched event: host time inside the thunk (monotonic-clock
-    deltas), queue wait (enqueue-to-dispatch host time), wakeups,
-    event-queue lengths, same-sim-time dispatch bursts (the observable
-    ready-set size), and Gc deltas sampled every [interval]
-    dispatches. Attribution is per process name and per service
-    bucket (leading name segment, trailing digits stripped); host time
-    not inside any thunk is the scheduler's own — the "sim-core"
-    bucket.
+    Armed with a {!Trace.t}, it takes two hooks on the tracer's world:
+    the {!Rhodos_sim.Sim.probe}, which brackets every dispatched event,
+    and the tracer's span events. Span [Start]/[Finish] events split a
+    dispatch into segments, and each segment's host ns and words
+    (minor + major - promoted, so buffers allocated straight into the
+    major heap count) are charged to the layer of the innermost span
+    the dispatching process has open. A layer is a span's [service]
+    string. A process with no span of its own open falls back to the
+    layer of the span it inherited (the parent of the first span it
+    opened), otherwise to ["other"]. Host time and words between
+    dispatches are the scheduler's: ["sim-core"]. The profiler's own
+    time and allocation are measured around its hooks and kept out of
+    every layer.
 
-    Digest-neutrality: probe callbacks only write profiler-private
-    accumulators, never simulated state, so armed runs produce
-    digests identical to unprofiled runs (asserted by tests). This is
-    the only module in lib/ that may read a host clock — the
-    host-clock-hygiene lint pins all others. *)
+    Digest-neutrality: the hooks only write profiler-private state,
+    never simulated state, so an armed run produces the digest an
+    unarmed run with the same span subscribers produces (asserted by
+    tests). This is the only module in lib/ that may read a host clock
+    — the host-clock-hygiene lint pins all others. *)
 
 val now_ns : unit -> int
 (** Monotonic host clock, nanoseconds. Only meaningful as deltas. *)
 
 type t
-(** An accumulating profiler; reusable across [arm]/[disarm] pairs
-    (totals keep accumulating until a fresh [create]). *)
+(** An armed profiler. *)
 
-(** Totals for one attribution key (a process or a service bucket). *)
-type agg = {
-  key : string;
-  dispatches : int;
-  host_ns : int;  (** host time inside this key's dispatched thunks *)
-  wakeups : int;
-  queue_wait_ns : int;
-      (** summed enqueue-to-dispatch host time, over [queue_waits]
-          events that carried an enqueue stamp *)
-  queue_waits : int;
-}
+(** Totals charged to one layer. *)
+type layer = { layer : string; host_ns : int; words : float }
 
 (** One periodic sample (every [interval] dispatches). Deltas are
     relative to the previous sample. *)
@@ -50,59 +44,53 @@ type sample = {
 
 type report = {
   wall_ns : int;  (** host time from [arm] to [disarm] *)
-  dispatch_ns : int;  (** summed host time inside dispatched thunks *)
-  overhead_ns : int;
-      (** [wall_ns - dispatch_ns]: the Sim/Prio_queue core ("sim-core") *)
+  hook_ns : int;  (** host time inside the profiler's own hooks *)
+  core_share : float;
+      (** ["sim-core"] host time over [wall_ns - hook_ns] *)
   dispatches : int;
-  wakeups : int;
   events_per_sec : float;  (** dispatches per host second *)
-  minor_words : float;
-  major_words : float;
-  promoted_words : float;
+  words : float;
+      (** every word allocated from [arm] to [disarm], the profiler's
+          own included *)
+  own_words : float;  (** the profiler's own allocation *)
   minor_collections : int;
   major_collections : int;
-  words_per_event : float;  (** minor words allocated per dispatch *)
   sim_ms_advanced : float;
   queue_len_mean : float;
   queue_len_max : int;
   burst_mean : float;  (** mean same-sim-time dispatch run length *)
   burst_max : int;
-  by_process : agg list;  (** sorted by host time, descending *)
-  by_bucket : agg list;  (** service buckets, same order *)
+  layers : layer list;
+      (** every span layer seen, ["other"] and ["sim-core"], by host
+          time descending *)
   samples : sample list;  (** chronological *)
 }
 
-val create : ?interval:int -> unit -> t
-(** [interval] (default 1024) is the sampling period in dispatches. *)
+val arm : ?interval:int -> Trace.t -> t
+(** Install the probe on the tracer's world, subscribe to its span
+    events and stamp the baseline (clock + Gc). Call it between
+    dispatches or from inside a process; in the latter case the rest of
+    that process's dispatch is charged to it. [interval] (default 1024)
+    is the sampling period in dispatches. *)
 
-val arm : t -> Rhodos_sim.Sim.t -> unit
-(** Install the probe on a world and stamp the baseline (clock + Gc). *)
+val disarm : t -> report
+(** Remove the probe and the subscription, charge the open segment and
+    return the accumulated report. *)
 
-val disarm : t -> Rhodos_sim.Sim.t -> report
-(** Remove the probe and return the accumulated report. *)
-
-val profile :
-  ?interval:int -> Rhodos_sim.Sim.t -> (unit -> 'a) -> 'a * report
-(** [profile sim f] = create, arm, run [f] (typically a [Sim.run] /
-    [Cluster.run] driver), disarm. The probe is removed even if [f]
+val profile : ?interval:int -> Trace.t -> (unit -> 'a) -> 'a * report
+(** [profile tracer f] = arm, run [f] (typically a [Sim.run] /
+    [Cluster.run] driver), disarm. The hooks are removed even if [f]
     raises. *)
 
 val report_table : report -> string
-(** Summary plus per-service-bucket table. *)
-
-val top_table : ?limit:int -> report -> string
-(** Summary plus the [limit] (default 10) hottest processes. *)
+(** Summary plus the per-layer table. *)
 
 val collapsed : report -> string
-(** Collapsed-stack ("folded") text, one [frame;frame weight_ns] line
-    per process plus a [rhodos;sim-core] line for scheduler overhead —
-    feedable to standard flamegraph tooling. *)
+(** Collapsed-stack ("folded") text, one [rhodos;<layer> weight_ns]
+    line per layer with host time — feedable to standard flamegraph
+    tooling. *)
 
 val counter_series : report -> (string * (float * float) list) list
 (** The periodic samples as named (sim-ms, value) series — queue_len,
     events_per_sec, minor_words, major_words — shaped for
     [Export.chrome_json ~counters]. *)
-
-val bucket_of : string -> string
-(** Service bucket of a process name: leading ['-']-segment with
-    trailing digits stripped ("server0-disk" -> "server"). *)

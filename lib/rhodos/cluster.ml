@@ -88,7 +88,12 @@ type remote_error =
   | E_io of string
   | E_other of string
 
-exception Remote_failure of string
+type remote_failure =
+  | Storage_fault of string
+  | Server_not_running
+  | Server_error of string
+
+exception Remote_failure of remote_failure
 
 let to_remote_error = function
   | Fs.File_not_found id -> E_file_not_found id
@@ -116,8 +121,8 @@ let raise_remote = function
   | E_txn_aborted (txn, reason) -> raise (Txn.Aborted { txn; reason })
   | E_no_space -> raise (Block.No_space { wanted_fragments = 0; free_fragments = 0 })
   | E_no_such_txn h -> raise (Txn.No_such_transaction h)
-  | E_io s -> raise (Remote_failure s)
-  | E_other s -> raise (Remote_failure s)
+  | E_io s -> raise (Remote_failure (Storage_fault s))
+  | E_other s -> raise (Remote_failure (Server_error s))
 
 type request =
   (* naming (always served by server 0) *)
@@ -466,7 +471,7 @@ let call t ~from request =
       let port =
         match server.s_port with
         | Some port -> port
-        | None -> failwith "rhodos: server not running"
+        | None -> raise (Remote_failure Server_not_running)
       in
       let size_bytes = request_size request in
       let resp_size_bytes = response_size request in

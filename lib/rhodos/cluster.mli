@@ -54,6 +54,13 @@ val default_config : config
 
 val create : ?config:config -> Rhodos_sim.Sim.t -> t
 
+(** What client calls raise for a server failure that has no exception
+    of its own: a failed disk, unrecoverable stable page, unformatted
+    disk or corrupt FIT; a crashed, unrecovered server; anything else. *)
+type remote_failure = Storage_fault of string | Server_not_running | Server_error of string
+
+exception Remote_failure of remote_failure
+
 val run :
   ?config:config ->
   (Rhodos_sim.Sim.t -> t -> 'a) ->

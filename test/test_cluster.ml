@@ -282,6 +282,36 @@ let test_server_crash_and_recovery () =
         (Bytes.to_string (Cluster.read c d3 100));
       Cluster.close c d3)
 
+let raises_remote what ~expect f =
+  match f () with
+  | _ -> Alcotest.failf "%s: no exception" what
+  | exception Cluster.Remote_failure k ->
+    check bool what true (expect k)
+
+(* A failed disk reaches the client as a storage fault, not as an
+   anonymous failure. *)
+let test_storage_fault_is_typed () =
+  Cluster.run (fun _ t ->
+      let c, d, _ = cold_read_setup t ~len:16384 in
+      Array.iter
+        (fun bs ->
+          Rhodos_block.Block_service.flush_block bs ~pos:0
+            ~fragments:(Rhodos_block.Block_service.total_fragments bs))
+        (Cluster.block_services t);
+      Array.iter Rhodos_disk.Disk.fail_unit (Cluster.disks t);
+      raises_remote "storage fault"
+        ~expect:(function Cluster.Storage_fault _ -> true | _ -> false)
+        (fun () -> Cluster.pread c d ~off:0 ~len:16384))
+
+let test_server_not_running_is_typed () =
+  Cluster.run (fun _ t ->
+      let c = Cluster.add_client t ~name:"ws" in
+      ignore (Cluster.create_file c "/before");
+      ignore (Cluster.crash_server t);
+      raises_remote "server not running"
+        ~expect:(function Cluster.Server_not_running -> true | _ -> false)
+        (fun () -> Cluster.create_file c "/after"))
+
 (* Growing and in-place writes on several files, then a server crash.
    Only a change of layout stores the FIT, so every size and byte must
    still come back as written, and the books must balance. The last
@@ -815,6 +845,9 @@ let () =
           Alcotest.test_case "client crash" `Quick test_client_crash_loses_dirty_cache;
           Alcotest.test_case "server crash + recovery" `Quick
             test_server_crash_and_recovery;
+          Alcotest.test_case "storage fault is typed" `Quick test_storage_fault_is_typed;
+          Alcotest.test_case "server not running is typed" `Quick
+            test_server_not_running_is_typed;
           QCheck_alcotest.to_alcotest crash_anytime_conservation_prop;
           Alcotest.test_case "crash after mixed writes" `Quick
             test_crash_after_mixed_writes;

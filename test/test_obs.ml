@@ -353,6 +353,16 @@ let test_bus_subscribe_during_publish () =
 
 module Profiler = Rhodos_obs.Profiler
 
+(* Every word allocated so far, major-heap buffers included. *)
+let words_allocated () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let layer (r : Profiler.report) name =
+  List.find_opt (fun (l : Profiler.layer) -> l.layer = name) r.layers
+
+(* A cold 64 KiB read with a span subscriber attached, profiled or not;
+   also returns the words read around the profiled window. *)
 let profiled_cold_read ~profiled =
   Cluster.run (fun sim t ->
       let ws = Cluster.add_client t ~name:"ws" in
@@ -364,64 +374,70 @@ let profiled_cold_read ~profiled =
       ignore (Fa.crash (Cluster.file_agent ws));
       let d = Cluster.open_file ws "/p" in
       let body () = ignore (Cluster.pread ws d ~off:0 ~len:(64 * 1024)) in
-      let report =
+      let tracer = Cluster.tracer t in
+      let report, outer =
         if profiled then begin
-          let (), r = Profiler.profile ~interval:16 sim body in
-          Some r
+          let w0 = words_allocated () in
+          let (), r = Profiler.profile ~interval:16 tracer body in
+          (Some r, words_allocated () -. w0)
         end
         else begin
+          let tok = Event_bus.subscribe (Trace.events tracer) ignore in
           body ();
-          None
+          Event_bus.unsubscribe (Trace.events tracer) tok;
+          (None, 0.)
         end
       in
-      (report, Sim.run_digest sim))
+      (report, outer, Sim.run_digest sim, Sim.events_dispatched sim))
+
+let some_report = function Some r -> r | None -> Alcotest.fail "no report"
+
+let layer_words (r : Profiler.report) =
+  List.sort compare (List.map (fun (l : Profiler.layer) -> (l.layer, l.words)) r.layers)
 
 let test_profiler_digest_neutral () =
-  let r1, d_on = profiled_cold_read ~profiled:true in
-  let _, d_off = profiled_cold_read ~profiled:false in
-  let r2, d_on2 = profiled_cold_read ~profiled:true in
+  let r1, _, d_on, n_on = profiled_cold_read ~profiled:true in
+  let _, _, d_off, n_off = profiled_cold_read ~profiled:false in
+  let r2, _, d_on2, _ = profiled_cold_read ~profiled:true in
   check bool "profiling leaves the digest unchanged" true (d_on = d_off);
+  check int "profiling leaves the event count unchanged" n_off n_on;
   check bool "profiled runs repeat exactly" true (d_on = d_on2);
-  match (r1, r2) with
-  | Some r1, Some r2 ->
-    check int "same dispatch count across profiled runs" r1.Profiler.dispatches
-      r2.Profiler.dispatches
-  | _ -> Alcotest.fail "profiled runs returned no report"
+  let r1 = some_report r1 and r2 = some_report r2 in
+  check int "same dispatch count across profiled runs" r1.Profiler.dispatches
+    r2.Profiler.dispatches;
+  check
+    Alcotest.(list (pair string (float 0.)))
+    "per-layer words repeat exactly" (layer_words r1) (layer_words r2)
 
 let test_profiler_report_sanity () =
-  let report, _ = profiled_cold_read ~profiled:true in
-  let r = match report with Some r -> r | None -> Alcotest.fail "no report" in
+  let report, outer, _, _ = profiled_cold_read ~profiled:true in
+  let r = some_report report in
   check bool "dispatches counted" true (r.Profiler.dispatches > 0);
   check bool "host wall time advanced" true (r.Profiler.wall_ns > 0);
-  check bool "thunk time within wall time" true
-    (r.Profiler.dispatch_ns <= r.Profiler.wall_ns);
-  check bool "overhead is the residual" true
-    (r.Profiler.overhead_ns = r.Profiler.wall_ns - r.Profiler.dispatch_ns);
+  check bool "hook time within wall time" true
+    (r.Profiler.hook_ns <= r.Profiler.wall_ns);
   check bool "sim time advanced" true (r.Profiler.sim_ms_advanced > 0.);
-  check bool "minor words measured" true (r.Profiler.minor_words > 0.);
-  check bool "per-process attribution present" true
-    (r.Profiler.by_process <> []);
-  (* per-process dispatches add back up to the total *)
-  let sum =
-    List.fold_left
-      (fun acc (a : Profiler.agg) -> acc + a.Profiler.dispatches)
-      0 r.Profiler.by_process
+  check bool "profiler's own words counted" true (r.Profiler.own_words > 0.);
+  (* the layers, the core and the profiler's own words make up every
+     word of the window, which the test's own readings enclose *)
+  let charged =
+    List.fold_left (fun acc (l : Profiler.layer) -> acc +. l.words) 0. r.Profiler.layers
   in
-  check int "process dispatches sum to total" r.Profiler.dispatches sum;
-  (* bucketing strips instance digits and suffixes *)
-  check string "bucket of server0-disk" "server"
-    (Profiler.bucket_of "server0-disk");
-  check string "bucket of fa-fetch" "fa" (Profiler.bucket_of "fa-fetch");
-  check string "bucket of d0" "d" (Profiler.bucket_of "d0");
-  check string "bucket of top" "top" (Profiler.bucket_of "top");
-  (* samples were taken (interval 16 over hundreds of dispatches) *)
+  check bool "layer words within the words read around the run" true
+    (charged > 0. && charged <= outer);
+  check (Alcotest.float 0.5) "layers + own = every word of the window"
+    r.Profiler.words (charged +. r.Profiler.own_words);
+  List.iter
+    (fun name ->
+      match layer r name with
+      | Some l ->
+        check bool (name ^ " host ns") true (l.host_ns > 0);
+        check bool (name ^ " words") true (l.words > 0.)
+      | None -> Alcotest.failf "no %s layer" name)
+    [ "file_agent"; "net"; "file_service"; "block_service"; "disk" ];
   check bool "periodic samples taken" true (r.Profiler.samples <> []);
-  (* renderers produce non-empty output and the folded export carries
-     the scheduler residual *)
   check bool "report table renders" true
     (String.length (Profiler.report_table r) > 0);
-  check bool "top table renders" true
-    (String.length (Profiler.top_table ~limit:3 r) > 0);
   let folded = Profiler.collapsed r in
   let has needle s =
     let nl = String.length needle and hl = String.length s in
@@ -429,7 +445,52 @@ let test_profiler_report_sanity () =
     go 0
   in
   check bool "folded stacks include sim-core" true
-    (has "rhodos;sim-core " folded)
+    (has "rhodos;sim-core " folded);
+  check bool "folded stacks are per layer" true (has "rhodos;disk " folded)
+
+(* Processes that open no spans: every dispatch is charged to [other]. *)
+let test_profiler_bare_sim () =
+  let sim = Sim.create () in
+  for i = 1 to 4 do
+    ignore
+      (Sim.spawn ~name:(Printf.sprintf "p%d" i) sim (fun () ->
+           for _ = 1 to 10 do
+             ignore (Sys.opaque_identity (Bytes.create 100));
+             Sim.sleep sim 1.
+           done))
+  done;
+  let (), r = Profiler.profile (Trace.create sim) (fun () -> Sim.run sim) in
+  check (Alcotest.list string) "only other and the core"
+    [ "other"; "sim-core" ]
+    (List.sort compare (List.map (fun (l : Profiler.layer) -> l.layer) r.layers));
+  let other = Option.get (layer r "other") in
+  check bool "dispatch time charged to other" true (other.host_ns > 0);
+  check bool "dispatch words charged to other" true (other.words > 0.)
+
+(* A helper process spawned under a file_service span, like an extent
+   I/O job: between the block_service spans it opens, it runs in the
+   layer it inherited. *)
+let test_profiler_inherited_layer () =
+  let sim = Sim.create () in
+  let tracer = Trace.create sim in
+  let big = 64 * 1024 in
+  ignore
+    (Sim.spawn ~name:"server" sim (fun () ->
+         Trace.with_span tracer ~service:"file_service" ~op:"pread" (fun () ->
+             let finished = Sim.Ivar.create sim in
+             ignore
+               (Sim.spawn ~name:"extent-io" sim (fun () ->
+                    Trace.with_span tracer ~service:"block_service" ~op:"get_block"
+                      (fun () -> Sim.sleep sim 5.);
+                    ignore (Sys.opaque_identity (Bytes.create big));
+                    Sim.Ivar.fill finished ()));
+             Sim.Ivar.read finished)));
+  let (), r = Profiler.profile tracer (fun () -> Sim.run sim) in
+  let words name = match layer r name with Some l -> l.words | None -> 0. in
+  check bool "the job's own copy lands in file_service" true
+    (words "file_service" >= float_of_int (big / 8));
+  check bool "not in block_service" true (words "block_service" < float_of_int (big / 8));
+  check bool "not in other" true (words "other" < float_of_int (big / 8))
 
 let test_chrome_counters_and_folded_spans () =
   let spans, _ = cold_read ~traced:true in
@@ -529,6 +590,8 @@ let () =
             test_profiler_digest_neutral;
           Alcotest.test_case "report sanity" `Quick
             test_profiler_report_sanity;
+          Alcotest.test_case "bare sim charges other" `Quick test_profiler_bare_sim;
+          Alcotest.test_case "inherited layer" `Quick test_profiler_inherited_layer;
         ] );
       ( "metrics",
         [
