@@ -30,7 +30,7 @@ let churn ~seed ~fill ~alloc ~free ~free_count =
        | pos ->
          live := (pos, n) :: !live;
          incr nlive
-       | exception _ -> raise Exit);
+       | exception (Block.No_space _ | Ffa.No_space) -> raise Exit);
        (* Free one in three to create holes. *)
        if !nlive > 3 && Rng.int rng 3 = 0 then begin
          let idx = Rng.int rng !nlive in

@@ -62,12 +62,14 @@ let write_whole c path data =
   Fa.flush (Cluster.file_agent c);
   Cluster.close c d
 
-(* Stable pages the last recovery's attach read, summed over every
+(* A block-service counter ([attach_pages_scanned]: stable pages the
+   last recovery's attach scanned; [stable_pages_read]: stable pages
+   read since, the intentions list's among them), summed over every
    server's block services from the cluster's metrics. *)
-let attach_pages_scanned t =
+let block_counter t name =
   List.fold_left
     (fun n (s : Rhodos_obs.Metrics.sample) ->
-      if String.ends_with ~suffix:".attach_pages_scanned" s.name then n + int_of_float s.value
+      if String.ends_with ~suffix:("." ^ name) s.name then n + int_of_float s.value
       else n)
     0
     (Rhodos_obs.Metrics.snapshot (Cluster.metrics t))
@@ -151,8 +153,10 @@ let execute sim t c line =
     let t0 = Sim.now sim in
     let report = Cluster.recover_server t in
     Printf.printf
-      "server recovered in %.1f simulated ms (%d stable pages scanned); %d txns redone, %d discarded\n"
-      (Sim.now sim -. t0) (attach_pages_scanned t)
+      "server recovered in %.1f simulated ms (%d stable pages scanned, %d read); %d txns redone, %d discarded\n"
+      (Sim.now sim -. t0)
+      (block_counter t "attach_pages_scanned")
+      (block_counter t "stable_pages_read")
       (List.length report.Txn.redone_transactions)
       (List.length report.Txn.discarded_transactions)
   | [ "time" ] -> Printf.printf "simulated time: %.2f ms\n" (Sim.now sim)

@@ -43,21 +43,23 @@ let () =
          map marks as holding a stable copy), both mirrors at once,
          and torn or decayed copies are repaired; the bitmap is
          restored from its stable copy and the intentions list is
-         replayed. *)
+         read from its stable copy, a chunk per reference pair, up to
+         the chunk holding its terminator, and replayed. *)
       let t0 = Sim.now sim in
       let report = Cluster.recover_server t in
-      let pages_scanned =
+      let block_counter name =
         List.fold_left
           (fun n (s : Metrics.sample) ->
-            if String.ends_with ~suffix:".attach_pages_scanned" s.name then
-              n + int_of_float s.value
+            if String.ends_with ~suffix:("." ^ name) s.name then n + int_of_float s.value
             else n)
           0
           (Metrics.snapshot (Cluster.metrics t))
       in
       Printf.printf
-        "recovered in %.1f simulated ms (%d stable pages scanned): %d transactions redone, %d discarded\n"
-        (Sim.now sim -. t0) pages_scanned
+        "recovered in %.1f simulated ms (%d stable pages scanned, %d read): %d transactions redone, %d discarded\n"
+        (Sim.now sim -. t0)
+        (block_counter "attach_pages_scanned")
+        (block_counter "stable_pages_read")
         (List.length report.Txn.redone_transactions)
         (List.length report.Txn.discarded_transactions);
 

@@ -271,7 +271,9 @@ let bench_emitter input =
    [Sim.Killed], [Assert_failure] and friends indiscriminately. The
    finding points at the [with] keyword, which the parse tree does not
    locate: the frontend's lexer finds it between the body and the
-   first handler. *)
+   first handler. A [match] arm [exception _] does the same unless an
+   earlier arm of that match handles [Killed]; its finding points at
+   the arm. *)
 let with_line src (body : expression) (handler : pattern) =
   let lo = body.pexp_loc.loc_end and hi = handler.ppat_loc.loc_start in
   let lexbuf =
@@ -287,19 +289,39 @@ let with_line src (body : expression) (handler : pattern) =
   in
   seek ()
 
+let rec names_killed p =
+  match p.ppat_desc with
+  | Ppat_construct ({ txt; _ }, _) -> Names.last txt = "Killed"
+  | Ppat_alias (p, _) | Ppat_constraint (p, _) | Ppat_open (_, p) -> names_killed p
+  | Ppat_or (a, b) -> names_killed a || names_killed b
+  | _ -> false
+
 let catch_all input =
   let acc = ref [] in
+  let flag ~line ~slug message =
+    acc := finding input ~rule:"no-catch-all" ~line ~slug message :: !acc
+  in
   iter_exprs (fun it -> it.structure it input.items) (fun e ->
       match e.pexp_desc with
       | Pexp_try (body, { pc_lhs = { ppat_desc = Ppat_any; _ } as p; _ } :: _)
         ->
-        acc :=
-          finding input ~rule:"no-catch-all"
-            ~line:(with_line input.file.Source.src body p)
-            ~slug:"try-with-_"
-            "catch-all `try ... with _ ->` swallows Sim.Killed and unexpected \
-             errors; match the expected exceptions"
-          :: !acc
+        flag ~line:(with_line input.file.Source.src body p) ~slug:"try-with-_"
+          "catch-all `try ... with _ ->` swallows Sim.Killed and unexpected \
+           errors; match the expected exceptions"
+      | Pexp_match (_, cases) ->
+        ignore
+          (List.fold_left
+             (fun killed c ->
+               match c.pc_lhs.ppat_desc with
+               | Ppat_exception { ppat_desc = Ppat_any; _ } when not killed ->
+                 flag ~line:(line_of c.pc_lhs.ppat_loc) ~slug:"match-exception-_"
+                   "catch-all `| exception _ ->` swallows Sim.Killed and \
+                    unexpected errors; match the expected exceptions or \
+                    re-raise Sim.Killed in an earlier arm";
+                 killed
+               | Ppat_exception p -> killed || names_killed p
+               | _ -> killed)
+             false cases)
       | _ -> ());
   !acc
 

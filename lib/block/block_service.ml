@@ -427,12 +427,8 @@ let get_block_impl ~source t ~pos ~fragments =
   check_run t ~pos ~fragments;
   match source with
   | Stable ->
-    let s = stable_exn t in
-    let out = Bytes.create (fragments * fragment_bytes) in
-    for i = 0 to fragments - 1 do
-      let page = Stable.read s ~page:(pos + i) in
-      Bytes.blit page 0 out (i * fragment_bytes) fragment_bytes
-    done;
+    let out = Stable.read_range (stable_exn t) ~first:pos ~count:fragments in
+    Counter.add t.counters "stable_pages_read" fragments;
     out
   | Main ->
     let sector = pos * t.sectors_per_fragment in

@@ -197,7 +197,11 @@ val release : t -> pos:int -> fragments:int -> unit
 
 val get_block : ?source:source -> t -> pos:int -> fragments:int -> bytes
 (** Read contiguous fragments in one disk reference (or from the
-    track cache). [source = Stable] reads the stable copy. The result
+    track cache). [source = Stable] reads the stable copy, a chunk of
+    [Rhodos_stable.Stable_store.chunk_pages] fragments per reference
+    pair ([Stable_store.read_range]): a fragment whose stable copy was
+    never written reads as zeros, and one whose copies a device fault
+    took raises [Stable_store.Unrecoverable_page]. The result
     is a fresh buffer owned by the caller, never a cached track: the
     caller may keep or edit it. *)
 
@@ -245,7 +249,8 @@ val stats : t -> Rhodos_util.Stats.Counter.t
     ["cache_hits"], ["cache_misses"], ["track_joins"] (misses served
     by a track read already in flight; also counted in
     ["cache_misses"]), ["allocs"], ["frees"], ["bitmap_fallbacks"],
-    ["extent_hits"], ["stable_writes"], and for the last [attach]
+    ["extent_hits"], ["stable_writes"], ["stable_pages_read"] (pages
+    [get_block ~source:Stable] returned), and for the last [attach]
     ["attach_marked_chunks"] (chunks the chunk map marks, the metadata
     chunks included) and ["attach_pages_scanned"] (stable pages those
     chunks hold, each read once per replica). *)

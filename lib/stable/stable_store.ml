@@ -173,9 +173,35 @@ let read_chunk_pair t ~first_page ~count =
   | Ok mirror -> (primary, mirror)
   | Error e -> raise e
 
-let recover_range t ~first ~count =
+let check_range name t ~first ~count =
   if first < 0 || count < 0 || first + count > t.npages then
-    invalid_arg "Stable_store.recover_range: range out of bounds";
+    invalid_arg ("Stable_store." ^ name ^ ": range out of bounds")
+
+(* Each page as [read] has it: the valid primary copy, else the valid
+   mirror copy. A page with neither and no device fault on either
+   replica was never written and reads as zeros. *)
+let read_range t ~first ~count =
+  check_range "read_range" t ~first ~count;
+  let out = Bytes.make (count * t.page_bytes) '\000' in
+  let rec scan i =
+    if i < count then begin
+      let n = min chunk_pages (count - i) in
+      let p, m = read_chunk_pair t ~first_page:(first + i) ~count:n in
+      for j = 0 to n - 1 do
+        match (p.(j), m.(j)) with
+        | (Some (_, payload), _), _ | _, (Some (_, payload), _) ->
+          Bytes.blit payload 0 out ((i + j) * t.page_bytes) t.page_bytes
+        | (None, false), (None, false) -> ()
+        | _ -> raise (Unrecoverable_page (first + i + j))
+      done;
+      scan (i + n)
+    end
+  in
+  scan 0;
+  out
+
+let recover_range t ~first ~count =
+  check_range "recover_range" t ~first ~count;
   let repairs = ref [] in
   let max_seq = ref 0L in
   let note = function

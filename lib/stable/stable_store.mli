@@ -14,7 +14,8 @@
       copy, which [recover] propagates. The copy is encoded and
       checksummed once; both replicas get the same bytes.
     - [read] tries the primary; on media failure or checksum mismatch
-      it falls back to the mirror.
+      it falls back to the mirror. [read_range] applies the same rule
+      to a range, a chunk of pages per reference pair.
     - [recover_range] scans the page pairs of a range and repairs
       decayed or torn copies so that both mirrors agree afterwards;
       the two replicas are read at the same time. A caller that knows
@@ -74,7 +75,19 @@ type recovery_report = {
 }
 
 val chunk_pages : int
-(** 64: the pages [recover_range] reads in one reference per replica. *)
+(** 64: the pages [read_range] and [recover_range] read in one
+    reference per replica. *)
+
+val read_range : t -> first:int -> count:int -> bytes
+(** The payloads of pages [first, first+count), concatenated. Each
+    chunk of [chunk_pages] pages is read as one reference per replica,
+    both at once, as [recover_range] reads it. A page reads as its
+    valid primary copy, else its valid mirror copy; a page with no
+    valid copy and no device fault on either replica was never written
+    and reads as zeros.
+    @raise Unrecoverable_page for a page with no valid copy and a
+    device fault on either replica.
+    @raise Invalid_argument if the range is not inside the store. *)
 
 val recover_range : t -> first:int -> count:int -> recovery_report
 (** Scan and repair pages [first, first+count). The range is read in

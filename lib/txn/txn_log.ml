@@ -1,6 +1,7 @@
 module Sim = Rhodos_sim.Sim
 module Block = Rhodos_block.Block_service
 module Crc32 = Rhodos_util.Crc32
+module Stable = Rhodos_stable.Stable_store
 
 type record =
   | Write of { txn : int; file : int; off : int; data : bytes }
@@ -171,38 +172,62 @@ let stage_done t ~txn =
   t.owed <- t.owed - done_bytes;
   encode t (Done { txn })
 
-let scan_image image =
+(* Walk the frames of [image] from [pos], trusting only its first
+   [known] bytes. Returns the records read, newest first, the offset
+   where the walk stopped, and whether that stop is final: it is not
+   when the header there, or the frame the header announces, runs past
+   [known]. *)
+let rec walk image ~known pos acc =
   let cap = Bytes.length image in
-  let rec loop pos acc =
-    if pos + header_bytes + 4 > cap then (List.rev acc, pos)
-    else if Bytes.get_int32_le image pos <> record_magic then (List.rev acc, pos)
-    else begin
-      let len = Int32.to_int (Bytes.get_int32_le image (pos + 4)) in
-      let crc = Bytes.get_int32_le image (pos + 8) in
-      let kind = Bytes.get_uint8 image (pos + 12) in
-      let p = pos + header_bytes in
-      if len < 8 || p + len > cap || Crc32.sub image ~pos:p ~len <> crc then
-        (List.rev acc, pos)
-      else
-        match decode_record ~kind image p ~len with
-        | Some r -> loop (p + len) (r :: acc)
-        | None -> (List.rev acc, pos)
-    end
-  in
-  loop 0 []
+  let stop final = (acc, pos, final) in
+  if pos + header_bytes + 4 > cap then stop true
+  else if pos + 4 > known then stop false
+  else if Bytes.get_int32_le image pos <> record_magic then stop true
+  else if pos + header_bytes > known then stop false
+  else begin
+    let len = Int32.to_int (Bytes.get_int32_le image (pos + 4)) in
+    let crc = Bytes.get_int32_le image (pos + 8) in
+    let kind = Bytes.get_uint8 image (pos + 12) in
+    let p = pos + header_bytes in
+    if len < 8 || p + len > cap then stop true
+    else if p + len > known then stop false
+    else if Crc32.sub image ~pos:p ~len <> crc then stop true
+    else
+      match decode_record ~kind image p ~len with
+      | Some r -> walk image ~known (p + len) (r :: acc)
+      | None -> stop true
+  end
 
+let scan_image image =
+  let records, pos, _ = walk image ~known:(Bytes.length image) 0 [] in
+  (List.rev records, pos)
+
+(* A never-written stable page reads as zeros, so the walk's stop is
+   final in the chunk that holds the terminator at the latest. *)
 let attach bs ~region ~fragments =
-  let image =
-    if Block.has_stable bs then begin
-      (* Prefer the stable copy of the log. *)
-      match Block.get_block ~source:Block.Stable bs ~pos:region ~fragments with
-      | img -> img
-      | exception _ -> Block.get_block bs ~pos:region ~fragments
+  let image, cursor =
+    if not (Block.has_stable bs) then begin
+      let image = Block.get_block bs ~pos:region ~fragments in
+      (image, snd (scan_image image))
     end
-    else Block.get_block bs ~pos:region ~fragments
+    else begin
+      let image = Bytes.make (fragments * frag_bytes) '\000' in
+      let rec read first pos =
+        let n = min Stable.chunk_pages (fragments - first) and at = region + first in
+        let chunk =
+          match Block.get_block ~source:Block.Stable bs ~pos:at ~fragments:n with
+          | b -> b
+          | exception Stable.Unrecoverable_page _ -> Block.get_block bs ~pos:at ~fragments:n
+        in
+        Bytes.blit chunk 0 image (first * frag_bytes) (n * frag_bytes);
+        match walk image ~known:((first + n) * frag_bytes) pos [] with
+        | _, pos, true -> pos
+        | _, pos, false -> read (first + n) pos
+      in
+      (image, read 0 0)
+    end
   in
   let t = make bs ~region ~fragments image in
-  let _, cursor = scan_image t.image in
   t.cursor <- cursor;
   Sim.Cell.set t.durable cursor;
   t

@@ -62,7 +62,12 @@ val create : Rhodos_block.Block_service.t -> fragments:int -> t
 val attach : Rhodos_block.Block_service.t -> region:int -> fragments:int -> t
 (** Re-adopt an existing log region after a crash (the region address
     is recorded by the transaction service's superblock or, in tests,
-    remembered by the caller). *)
+    remembered by the caller). With stable storage the log is its
+    stable copy, read one chunk of
+    [Rhodos_stable.Stable_store.chunk_pages] fragments per reference
+    pair up to the chunk that holds its terminator; only a chunk whose
+    stable copies a device fault took is read from main storage.
+    Without, the whole region is read from main storage. *)
 
 val region : t -> int
 (** First fragment of the log region. *)

@@ -495,7 +495,26 @@ let test_lint_catch_all () =
     | _ -> -1);
   check (list string) "wildcard with guard flagged" [ "no-catch-all" ]
     (rules
-       (Static.lint_source ~file:"t.ml" "let f x = try g x with _ when p x -> 0"))
+       (Static.lint_source ~file:"t.ml" "let f x = try g x with _ when p x -> 0"));
+  check (list string) "match arm exception _ flagged" [ "no-catch-all" ]
+    (rules
+       (Static.lint_source ~file:"t.ml"
+          "let f x = match g x with v -> v | exception _ -> 0"));
+  check int "line number points at the arm" 4
+    (match
+       Static.lint_source ~file:"t.ml"
+         "let f x =\n  match g x with\n  | v -> v\n  | exception _ -> 0"
+     with
+    | [ v ] -> v.Finding.line
+    | _ -> -1);
+  check (list string) "Killed handled only after exception _ flagged" [ "no-catch-all" ]
+    (rules
+       (Static.lint_source ~file:"t.ml"
+          "let f x = match g x with v -> v | exception _ -> 0 | exception Sim.Killed -> 1"));
+  check (list string) "other exception first flagged" [ "no-catch-all" ]
+    (rules
+       (Static.lint_source ~file:"t.ml"
+          "let f x = match g x with v -> v | exception Not_found -> 1 | exception _ -> 0"))
 
 let test_lint_catch_all_negatives () =
   check (list string) "match wildcard allowed" []
@@ -510,7 +529,27 @@ let test_lint_catch_all_negatives () =
   check (list string) "nested match inside try allowed" []
     (rules
        (Static.lint_source ~file:"t.ml"
-          "let f x = try (match x with _ -> 1) with Failure _ -> 0"))
+          "let f x = try (match x with _ -> 1) with Failure _ -> 0"));
+  check (list string) "exception _ after a Killed arm allowed" []
+    (rules
+       (Static.lint_source ~file:"t.ml"
+          "let f x =\n\
+          \  match g x with\n\
+          \  | v -> v\n\
+          \  | exception (Sim.Killed as k) -> raise k\n\
+          \  | exception _ -> 0"));
+  check (list string) "Killed in an or-pattern allowed" []
+    (rules
+       (Static.lint_source ~file:"t.ml"
+          "let f x = match g x with v -> v | exception (Exit | Killed) -> 1 | exception _ -> 0"));
+  check (list string) "named exception arm allowed" []
+    (rules
+       (Static.lint_source ~file:"t.ml"
+          "let f x = match g x with v -> v | exception Not_found -> 0"));
+  check (list string) "value wildcard arm allowed" []
+    (rules
+       (Static.lint_source ~file:"t.ml"
+          "let f x = match g x with Some v -> v | _ -> 0"))
 
 let test_lint_forbidden () =
   (* a host clock trips both the general rule and the hygiene rule;

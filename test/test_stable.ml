@@ -194,6 +194,33 @@ let test_recover_chunk_is_one_reference_pair () =
       check int "one primary reference" 1 (Disk.stats d0).references;
       check int "one mirror reference" 1 (Disk.stats d1).references)
 
+(* [read_range] keeps [read]'s rule per page, reads a never-written
+   page as zeros, and raises only for a page a device fault took. *)
+let test_read_range () =
+  with_store ~npages:(3 * Stable.chunk_pages) (fun _ d0 d1 s ->
+      let c = Stable.chunk_pages in
+      List.iter (fun p -> Stable.write s ~page:p (payload p)) [ c; c + 1; c + 3 ];
+      Stable.write_torn s ~page:(c + 1) (payload 99);
+      Disk.inject_media_fault d0 ~sector:((c + 3) * spp) ~count:spp;
+      let page b i = Bytes.sub b (i * page_bytes) page_bytes in
+      let b = Stable.read_range s ~first:c ~count:4 in
+      check bool "valid primary" true (Bytes.equal (payload c) (page b 0));
+      check bool "newer torn primary" true (Bytes.equal (payload 99) (page b 1));
+      check bool "never written reads as zeros" true
+        (Bytes.equal (Bytes.make page_bytes '\000') (page b 2));
+      check bool "decayed primary falls back to the mirror" true
+        (Bytes.equal (payload (c + 3)) (page b 3));
+      Disk.reset_stats d0;
+      Disk.reset_stats d1;
+      ignore (Stable.read_range s ~first:(2 * c) ~count:c);
+      check int "one primary reference per chunk" 1 (Disk.stats d0).references;
+      check int "one mirror reference per chunk" 1 (Disk.stats d1).references;
+      Disk.inject_media_fault d1 ~sector:((c + 3) * spp) ~count:spp;
+      check bool "both copies lost raises" true
+        (match Stable.read_range s ~first:c ~count:4 with
+        | _ -> false
+        | exception Stable.Unrecoverable_page p -> p = c + 3))
+
 let test_recover_range_repairs_and_raises_seq () =
   with_store ~npages:200 (fun _ d0 d1 s ->
       Stable.write s ~page:72 (payload 1);
@@ -343,6 +370,7 @@ let () =
             test_recover_range_reads_only_its_range;
           Alcotest.test_case "chunk is one reference pair" `Quick
             test_recover_chunk_is_one_reference_pair;
+          Alcotest.test_case "read_range: read rule per page" `Quick test_read_range;
           Alcotest.test_case "range repairs and raises seq" `Quick
             test_recover_range_repairs_and_raises_seq;
           Alcotest.test_case "range overlaps replicas" `Quick

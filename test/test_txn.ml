@@ -7,6 +7,7 @@ module Lm = Rhodos_txn.Lock_manager
 module Txn = Rhodos_txn.Txn_service
 module Log = Rhodos_txn.Txn_log
 module Counter = Rhodos_util.Stats.Counter
+module Stable = Rhodos_stable.Stable_store
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -749,6 +750,115 @@ let test_log_full () =
         Alcotest.fail "expected Log_full"
       with Log.Log_full -> ())
 
+(* A main disk and its two stable mirrors. *)
+let disks_with_stable sim =
+  let disk = Disk.create ~name:"d0" sim (Disk.geometry_with_capacity (mib 8)) in
+  let g = Disk.geometry_with_capacity (mib 16) in
+  (disk, (Disk.create ~name:"s0a" sim g, Disk.create ~name:"s0b" sim g))
+
+let stable_service sim =
+  let disk, stable = disks_with_stable sim in
+  let bs = Block.create ~disk ~stable () in
+  Block.format bs;
+  (disk, stable, bs)
+
+let chunk_bytes = Stable.chunk_pages * Block.fragment_bytes
+
+(* Committed transactions of one 1,000-byte write each, until the log
+   holds [bytes]. Returns where each [Write] frame starts. *)
+let fill_log log ~bytes =
+  let rec go txn starts =
+    if Log.used_bytes log >= bytes then List.rev starts
+    else begin
+      let at = Log.used_bytes log in
+      Log.append log
+        [ Log.Write { txn; file = 1; off = 0; data = Bytes.make 1000 'w' }; Log.Commit { txn } ];
+      Log.stage_done log ~txn;
+      go (txn + 1) (at :: starts)
+    end
+  in
+  go 1 []
+
+let test_log_attach_reads_to_terminator () =
+  run_in_sim (fun sim ->
+      let disk, (st0, st1), bs = stable_service sim in
+      let log = Log.create bs ~fragments:256 in
+      ignore (fill_log log ~bytes:(100 * Block.fragment_bytes));
+      Log.flush log;
+      let spanned = ((Log.used_bytes log + 3) / Block.fragment_bytes) + 1 in
+      let pairs = (spanned + Stable.chunk_pages - 1) / Stable.chunk_pages in
+      List.iter Disk.reset_stats [ disk; st0; st1 ];
+      let log2 = Log.attach bs ~region:(Log.region log) ~fragments:256 in
+      let refs d = (Disk.stats d).Disk.references in
+      check int "two chunks spanned" 2 pairs;
+      check int "primary references" pairs (refs st0);
+      check int "mirror references" pairs (refs st1);
+      check int "main disk references" 0 (refs disk);
+      check bool "same records" true (Log.scan log2 = Log.scan log))
+
+let test_log_attach_frame_across_chunks () =
+  run_in_sim (fun sim ->
+      let _, _, bs = stable_service sim in
+      let log = Log.create bs ~fragments:256 in
+      let starts = fill_log log ~bytes:(chunk_bytes + 8000) in
+      Log.flush log;
+      check bool "a Write frame crosses the chunk boundary" true
+        (List.exists (fun at -> at < chunk_bytes && at + 1041 > chunk_bytes) starts);
+      let log2 = Log.attach bs ~region:(Log.region log) ~fragments:256 in
+      check bool "same records as the whole region" true (Log.scan log2 = Log.scan log);
+      check int "same cursor" (Log.used_bytes log) (Log.used_bytes log2))
+
+(* Both stable copies of one log page decay: that chunk alone is read
+   from main storage, and every acknowledged commit is redone. *)
+let test_log_attach_lost_stable_page () =
+  run_in_sim (fun sim ->
+      let disk, ((st0, st1) as stable) = disks_with_stable sim in
+      let bs = Block.create ~disk ~stable () in
+      Block.format bs;
+      let fs = Fs.create ~disks:[| bs |] () in
+      let ts = Txn.create ~config:{ Txn.default_config with Txn.log_fragments = 256 } ~fs () in
+      let region, fragments = Txn.log_region ts in
+      let f = Fs.create_file fs in
+      let file = Fs.id_to_int f in
+      let data txn = Bytes.make 1000 (Char.chr (64 + (txn mod 26))) in
+      (* Commits whose intentions were never applied. *)
+      let log = Log.attach bs ~region ~fragments in
+      let txns = List.init 130 (fun i -> i + 1) in
+      List.iter
+        (fun txn ->
+          Log.append log [ Log.Write { txn; file; off = txn * 1000; data = data txn }; Log.Commit { txn } ])
+        txns;
+      check bool "the log spans two chunks" true (Log.used_bytes log > chunk_bytes);
+      Txn.shutdown ts;
+      ignore (Fs.crash fs);
+      let spp = 1 + (Block.fragment_bytes / (Disk.geometry st0).Disk.sector_bytes) in
+      List.iter
+        (fun d -> Disk.inject_media_fault d ~sector:((region + 10) * spp) ~count:spp)
+        [ st0; st1 ];
+      let bs = Block.create ~disk ~stable () in
+      Block.attach bs;
+      let stats = Block.stats bs in
+      let main_reads () = Counter.get stats "cache_hits" + Counter.get stats "cache_misses" in
+      let main0 = main_reads () and stable0 = Counter.get stats "stable_pages_read" in
+      Disk.reset_stats disk;
+      let log2 = Log.attach bs ~region ~fragments in
+      check int "one chunk from main storage" 1 (main_reads () - main0);
+      let g = Disk.geometry disk in
+      check bool "main storage reads only that chunk's tracks" true
+        ((Disk.stats disk).Disk.sectors_read
+        <= (chunk_bytes / g.Disk.sector_bytes) + (2 * g.Disk.sectors_per_track));
+      check int "the other chunk from stable storage" Stable.chunk_pages
+        (Counter.get stats "stable_pages_read" - stable0);
+      check bool "same records" true (Log.scan log2 = Log.scan log);
+      let fs = Fs.create ~disks:[| bs |] () in
+      let _, report = Txn.recover_service ~fs ~log_region:(region, fragments) () in
+      check (Alcotest.list int) "every commit redone" txns report.Txn.redone_transactions;
+      List.iter
+        (fun txn ->
+          if not (Bytes.equal (data txn) (Fs.pread fs f ~off:(txn * 1000) ~len:1000)) then
+            Alcotest.failf "txn %d not applied" txn)
+        txns)
+
 let test_recovery_redoes_committed () =
   run_in_sim (fun sim ->
       let fs = make_fs ~with_stable:true sim in
@@ -1391,6 +1501,12 @@ let () =
           Alcotest.test_case "log roundtrip" `Quick test_log_roundtrip;
           QCheck_alcotest.to_alcotest log_roundtrip_prop;
           Alcotest.test_case "log full" `Quick test_log_full;
+          Alcotest.test_case "stable attach stops at the terminator's chunk" `Quick
+            test_log_attach_reads_to_terminator;
+          Alcotest.test_case "stable attach: frame across chunks" `Quick
+            test_log_attach_frame_across_chunks;
+          Alcotest.test_case "stable attach: lost page read from main" `Quick
+            test_log_attach_lost_stable_page;
           Alcotest.test_case "redo committed" `Quick test_recovery_redoes_committed;
           Alcotest.test_case "idempotent" `Quick test_recovery_is_idempotent;
           Alcotest.test_case "aborted not redone" `Quick test_aborted_txn_not_redone;
